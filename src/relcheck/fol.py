@@ -101,22 +101,6 @@ class Exists(Formula):
     body: Formula
 
 
-def conj(parts: Sequence[Formula]) -> Formula:
-    assert parts
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
-def disj(parts: Sequence[Formula]) -> Formula:
-    assert parts
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
-
-
 def free_vars(f: Formula) -> set[Var]:
     if isinstance(f, (Atom, DefinedAtom)):
         return set(f.args)
@@ -556,53 +540,3 @@ def _render(f: Formula, parent: int) -> str:
         text = f"{_render(f.lhs, _PREC_IFF)} <-> {_render(f.rhs, _PREC_IFF + 1)}"
         return f"({text})" if parent > _PREC_IFF else text
     raise TypeError(f"not a formula: {f!r}")
-
-
-def check_well_sorted(
-    f: Formula,
-    signatures: dict[str, tuple[str, ...]],
-    free: Optional[dict[str, str]] = None,
-) -> None:
-    """Validate a programmatically built AST; raises FolError on violations."""
-    sigs = dict(PRIMITIVE_SIGNATURES)
-    sigs.update(signatures)
-    env = dict(free or {})
-
-    def walk(g: Formula, env: dict[str, str]) -> None:
-        if isinstance(g, Atom):
-            if g.pred == "=":
-                a, b = g.args
-                if a.sort != b.sort:
-                    raise FolError("equality between different sorts")
-            else:
-                for arg, want in zip(g.args, sigs[g.pred]):
-                    if arg.sort != want:
-                        raise FolError(f"{g.pred}: bad argument sort {arg}")
-            for arg in g.args:
-                if env.get(arg.name) != arg.sort:
-                    raise FolError(f"variable {arg} unbound or sort-inconsistent")
-            return
-        if isinstance(g, DefinedAtom):
-            if g.name not in sigs:
-                raise FolError(f"unknown predicate {g.name}")
-            if tuple(a.sort for a in g.args) != tuple(sigs[g.name]):
-                raise FolError(f"{g.name}: argument sorts do not match signature")
-            for arg in g.args:
-                if env.get(arg.name) != arg.sort:
-                    raise FolError(f"variable {arg} unbound or sort-inconsistent")
-            return
-        if isinstance(g, Not):
-            walk(g.body, env)
-            return
-        if isinstance(g, (And, Or, Implies, Iff)):
-            walk(g.lhs, env)
-            walk(g.rhs, env)
-            return
-        if isinstance(g, (Forall, Exists)):
-            inner = dict(env)
-            inner[g.var.name] = g.var.sort
-            walk(g.body, inner)
-            return
-        raise TypeError(f"not a formula: {g!r}")
-
-    walk(f, env)

@@ -212,9 +212,6 @@ class Line:
             raise ValueError("two distinct points are required")
         return Line(p, q - p)
 
-    def same_direction(self, other: "Line") -> bool:
-        return self.dir == other.dir
-
 
 class _IdenticalLines:
     __slots__ = ()
@@ -450,11 +447,3 @@ class PoincareMap:
         rows[ax2][ax1] = s
         rows[ax2][ax2] = c
         return PoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0))
-
-
-def apply_poincare(t: PoincareMap, x: Vec4) -> Vec4:
-    return t.apply(x)
-
-
-def validate_isometry(t: PoincareMap) -> bool:
-    return t.validate_isometry()

@@ -19,7 +19,6 @@ from relcheck.minkowski import (
     IDENTICAL_LINES,
     IntervalClass,
     Line,
-    PoincareMap,
     Segment,
     Vec4,
     classify,
@@ -59,13 +58,6 @@ class ObserverClass(enum.Enum):
     FTL = "ftl"
 
 
-class Incidence(enum.Enum):
-    TRANSMITS = "transmits"
-    RECEIVES = "receives"
-    BOTH = "both"
-    NEITHER = "neither"
-
-
 Observer = Line
 Signal = Segment
 
@@ -84,18 +76,6 @@ def transmits(a: Observer, s: Signal) -> bool:
 
 def receives(a: Observer, s: Signal) -> bool:
     return a.contains(s.end)
-
-
-def incidence(a: Observer, s: Signal) -> Incidence:
-    t = transmits(a, s)
-    r = receives(a, s)
-    if t and r:
-        return Incidence.BOTH
-    if t:
-        return Incidence.TRANSMITS
-    if r:
-        return Incidence.RECEIVES
-    return Incidence.NEITHER
 
 
 def observer_class(a: Observer) -> ObserverClass:
@@ -241,16 +221,6 @@ def witness_zero_and_two(line: Line) -> Optional[tuple[Vec4, Vec4]]:
     return p_zero, p_two
 
 
-def is_stl_by_counting(line: Line) -> bool:
-    """Definitional STL reading: every event has exactly one future null
-    segment to the line.  Timelike lines always do; otherwise a verified
-    witness with count != 1 exists."""
-    if line.interval_class is IntervalClass.TIMELIKE:
-        return True
-    assert witness_zero_and_two(line) is not None
-    return False
-
-
 # --- betweenness / equidistance on a timelike parallel class -----------------
 
 
@@ -318,7 +288,10 @@ def sim_project(a: Observer, e: Signal) -> Vec4:
 
 
 def tau_geo(b: Observer, e1: Signal, e2: Signal) -> Optional[Observer]:
-    """The observer c = tau_b(e1, e2), or None when the preconditions fail."""
+    """The observer c = tau_b(e1, e2), or None when the preconditions fail.
+
+    It also decides TauFTL: the transmitter of two <<-ordered events is
+    forced timelike, so the FTL reading has the same solution."""
     if not chron_precedes(e1, e2):
         return None
     a = Line.through(e1.beg, e2.beg)
@@ -334,12 +307,6 @@ def tau_geo(b: Observer, e1: Signal, e2: Signal) -> Optional[Observer]:
     t = ctx.sqrt(gap_sq / qn)
     c_base = a.base + offset.scale(t)
     return Line(c_base, a.dir)
-
-
-def tau_ftl(b: Observer, e1: Signal, e2: Signal) -> Optional[Observer]:
-    # the transmitting observer of two <<-ordered events is forced timelike,
-    # so the FTL variant coincides with the plain one on its whole domain
-    return tau_geo(b, e1, e2)
 
 
 # --- relatability, optical planes, and the rho-generalized relations ----------

@@ -117,9 +117,6 @@ class Scalar:
             return self.a == 0
         return False  # normalized: b != 0 means irrational part present
 
-    def is_rational(self) -> bool:
-        return self.level == 0
-
     def as_fraction(self) -> Fraction:
         if self.level != 0:
             raise ScalarError("scalar is not rational")
@@ -220,6 +217,11 @@ class Scalar:
             return False
         if self.level == 0:
             return self.a == other.a
+        # coordinates compare only over the same radicands
+        if other.ctx is not self.ctx and (
+            self.ctx.radicands[: self.level] != other.ctx.radicands[: self.level]
+        ):
+            return False
         return self.a == other.a and self.b == other.b
 
     def __ne__(self, other) -> bool:
@@ -481,19 +483,6 @@ class _ScalarParser:
                 self.pos += 1
             return self.ctx.rat(int(self.text[start : self.pos]))
         raise ScalarParseError("expected a number, sqrt(...), or '('", self.pos)
-
-
-def arith(op: str, a: Scalar, b: Scalar) -> Scalar:
-    """Field operation by name; div b=0 raises DomainError."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def compare(a: Scalar, b: Scalar) -> int:

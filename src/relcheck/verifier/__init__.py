@@ -1,9 +1,9 @@
 from relcheck.verifier.report import Budget, CaseRecord, SuiteReport, Verdict
 from relcheck.verifier.evaluate import EvalModel, evaluate_bounded
 from relcheck.verifier.suites import (
-    check_definitional_equivalence,
     invariance_suite,
     run_axiom_suite,
+    run_equivalence_suite,
     run_lemma_suite,
 )
 
@@ -16,6 +16,6 @@ __all__ = [
     "evaluate_bounded",
     "run_axiom_suite",
     "run_lemma_suite",
-    "check_definitional_equivalence",
+    "run_equivalence_suite",
     "invariance_suite",
 ]

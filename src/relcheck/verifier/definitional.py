@@ -33,7 +33,6 @@ from relcheck.minkowski import (
 )
 from relcheck.model import (
     ModelKind,
-    count_future_null_to_line,
     dual_candidates,
     dual_definitional_check,
     event,
@@ -127,25 +126,6 @@ def _grow_until(predicate: Callable[[int], Optional[object]], cap: int = 4096):
             return got
         k *= 2
     return None
-
-
-def _transversal(a: Line, b: Line, t_a: Fraction, kind: ModelKind) -> Optional[Line]:
-    """A universe line through a.at(t_a) meeting b (searched exactly)."""
-    ctx = a.ctx
-    p = a.at(ctx.rat(t_a))
-
-    def attempt(k: int) -> Optional[Line]:
-        for s in (Fraction(k), Fraction(-k), Fraction(k, 3)):
-            q = b.at(ctx.rat(t_a + s))
-            if (q - p).is_zero():
-                continue
-            cand = Line.through(p, q)
-            cls = cand.interval_class
-            if kind.allows(cls):
-                return cand
-        return None
-
-    return _grow_until(attempt)
 
 
 def cop_def(a: Line, b: Line, kind: ModelKind) -> Verdict:

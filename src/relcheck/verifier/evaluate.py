@@ -35,7 +35,6 @@ from relcheck.model import (
     dual_definitional_check,
     event,
     null_params,
-    tau_ftl,
     tau_geo,
 )
 from relcheck.scalar import CapacityError, ScalarContext
@@ -162,8 +161,7 @@ def _eval_defined(f: DefinedAtom, model: EvalModel, env: dict, budget: Budget) -
     if model.use_geometric:
         try:
             if f.name in ("Tau", "TauFTL"):
-                solve = tau_geo if f.name == "Tau" else tau_ftl
-                got = solve(args[1], args[2], args[3])
+                got = tau_geo(args[1], args[2], args[3])
                 return _bool(got is not None and got == args[0])
             if f.name == "Dual":
                 return _bool(dual_definitional_check(args[0], args[1], args[2]))
@@ -292,8 +290,7 @@ def _constructive_candidates(
                 out.append(cand)
             complete = True  # at most the one line passes through both
         if tau_atom is not None:
-            solve = tau_geo if tau_atom.name == "Tau" else tau_ftl
-            got = solve(*(env[a.name] for a in tau_atom.args[1:]))
+            got = tau_geo(*(env[a.name] for a in tau_atom.args[1:]))
             if got is not None:
                 out.append(got)
     return out, complete

@@ -20,7 +20,6 @@ from relcheck.minkowski import (
     Segment,
     Vec4,
     classify,
-    inner,
     lam,
     quotient_lift,
     quotient_norm,
@@ -122,10 +121,6 @@ class ConfigGen:
                 out.append(line)
         return out
 
-    def parallel_distinct_pair(self, kind: ModelKind = ModelKind.STL_ONLY) -> tuple[Line, Line]:
-        a, b = self.parallel_family(2, kind)
-        return a, b
-
     def nonrelatable_spacelike_pair(self) -> tuple[Line, Line]:
         """Parallel spacelike pair with certified negative discriminant."""
         for _ in range(200):
@@ -143,13 +138,6 @@ class ConfigGen:
 
     def event_on(self, line: Line) -> Segment:
         return event(line.at(self.rat()))
-
-    def event_off_line(self, line: Line) -> Segment:
-        for _ in range(100):
-            p = self.point()
-            if not line.contains(p):
-                return event(p)
-        raise GenerationError("no off-line event found")
 
     def null_connected_pair(self) -> tuple[Segment, Segment]:
         p = self.point()
@@ -205,27 +193,3 @@ class ConfigGen:
 
     def transform_signal(self, m: PoincareMap, s: Segment) -> Segment:
         return Segment(m.apply(s.beg), m.apply(s.end))
-
-
-PATTERNS = {
-    "parallel timelike pair": lambda g: tuple(g.parallel_family(2)),
-    "parallel timelike triple": lambda g: tuple(g.parallel_family(3)),
-    "null-connected event pair": lambda g: g.null_connected_pair(),
-    "chronological event pair": lambda g: g.chron_pair(),
-    "non-relatable spacelike pair": lambda g: g.nonrelatable_spacelike_pair(),
-    "timelike observer": lambda g: (g.timelike_line(),),
-    "spacelike observer": lambda g: (g.spacelike_line(),),
-    "signal": lambda g: (g.signal(),),
-}
-
-
-def generate_configuration(pattern: str, seed: int, bound: int = 8):
-    """Exact random bindings for a named structural pattern.
-
-    Deterministic per seed; unsatisfiable or unknown patterns raise
-    :class:`GenerationError`.
-    """
-    if pattern not in PATTERNS:
-        raise GenerationError(f"unknown pattern {pattern!r}")
-    gen = ConfigGen(seed, bound)
-    return PATTERNS[pattern](gen)

@@ -18,14 +18,12 @@ UNKNOWN = "unknown"
 @dataclass(frozen=True)
 class Budget:
     max_witness_candidates: int = 64
-    max_sample_points: int = 16
     coordinate_bound: int = 8
     seed: int = 0
 
     def as_dict(self) -> dict:
         return {
             "max_witness_candidates": self.max_witness_candidates,
-            "max_sample_points": self.max_sample_points,
             "coordinate_bound": self.coordinate_bound,
             "seed": self.seed,
         }

@@ -5,7 +5,8 @@ Each axiom or lemma gets a constructive checker: the generator instantiates
 the outermost universal quantifiers exactly (building configurations that
 satisfy the hypotheses where the statement would otherwise be vacuous), and
 inner existentials are discharged by per-pattern solvers.  One verdict per
-case; reports aggregate deterministically by case index.
+case; reports aggregate deterministically by case index.  All four suites
+run their cases through one loop, `_run_cases`.
 """
 
 from __future__ import annotations
@@ -14,21 +15,16 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from relcheck.corpus import (
-    SYSTEM_SIMPLEREL,
     SYSTEM_SIMPLERELFTL,
     corpus_version,
     load_axioms,
-    load_definitions,
 )
 from relcheck.minkowski import (
     IDENTICAL_LINES,
-    IntervalClass,
     Line,
     PoincareMap,
     Segment,
     Vec4,
-    classify,
-    inner,
     lam,
     lines_intersect,
     quotient_inner,
@@ -58,24 +54,20 @@ from relcheck.model import (
     observer_class,
     parallel,
     receives,
-    relatable_dual,
-    rho,
     sim_ftl,
     sim_geo,
     sim_project,
-    tau_ftl,
     tau_geo,
     transmits,
     witness_zero_and_two,
 )
-from relcheck.scalar import CapacityError, Scalar, ScalarContext
+from relcheck.scalar import CapacityError, Scalar
 from relcheck.verifier import definitional
 from relcheck.verifier.generators import ConfigGen
 from relcheck.verifier.report import (
     FALSE,
-    TRUE,
-    UNKNOWN,
     Budget,
+    ItemResult,
     SuiteReport,
     Verdict,
     serialize_entity,
@@ -90,13 +82,9 @@ class Ops:
         assert variant in ("plain", "ftl")
         self.variant = variant
         if variant == "plain":
-            self.bw, self.eq, self.sim, self.delta, self.tau = (
-                bw_geo, eq_geo, sim_geo, delta_geo, tau_geo,
-            )
+            self.bw, self.eq, self.sim, self.delta = bw_geo, eq_geo, sim_geo, delta_geo
         else:
-            self.bw, self.eq, self.sim, self.delta, self.tau = (
-                bw_ftl, eq_ftl, sim_ftl, delta_ftl, tau_ftl,
-            )
+            self.bw, self.eq, self.sim, self.delta = bw_ftl, eq_ftl, sim_ftl, delta_ftl
 
 
 def _verdict(ok: bool, detail: Optional[dict] = None) -> Verdict:
@@ -156,10 +144,6 @@ class ClassFrame:
     def combo(self, a: Line, b: Line, t) -> Line:
         k = t if isinstance(t, Scalar) else self.ctx.rat(Fraction(t))
         return Line(a.base + (b.base - a.base).scale(k), self.dir)
-
-
-def _qdist_sq(frame: ClassFrame, a: Line, b: Line) -> Scalar:
-    return frame.qnorm(a, b)
 
 
 # --- Tarski axiom checkers ----------------------------------------------------------
@@ -321,14 +305,14 @@ def check_tarski10(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     frame = ClassFrame(gen)
     x, y = frame.random_line(), frame.random_line()
     u, v = frame.random_line(), frame.random_line()
-    target = _qdist_sq(frame, u, v)
+    target = frame.qnorm(u, v)
     if x == y:
         w = Line(y.base + frame.basis[0], frame.dir)
-        base_sq = _qdist_sq(frame, y, w)
+        base_sq = frame.qnorm(y, w)
         t = frame.ctx.sqrt(target / base_sq)
         z = Line(y.base + (w.base - y.base).scale(t), frame.dir)
     else:
-        base_sq = _qdist_sq(frame, x, y)
+        base_sq = frame.qnorm(x, y)
         t = frame.ctx.sqrt(target / base_sq)
         z = Line(y.base + (y.base - x.base).scale(t), frame.dir)
     ok = ops.bw(x, y, z) and ops.eq(y, z, u, v)
@@ -531,10 +515,10 @@ def check_cont_disk(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     """cont04: ball-of-radius-|w1w2| cut by the line toward w3, against w3."""
     frame = ClassFrame(gen)
     w1, w2, w3 = (frame.random_line() for _ in range(3))
-    r_sq = _qdist_sq(frame, w1, w2)
+    r_sq = frame.qnorm(w1, w2)
     if w3 == w1:
         return Verdict.true()  # the collinearity disjunction degenerates
-    d_sq = _qdist_sq(frame, w1, w3)
+    d_sq = frame.qnorm(w1, w3)
     if r_sq.is_zero():
         # singleton phi at w1
         return _verdict(ops.bw(w1, w1, w3))
@@ -570,15 +554,11 @@ def check_cont_rays(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
 # --- physical axiom checkers -------------------------------------------------------
 
 
-def _observer(gen: ConfigGen, kind: ModelKind) -> Line:
-    return gen.observer(kind)
-
-
 def check_axstl(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     witness = gen.timelike_line()
     if observer_class(witness) is not ObserverClass.STL:
         return Verdict.false()
-    a = _observer(gen, kind)
+    a = gen.observer(kind)
     b = Line(gen.point(), a.dir)
     if observer_class(a) is ObserverClass.STL and parallel(b, a):
         if observer_class(b) is not ObserverClass.STL:
@@ -603,7 +583,7 @@ def check_axev(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
 
 
 def check_axtime(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
-    a = _observer(gen, kind)
+    a = gen.observer(kind)
     x = gen.event_on(a)
     y = gen.event_on(a) if gen.rng.random() < 0.8 else event(a.at(x.beg.ctx.zero))
     if observer_class(a) is ObserverClass.STL:
@@ -619,13 +599,13 @@ def check_axtime(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
 
 
 def check_axobunique(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
-    a = _observer(gen, kind)
+    a = gen.observer(kind)
     if gen.rng.random() < 0.6:
         b = a
         x = gen.event_on(a)
         y = gen.event_on(a)
     else:
-        b = _observer(gen, kind)
+        b = gen.observer(kind)
         meet = lines_intersect(a, b)
         if not isinstance(meet, Vec4):
             return Verdict.true()
@@ -659,7 +639,7 @@ def _iso_witnesses(a: Line, e: Segment):
 
 
 def check_axiso(gen: ConfigGen, kind: ModelKind, ops: Ops, guard_stl: bool = False) -> Verdict:
-    a = _observer(gen, kind)
+    a = gen.observer(kind)
     if guard_stl and observer_class(a) is not ObserverClass.STL:
         return Verdict.true()
     e = event(gen.point())
@@ -684,7 +664,7 @@ def check_axstiso(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
         return Verdict.true()
     if not chron_precedes(e1, e2):
         return Verdict.true()
-    c = ops.tau(b, e1, e2)
+    c = tau_geo(b, e1, e2)
     if c is None:
         return Verdict.false({"a": a, "b": b, "e1": e1, "e2": e2})
     start = sim_project(c, e1)
@@ -716,8 +696,8 @@ def check_axpoind(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
         y2 = event(y1.beg + ap.dir.scale(other))
     if not (chron_precedes(e1, e2) and chron_precedes(y1, y2)):
         return Verdict.true()
-    c = ops.tau(b, e1, e2)
-    cp = ops.tau(bp, y1, y2)
+    c = tau_geo(b, e1, e2)
+    cp = tau_geo(bp, y1, y2)
     if c is None or cp is None:
         return Verdict.true()  # hypothesis c = tau_b(...) unsatisfied
     try:
@@ -747,8 +727,8 @@ def check_axtiind(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     y1 = event(x1.beg + shift)
     m2 = m1 + shift
     y2 = event(x2.beg + shift)
-    d = ops.tau(c, x1, x2)
-    dp = ops.tau(c, y1, y2)
+    d = tau_geo(c, x1, x2)
+    dp = tau_geo(c, y1, y2)
     if d is None or dp is None:
         return Verdict.true()
     return _verdict(d == dp, {"a": a, "c": c, "d": d, "dp": dp})
@@ -767,7 +747,7 @@ def _future_null_to(p: Vec4, line: Line):
 
 
 def check_axunob(gen: ConfigGen, kind: ModelKind, ops: Ops, inner: int = 3) -> Verdict:
-    d_obs = _observer(gen, kind)
+    d_obs = gen.observer(kind)
     x = gen.event_on(d_obs)
     y = gen.event_on(d_obs)
     g = event((x.beg + y.beg).scale(gen.ctx.rat(1, 2)))
@@ -827,7 +807,7 @@ def check_axunsi(gen: ConfigGen, kind: ModelKind, ops: Ops, guard_stl: bool = Fa
 
 
 def check_axrr(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
-    a = _observer(gen, kind)
+    a = gen.observer(kind)
     s = gen.signal()
     b = Line(s.beg, a.dir)
     return _verdict(transmits(b, s) and parallel(b, a), {"a": a, "s": s})
@@ -835,7 +815,7 @@ def check_axrr(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
 
 def check_axsim(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     if ops.variant == "ftl":
-        a = _observer(gen, kind)
+        a = gen.observer(kind)
     else:
         a = gen.timelike_line()
     x, y = gen.sim_pair(a)
@@ -851,7 +831,7 @@ def check_axsim(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
 
 
 def check_axlim(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
-    a = _observer(gen, kind)
+    a = gen.observer(kind)
     g1 = gen.event_on(a)
     s_len = gen.ctx.rat(Fraction(gen.rng.randint(0, 8), 2))
     beta = Segment(g1.beg - gen.null_dir().scale(s_len), g1.beg)
@@ -867,7 +847,7 @@ def check_axlim(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
 
 
 def check_axftl1(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
-    a = _observer(gen, kind)
+    a = gen.observer(kind)
     cls = observer_class(a)
     return _verdict(cls in (ObserverClass.STL, ObserverClass.FTL), {"a": a})
 
@@ -929,7 +909,7 @@ def check_axftl3(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
 
 
 def check_axftl4(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
-    a = _observer(gen, kind)
+    a = gen.observer(kind)
     if observer_class(a) is not ObserverClass.FTL:
         return Verdict.true()
     x1 = gen.event_on(a)
@@ -997,16 +977,45 @@ AXIOM_CHECKERS = {
 EXPECTED_DIVERGENT = {"AxSimFTL", "AxUnObFTL"}
 
 
-def _axiom_checker(name: str, system: str):
-    if name.startswith("AxGeoFTL/"):
-        return TARSKI_CHECKERS[name.split("/", 1)[1]]
-    if name.startswith("AxGeo/"):
-        return TARSKI_CHECKERS[name.split("/", 1)[1]]
-    if system == SYSTEM_SIMPLERELFTL and name in (
-        "AxStIso", "AxPoInd", "AxTiInd", "AxUnOb", "AxSim",
-    ):
-        return AXIOM_CHECKERS[name + "FTL"]
-    return AXIOM_CHECKERS[name]
+# --- the case loop, and the axiom suite ---------------------------------------------
+
+
+def _run_cases(
+    item: ItemResult,
+    budget: Budget,
+    key: tuple,
+    count: int,
+    check: Callable[[ConfigGen, int, int], Verdict],
+    repeats: int = 1,
+) -> None:
+    """The case loop of every suite.
+
+    Seed i < count is ``sub_seed(budget.seed, *key, i)``.  Each seed gets a
+    fresh ConfigGen, and ``check(gen, i, j)`` draws from it for
+    ``j < repeats``, one recorded case per call.  A CapacityError is an
+    UNKNOWN case.  Every case that is not TRUE records its seed, its reason
+    and its bindings; ``ConfigGen(seed, budget.coordinate_bound)`` replays it.
+    """
+    index = 0
+    for i in range(count):
+        seed = sub_seed(budget.seed, *key, i)
+        gen = ConfigGen(seed, budget.coordinate_bound)
+        for j in range(repeats):
+            try:
+                verdict = check(gen, i, j)
+            except CapacityError as err:
+                verdict = Verdict.unknown(f"capacity: {err}")
+            detail = None
+            if not verdict.is_true():
+                detail = {"seed": seed}
+                if verdict.reason:
+                    detail["reason"] = verdict.reason
+                if verdict.witness:
+                    detail["bindings"] = {
+                        k: serialize_entity(v) for k, v in verdict.witness.items()
+                    }
+            item.record(index, verdict.status, detail)
+            index += 1
 
 
 def run_axiom_suite(
@@ -1019,34 +1028,19 @@ def run_axiom_suite(
     report = SuiteReport(
         "axioms", kind.value, budget, corpus_version(), system=system
     )
-    entries = load_axioms(system)
     ops = Ops("ftl" if system == SYSTEM_SIMPLERELFTL else "plain")
-    for entry in entries:
-        short = entry.name
-        if axioms and short not in axioms:
+    for entry in load_axioms(system):
+        name = entry.name
+        if axioms and name not in axioms:
             continue
-        checker_name = short
-        if system == SYSTEM_SIMPLERELFTL and short.endswith("FTL") and short not in AXIOM_CHECKERS:
-            checker_name = short[: -len("FTL")]
-        checker = _axiom_checker(checker_name, system)
-        expected = system == SYSTEM_SIMPLERELFTL and short in EXPECTED_DIVERGENT
-        item = report.item(short, expected_divergence=expected)
-        for i in range(cases):
-            gen = ConfigGen(sub_seed(budget.seed, system, short, i), budget.coordinate_bound)
-            try:
-                verdict = checker(gen, kind, ops)
-            except CapacityError as err:
-                verdict = Verdict.unknown(f"capacity: {err}")
-            detail = None
-            if not verdict.is_true():
-                detail = {"seed": sub_seed(budget.seed, system, short, i)}
-                if verdict.witness:
-                    detail["bindings"] = {
-                        k: serialize_entity(v) for k, v in verdict.witness.items()
-                    }
-                if verdict.reason:
-                    detail["reason"] = verdict.reason
-            item.record(i, verdict.status, detail)
+        # AxGeo/<k> and AxGeoFTL/<k> are Tarski's axioms; the tables are read
+        # here, not at import, so that wrapping their entries takes effect
+        _, _, tarski = name.partition("/")
+        checker = TARSKI_CHECKERS[tarski] if tarski else AXIOM_CHECKERS[name]
+        expected = system == SYSTEM_SIMPLERELFTL and name in EXPECTED_DIVERGENT
+        item = report.item(name, expected_divergence=expected)
+        _run_cases(item, budget, (system, name), cases,
+                   lambda gen, i, j: checker(gen, kind, ops))
     return report.finish()
 
 
@@ -1060,13 +1054,13 @@ def lemma_par_equivalence(gen: ConfigGen, kind: ModelKind) -> Verdict:
         and parallel(a, b) == parallel(b, a)
         and (not (parallel(a, b) and parallel(b, c)) or parallel(a, c))
     )
-    x, y = _observer(gen, kind), _observer(gen, kind)
+    x, y = gen.observer(kind), gen.observer(kind)
     ok = ok and parallel(x, y) == parallel(y, x)
     return _verdict(ok)
 
 
 def lemma_unique_parallel(gen: ConfigGen, kind: ModelKind) -> Verdict:
-    a = gen.timelike_line() if kind is ModelKind.STL_ONLY else _observer(gen, kind)
+    a = gen.timelike_line() if kind is ModelKind.STL_ONLY else gen.observer(kind)
     e = event(gen.point())
     b = Line(e.beg, a.dir)
     if not (transmits(b, event(e.beg)) and parallel(b, a)):
@@ -1083,7 +1077,7 @@ def lemma_unique_signals(gen: ConfigGen, kind: ModelKind) -> Verdict:
 
 
 def lemma_two_events(gen: ConfigGen, kind: ModelKind) -> Verdict:
-    a = _observer(gen, kind)
+    a = gen.observer(kind)
     e1 = event(a.at(gen.ctx.zero))
     e2 = event(a.at(gen.ctx.one))
     ok = transmits(a, e1) and transmits(a, e2) and not (e1.beg - e2.beg).is_zero()
@@ -1091,8 +1085,8 @@ def lemma_two_events(gen: ConfigGen, kind: ModelKind) -> Verdict:
 
 
 def lemma_observers_events(gen: ConfigGen, kind: ModelKind) -> Verdict:
-    a = _observer(gen, kind)
-    b = _observer(gen, kind)
+    a = gen.observer(kind)
+    b = gen.observer(kind)
     if a == b:
         return Verdict.true()
     # some event of a is off b, so the transmitted signal sets differ
@@ -1144,8 +1138,7 @@ def lemma_tau_unique(gen: ConfigGen, kind: ModelKind, ftl: bool = False) -> Verd
         return Verdict.true()
     e1 = gen.event_on(a)
     e2 = event(e1.beg + a.dir.scale(gen.ctx.rat(Fraction(gen.rng.randint(1, 8), 2))))
-    tau = tau_ftl if ftl else tau_geo
-    c = tau(b, e1, e2)
+    c = tau_geo(b, e1, e2)
     if c is None:
         return Verdict.false({"a": a, "b": b})
     check = definitional.tauftl_def if ftl else definitional.tau_def
@@ -1176,7 +1169,8 @@ def lemma_sim_events(gen: ConfigGen, kind: ModelKind) -> Verdict:
 
 
 def lemma_def_equiv(gen: ConfigGen, kind: ModelKind) -> Verdict:
-    """The five equivalences of the definitional-change lemma, on STL data."""
+    """The definitional-change lemma's equivalences, on STL data.  Its fifth,
+    for Tau, holds by construction: both readings of Tau are `tau_geo`."""
     frame = ClassFrame(gen)
     lines = [frame.random_line() for _ in range(4)]
     a, b, c, d = lines
@@ -1189,18 +1183,7 @@ def lemma_def_equiv(gen: ConfigGen, kind: ModelKind) -> Verdict:
     if sim_ftl(a, e1, e2) != sim_geo(a, e1, e2):
         return Verdict.false({"what": "Sim", "a": a})
     evs = [gen.event_on(a) for _ in range(2)] + [event(gen.point()) for _ in range(2)]
-    if delta_ftl(a, *evs) != delta_geo(a, *evs):
-        return Verdict.false({"what": "Delta", "a": a})
-    gap = gen.ctx.rat(Fraction(gen.rng.randint(1, 8), 2))
-    t1 = gen.event_on(a)
-    t2 = event(t1.beg + a.dir.scale(gap))
-    got_plain = tau_geo(b, t1, t2)
-    got_ftl = tau_ftl(b, t1, t2)
-    if (got_plain is None) != (got_ftl is None) or (
-        got_plain is not None and got_plain != got_ftl
-    ):
-        return Verdict.false({"what": "Tau", "a": a, "b": b})
-    return Verdict.true()
+    return _verdict(delta_ftl(a, *evs) == delta_geo(a, *evs), {"what": "Delta", "a": a})
 
 
 LEMMAS_STL = {
@@ -1234,21 +1217,8 @@ def run_lemma_suite(kind: ModelKind, budget: Budget, cases: int = 100) -> SuiteR
     report = SuiteReport("lemmas", kind.value, budget, corpus_version())
     table = LEMMAS_STL if kind is ModelKind.STL_ONLY else LEMMAS_FTL
     for name, checker in table.items():
-        item = report.item(name)
-        for i in range(cases):
-            gen = ConfigGen(sub_seed(budget.seed, "lemma", name, i), budget.coordinate_bound)
-            try:
-                verdict = checker(gen, kind)
-            except CapacityError as err:
-                verdict = Verdict.unknown(f"capacity: {err}")
-            detail = None
-            if not verdict.is_true():
-                detail = {"seed": sub_seed(budget.seed, "lemma", name, i)}
-                if verdict.witness:
-                    detail["bindings"] = {
-                        k: serialize_entity(v) for k, v in verdict.witness.items()
-                    }
-            item.record(i, verdict.status, detail)
+        _run_cases(report.item(name), budget, ("lemma", name), cases,
+                   lambda gen, i, j: checker(gen, kind))
     return report.finish()
 
 
@@ -1273,7 +1243,7 @@ def _gen_line_pair(gen: ConfigGen, kind: ModelKind, index: int):
     if bucket == 1:  # crossing
         p = gen.point()
         return Line(p, gen.direction(kind)), Line(p, gen.direction(kind))
-    return _observer(gen, kind), _observer(gen, kind)  # generic (usually skew)
+    return gen.observer(kind), gen.observer(kind)  # generic (usually skew)
 
 
 def _gen_event_pair(gen: ConfigGen, kind: ModelKind, index: int):
@@ -1467,7 +1437,7 @@ def _gen_rho_args(gen: ConfigGen, kind: ModelKind, index: int):
         return gen.nonrelatable_spacelike_pair()
     if bucket == 1:
         return tuple(gen.parallel_family(2, kind))
-    return _observer(gen, kind), _observer(gen, kind)
+    return gen.observer(kind), gen.observer(kind)
 
 
 def _gen_op_args(gen: ConfigGen, kind: ModelKind, index: int):
@@ -1501,7 +1471,7 @@ PRED_GENERATORS = {
     "Tau": _gen_tau_args,
     "Lightspeed": _gen_stl_args,
     "FTL": _gen_stl_args,
-    "TR": lambda g, k, i: (_observer(g, k), g.signal()),
+    "TR": lambda g, k, i: (g.observer(k), g.signal()),
     "Rho": _gen_rho_args,
     "OP": _gen_op_args,
     "BwRho": _gen_ftl_pairs,
@@ -1519,16 +1489,15 @@ CRITERION6_PREDICATES = [
     "Tau", "BwFTL", "EqFTL", "SimFTL", "DeltaFTL", "TauFTL",
 ]
 
+# Exempt from the unknown-rate bound of the equivalence tests only: a
+# disagreement on these items still counts against the gate.
 RATE_EXEMPT = {"Dual"}
 
 
 def _geo_eval(name: str, args) -> Optional[bool]:
     try:
-        if name == "Tau":
+        if name in ("Tau", "TauFTL"):
             got = tau_geo(args[1], args[2], args[3])
-            return got is not None and got == args[0]
-        if name == "TauFTL":
-            got = tau_ftl(args[1], args[2], args[3])
             return got is not None and got == args[0]
         if name == "Dual":
             return any(args[0] == c for c in dual_candidates(args[1], args[2]))
@@ -1551,47 +1520,8 @@ def _revalidate_witness(witness: dict) -> bool:
     return True
 
 
-def check_definitional_equivalence(
-    predicate: str, kind: ModelKind, budget: Budget, cases: int = 100
-) -> SuiteReport:
-    report = SuiteReport("equivalence", kind.value, budget, corpus_version())
-    _equivalence_item(report, predicate, kind, budget, cases)
-    return report.finish()
-
-
-def _equivalence_item(
-    report: SuiteReport, predicate: str, kind: ModelKind, budget: Budget, cases: int
-) -> None:
-    genf = PRED_GENERATORS[predicate]
-    deff = definitional.DEFINITIONAL_EVALUATORS[predicate]
-    item = report.item(predicate, expected_divergence=predicate in RATE_EXEMPT)
-    for i in range(cases):
-        gen = ConfigGen(sub_seed(budget.seed, "equiv", predicate, i), budget.coordinate_bound)
-        try:
-            args = genf(gen, kind, i)
-            geo = _geo_eval(predicate, args)
-            if geo is None:
-                item.record(i, UNKNOWN, {"reason": "unsupported arguments"})
-                continue
-            got = deff(list(args), kind)
-        except CapacityError as err:
-            item.record(i, UNKNOWN, {"reason": f"capacity: {err}"})
-            continue
-        if got.is_unknown():
-            item.record(i, UNKNOWN, {"reason": got.reason or "undecided"})
-            continue
-        if got.is_true() and got.witness and not _revalidate_witness(got.witness):
-            item.record(i, FALSE, {"reason": "witness failed revalidation"})
-            continue
-        agree = got.is_true() == geo
-        detail = None
-        if not agree:
-            detail = {
-                "geo": geo,
-                "definitional": got.status,
-                "args": [serialize_entity(a) for a in args],
-            }
-        item.record(i, TRUE if agree else FALSE, detail)
+def _arguments(args) -> dict:
+    return {f"arg{k}": a for k, a in enumerate(args)}
 
 
 def run_equivalence_suite(
@@ -1600,10 +1530,29 @@ def run_equivalence_suite(
     cases: int = 100,
     predicates: Optional[list[str]] = None,
 ) -> SuiteReport:
+    """The geometric verdict of each predicate against its definitional one."""
     report = SuiteReport("equivalence", kind.value, budget, corpus_version())
     names = predicates or (CRITERION6_PREDICATES + ["Dual", "Rho", "OP", "Lightspeed", "FTL", "TR"])
     for name in names:
-        _equivalence_item(report, name, kind, budget, cases)
+        genf = PRED_GENERATORS[name]
+        deff = definitional.DEFINITIONAL_EVALUATORS[name]
+
+        def check(gen: ConfigGen, i: int, j: int) -> Verdict:
+            args = genf(gen, kind, i)
+            geo = _geo_eval(name, args)
+            if geo is None:
+                return Verdict.unknown("unsupported arguments")
+            got = deff(list(args), kind)
+            if got.is_unknown():
+                return Verdict.unknown(got.reason or "undecided")
+            if got.is_true() and got.witness and not _revalidate_witness(got.witness):
+                return Verdict(FALSE, got.witness, "witness failed revalidation")
+            if got.is_true() != geo:
+                reason = f"geometric {str(geo).lower()}, definitional {got.status}"
+                return Verdict(FALSE, _arguments(args), reason)
+            return Verdict.true()
+
+        _run_cases(report.item(name), budget, ("equiv", name), cases, check)
     return report.finish()
 
 
@@ -1611,25 +1560,11 @@ def run_equivalence_suite(
 
 
 INVARIANCE_CONFIGS: dict[str, Callable] = {
-    "Ev": lambda g, k, i: (g.signal(),),
-    "M": _gen_line_pair,
-    "Cop": _gen_line_pair,
-    "Par": _gen_line_pair,
-    "L": _gen_event_pair,
-    "Prec": _gen_event_pair,
-    "Bw": _gen_bw_args,
-    "Eq": _gen_eq_args,
-    "Sim": _gen_sim_args,
-    "Delta": _gen_delta_args,
-    "STL": _gen_stl_args,
-    "Rho": _gen_rho_args,
-    "OP": _gen_op_args,
-    "BwRho": _gen_ftl_pairs,
-    "EqRho": _gen_eqftl_args,
-    "BwFTL": _gen_ftl_pairs,
-    "EqFTL": _gen_eqftl_args,
-    "SimFTL": _gen_simftl_args,
-    "DeltaFTL": _gen_deltaftl_args,
+    name: PRED_GENERATORS[name]
+    for name in (
+        "Ev", "M", "Cop", "Par", "L", "Prec", "Bw", "Eq", "Sim", "Delta", "STL",
+        "Rho", "OP", "BwRho", "EqRho", "BwFTL", "EqFTL", "SimFTL", "DeltaFTL",
+    )
 }
 
 
@@ -1648,38 +1583,33 @@ def _transform_args(gen: ConfigGen, m: PoincareMap, args):
 def invariance_suite(
     kind: ModelKind, budget: Budget, configs: int = 20, maps_per_config: int = 5
 ) -> SuiteReport:
+    """Each predicate's geometric verdict on a configuration, against its
+    verdict after each of `maps_per_config` random Poincaré maps."""
     report = SuiteReport("invariance", kind.value, budget, corpus_version())
-    control = report.item("non-isometry control")
-    ctx = ScalarContext()
-    rows = [[ctx.rat(2 if i == j == 0 else (1 if i == j else 0)) for j in range(4)] for i in range(4)]
-    scale = PoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0))
-    control.record(0, TRUE if not scale.validate_isometry() else FALSE)
-    for name, genf in INVARIANCE_CONFIGS.items():
-        item = report.item(name)
-        case_index = 0
-        for i in range(configs):
-            gen = ConfigGen(sub_seed(budget.seed, "inv", name, i), budget.coordinate_bound)
-            try:
+
+    def control(gen: ConfigGen, i: int, j: int) -> Verdict:
+        # doubling time is not an isometry: the check must reject it
+        rows = [list(r) for r in PoincareMap.identity(gen.ctx).linear]
+        rows[0][0] = gen.ctx.rat(2)
+        return _verdict(not PoincareMap(rows, Vec4.of(gen.ctx, 0, 0, 0, 0)).validate_isometry())
+
+    _run_cases(report.item("non-isometry control"), budget, ("inv", "control"), 1, control)
+    for name in INVARIANCE_CONFIGS:
+        genf = PRED_GENERATORS[name]
+        config: dict = {}
+
+        def check(gen: ConfigGen, i: int, j: int) -> Verdict:
+            if j == 0:
+                config.clear()
                 args = genf(gen, kind, i)
-                base = _geo_eval(name, args)
-            except CapacityError:
-                item.record(case_index, UNKNOWN, {"reason": "capacity"})
-                case_index += 1
-                continue
-            for j in range(maps_per_config):
-                try:
-                    m = gen.poincare()
-                    moved = _transform_args(gen, m, args)
-                    after = _geo_eval(name, moved)
-                except CapacityError:
-                    item.record(case_index, UNKNOWN, {"reason": "capacity"})
-                    case_index += 1
-                    continue
-                ok = base == after
-                item.record(
-                    case_index,
-                    TRUE if ok else FALSE,
-                    None if ok else {"predicate": name, "config": i, "map": j},
-                )
-                case_index += 1
+                config.update(args=args, before=_geo_eval(name, args))
+            if not config:
+                return Verdict.unknown("capacity: the configuration was not built")
+            after = _geo_eval(name, _transform_args(gen, gen.poincare(), config["args"]))
+            if after == config["before"]:
+                return Verdict.true()
+            reason = f"map {j}: {config['before']} before, {after} after"
+            return Verdict(FALSE, _arguments(config["args"]), reason)
+
+        _run_cases(report.item(name), budget, ("inv", name), configs, check, maps_per_config)
     return report.finish()

@@ -5,7 +5,6 @@ import pytest
 
 from relcheck.minkowski import IntervalClass, Line, Segment, Vec4, inner, lam
 from relcheck.model import (
-    Incidence,
     ModelError,
     ModelKind,
     ObserverClass,
@@ -25,9 +24,7 @@ from relcheck.model import (
     eq_geo,
     eq_rho,
     event,
-    incidence,
     is_event,
-    is_stl_by_counting,
     light_between,
     lightlike,
     meets,
@@ -36,6 +33,7 @@ from relcheck.model import (
     observer_class,
     optical_plane,
     parallel,
+    receives,
     relatable_dual,
     rho,
     rho_witness,
@@ -43,6 +41,7 @@ from relcheck.model import (
     sim_geo,
     sim_project,
     tau_geo,
+    transmits,
     witness_zero_and_two,
 )
 from relcheck.scalar import ScalarContext
@@ -59,10 +58,14 @@ def vertical(ctx, x1=0, x2=0, x3=0):
 def test_incidence_known_cases():
     ctx = ScalarContext()
     a = vertical(ctx)
-    assert incidence(a, Segment(v(ctx, 0, 0, 0, 0), v(ctx, 1, 1, 0, 0))) is Incidence.TRANSMITS
-    assert incidence(a, Segment(v(ctx, 1, 1, 0, 0), v(ctx, 2, 0, 0, 0))) is Incidence.RECEIVES
-    assert incidence(a, event(v(ctx, 3, 0, 0, 0))) is Incidence.BOTH
-    assert incidence(a, Segment(v(ctx, 0, 5, 0, 0), v(ctx, 1, 6, 0, 0))) is Incidence.NEITHER
+
+    def incidence(s):
+        return transmits(a, s), receives(a, s)
+
+    assert incidence(Segment(v(ctx, 0, 0, 0, 0), v(ctx, 1, 1, 0, 0))) == (True, False)
+    assert incidence(Segment(v(ctx, 1, 1, 0, 0), v(ctx, 2, 0, 0, 0))) == (False, True)
+    assert incidence(event(v(ctx, 3, 0, 0, 0))) == (True, True)
+    assert incidence(Segment(v(ctx, 0, 5, 0, 0), v(ctx, 1, 6, 0, 0))) == (False, False)
 
 
 def test_is_event():
@@ -185,13 +188,12 @@ def test_observer_class_known_cases():
 def test_stl_counting_and_witnesses():
     ctx = ScalarContext()
     timelike = Line(v(ctx, 0, 0, 0, 0), v(ctx, 2, 1, 0, 0))
-    assert is_stl_by_counting(timelike)
+    assert witness_zero_and_two(timelike) is None
     rng = random.Random(8)
     for _ in range(50):
         p = v(ctx, *(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(4)))
         assert count_future_null_to_line(p, timelike) == 1
     spacelike = Line(v(ctx, 0, 0, 0, 0), v(ctx, 0, 1, 0, 0))
-    assert not is_stl_by_counting(spacelike)
     pz, pt = witness_zero_and_two(spacelike)
     assert count_future_null_to_line(pz, spacelike) == 0
     assert count_future_null_to_line(pt, spacelike) == 2

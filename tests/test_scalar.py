@@ -15,7 +15,6 @@ from relcheck.scalar import (
     Scalar,
     ScalarContext,
     ScalarParseError,
-    arith,
     compare,
 )
 
@@ -82,20 +81,21 @@ def oracle_compare(x: Scalar, y: Scalar) -> int:
 
 def test_arith_rational_add():
     ctx = ScalarContext()
-    assert arith("add", ctx.rat(1, 2), ctx.rat(1, 3)) == Fraction(5, 6)
+    assert ctx.rat(1, 2) + ctx.rat(1, 3) == Fraction(5, 6)
+    assert ctx.rat(1, 2) - ctx.rat(1, 3) == Fraction(1, 6)
 
 
 def test_arith_sqrt2_squared():
     ctx = ScalarContext()
     r2 = ctx.sqrt(ctx.rat(2))
-    assert arith("mul", r2, r2) == 2
+    assert r2 * r2 == 2
 
 
 def test_arith_div_rationalizes():
     # 1/sqrt(2) equals (1/2)*sqrt(2); oracle: squaring gives 1/2 again
     ctx = ScalarContext()
     r2 = ctx.sqrt(ctx.rat(2))
-    q = arith("div", ctx.one, r2)
+    q = ctx.one / r2
     assert q * q == Fraction(1, 2)
     assert q == ctx.rat(1, 2) * r2
     assert q.render() == "0 + 1/2*sqrt(2)"
@@ -104,7 +104,7 @@ def test_arith_div_rationalizes():
 def test_div_by_zero_is_domain_error():
     ctx = ScalarContext()
     with pytest.raises(DomainError):
-        arith("div", ctx.one, ctx.zero)
+        ctx.one / ctx.zero
 
 
 def test_compare_sqrt2_three_halves():
@@ -321,3 +321,17 @@ def test_mixed_context_rejected():
     y = c2.sqrt(c2.rat(3))
     with pytest.raises(Exception):
         _ = x + y
+
+
+def test_cross_context_equality_compares_radicands():
+    c1, c2 = ScalarContext(), ScalarContext()
+    x = c1.sqrt(c1.rat(2))
+    y = c2.sqrt(c2.rat(3))
+    # same coordinates over different radicands: different values
+    assert x != y and not (x == y)
+    # the same radicand chain in two contexts gives equal values
+    c3 = ScalarContext()
+    z = c3.sqrt(c3.rat(2))
+    assert x == z and hash(x) == hash(z)
+    # rationals compare across contexts
+    assert c1.rat(1, 2) == c2.rat(1, 2)

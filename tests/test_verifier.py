@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from relcheck.corpus import load_definitions
+from relcheck.cli import EXIT_FAIL, _report_exit
+from relcheck.corpus import load_axioms, load_definitions
 from relcheck.fol import parse_formula
 from relcheck.minkowski import Line, Segment, Vec4, inner, lam
 from relcheck.model import (
@@ -16,11 +17,15 @@ from relcheck.model import (
 from relcheck.scalar import ScalarContext
 from relcheck.verifier import definitional as de
 from relcheck.verifier.evaluate import EvalModel, evaluate_bounded
-from relcheck.verifier.generators import ConfigGen
-from relcheck.verifier.report import Budget, SuiteReport, sub_seed
+from relcheck.verifier.generators import ConfigGen, GenerationError
+from relcheck.verifier.report import Budget, SuiteReport, Verdict, sub_seed
 from relcheck.verifier.suites import (
+    AXIOM_CHECKERS,
     CRITERION6_PREDICATES,
+    PRED_GENERATORS,
     RATE_EXEMPT,
+    TARSKI_CHECKERS,
+    Ops,
     invariance_suite,
     run_axiom_suite,
     run_equivalence_suite,
@@ -284,14 +289,57 @@ def test_generator_determinism():
 
 
 def test_generate_configuration_dispatch():
-    from relcheck.verifier.generators import GenerationError, generate_configuration
-
-    a, b = generate_configuration("parallel timelike pair", 5)
-    assert a.dir == b.dir
-    a2, b2 = generate_configuration("parallel timelike pair", 5)
-    assert (a, b) == (a2, b2)
+    a, b = ConfigGen(5, 8).parallel_family(2)
+    assert a.dir == b.dir and a != b
+    assert (a, b) == tuple(ConfigGen(5, 8).parallel_family(2))
+    # the predicate generator table is the one dispatch from name to configuration
+    args = PRED_GENERATORS["Par"](ConfigGen(5, 8), STL, 0)
+    assert args == PRED_GENERATORS["Par"](ConfigGen(5, 8), STL, 0)
+    # with bound 0 every offset is zero, so no orthogonal offset exists
+    gen = ConfigGen(1, 0)
+    c = Line(v(gen.ctx, 0, 0, 0, 0), v(gen.ctx, 1, 0, 0, 0))
     with pytest.raises(GenerationError):
-        generate_configuration("heptagonal observer", 1)
+        gen.sim_pair(c)
+
+
+def test_axiom_checker_lookup_is_complete(monkeypatch):
+    # stub every checker in place: the suite must look the tables up at run
+    # time, find a checker for every manifest name, and use every entry
+    reached = set()
+    for table in (TARSKI_CHECKERS, AXIOM_CHECKERS):
+        for key in table:
+            stub = lambda gen, kind, ops, key=key: reached.add(key) or Verdict.true()
+            monkeypatch.setitem(table, key, stub)
+    for system, kind in (("simplerel", STL), ("simplerelftl", FTL)):
+        rep = run_axiom_suite(system, kind, Budget(seed=1), cases=1)
+        assert [i.name for i in rep.items] == [e.name for e in load_axioms(system)]
+        assert all(i.passed == 1 for i in rep.items)
+    assert reached == set(TARSKI_CHECKERS) | set(AXIOM_CHECKERS)
+
+
+def test_recorded_seed_replays_the_case():
+    bound = Budget().coordinate_bound
+    rep = run_axiom_suite("simplerelftl", FTL, Budget(seed=1), cases=10, axioms=["AxUnObFTL"])
+    case = rep.items[0].failures[0]
+    verdict = AXIOM_CHECKERS["AxUnObFTL"](ConfigGen(case.detail["seed"], bound), FTL, Ops("ftl"))
+    assert verdict.status == case.status == "false"
+
+    rep = run_equivalence_suite(FTL, Budget(seed=1), cases=6, predicates=["Cop"])
+    case = next(c for c in rep.items[0].unknowns if c.index == 5)
+    args = PRED_GENERATORS["Cop"](ConfigGen(case.detail["seed"], bound), FTL, case.index)
+    verdict = de.DEFINITIONAL_EVALUATORS["Cop"](list(args), FTL)
+    assert verdict.status == case.status == "unknown"
+
+
+def test_dual_disagreement_fails_the_gate(monkeypatch):
+    honest = de.DEFINITIONAL_EVALUATORS["Dual"]
+    monkeypatch.setitem(
+        de.DEFINITIONAL_EVALUATORS, "Dual", lambda args, kind: honest(args, kind).negate()
+    )
+    rep = run_equivalence_suite(FTL, Budget(seed=1), cases=4, predicates=["Dual"])
+    assert rep.items[0].failed > 0
+    assert rep.gate_failed() == rep.items[0].failed
+    assert _report_exit([rep]) == EXIT_FAIL
 
 
 def test_generator_patterns_certified():
