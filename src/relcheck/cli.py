@@ -35,7 +35,6 @@ from relcheck.fol import (
     render_formula,
 )
 from relcheck.model import ModelError, ModelKind, Scenario
-from relcheck.scalar import CapacityError
 from relcheck.verifier.evaluate import EvalModel, evaluate_bounded
 from relcheck.verifier.report import Budget, serialize_entity
 from relcheck.verifier.suites import (
@@ -129,12 +128,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     env.update(scenario.observers)
     env.update(scenario.signals)
     model = EvalModel.from_scenario(scenario, table)
-    budget = Budget(seed=args.seed, max_witness_candidates=args.candidates)
-    try:
-        verdict = evaluate_bounded(formula, model, env, budget)
-    except CapacityError as err:
-        print(f"capacity: {err}")
-        return EXIT_UNKNOWN
+    verdict = evaluate_bounded(formula, model, env, Budget(max_witness_candidates=args.candidates))
     print(f"verdict: {verdict.status}")
     if verdict.witness:
         for key, value in verdict.witness.items():
@@ -235,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--formula", help="formula text; scenario names are free variables")
     group.add_argument("--predicate", help="defined predicate name")
     p_eval.add_argument("--args", help="comma-separated scenario names for --predicate")
-    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--candidates", type=int, default=64)
     p_eval.set_defaults(func=cmd_eval)
 

@@ -133,23 +133,10 @@ def chron_precedes(e1: Signal, e2: Signal) -> bool:
 def null_params(p: Vec4, line: Line) -> list[Scalar]:
     """Exact parameters t with lam(line.at(t) - p) == 0 (0, 1, or 2 of them).
 
-    May extend the scalar chain by one square root.
+    The line must not be lightlike.  May extend the scalar chain by one
+    square root.
     """
-    ctx = p.ctx
-    d = line.dir
-    u = line.base - p
-    a = lam(d)
-    assert not a.is_zero(), "null direction lines are not supported"
-    b = inner(u, d) * 2
-    c = lam(u)
-    disc = b * b - a * c * 4
-    s = disc.sign()
-    if s < 0:
-        return []
-    if s == 0:
-        return [-b / (a * 2)]
-    r = ctx.sqrt(disc)
-    return [(-b - r) / (a * 2), (-b + r) / (a * 2)]
+    return null_gap_params(line.base - p, line.dir)
 
 
 def count_future_null_to_line(p: Vec4, line: Line) -> int:

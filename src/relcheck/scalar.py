@@ -7,8 +7,13 @@ of values is equality of representations.  Each adjoined root is the
 non-negative one, which fixes a total order compatible with the field
 operations.  Only square roots of non-negative elements are supported;
 asking for anything past the configured chain depth raises
-:class:`CapacityError` (callers must treat that as "unknown", never as a
-truth value).
+:class:`CapacityError`, which means "unknown", never a truth value.  Callers
+let it propagate: the suites' case driver (``suites._run_cases``) and the
+formula evaluator's boundary (``evaluate_bounded``) are the only places
+that catch it, and they make it UNKNOWN with a reason starting
+``capacity:``.  The other such reason prefix, ``unsupported:``, is made
+from ``model.UnsupportedPredicate`` by the case driver and by the
+evaluator's atom step.
 
 Scalars are immutable values and safe to share; a context's radicand
 chain is append-only, so create one context per worker rather than

@@ -5,7 +5,9 @@ of its *definition* over the primitives T, R, = — constructing explicit
 witnesses for existentials and refuting universals with verified
 counterexamples — and never calls the registered geometric twin it is
 cross-checked against.  Layering follows the definition DAG: a procedure
-may use the procedures of the predicates its definition mentions.
+may use the procedures of the predicates its definition mentions.  None of
+them catches a CapacityError from the scalar tower: it propagates to the
+suites' case driver, which records the case as UNKNOWN.
 
 Derived unsatisfiability rules (the FALSE sides of Sim, Eq, Delta and the
 dual machinery) come from eliminating the quantifiers by hand; every rule
@@ -40,7 +42,7 @@ from relcheck.model import (
     null_params,
     witness_zero_and_two,
 )
-from relcheck.scalar import CapacityError, Scalar, ScalarContext
+from relcheck.scalar import Scalar, ScalarContext
 from relcheck.verifier.report import Verdict
 
 
@@ -66,28 +68,6 @@ def ev_def(s: Segment, kind: ModelKind) -> Verdict:
     witness = _separating_line(s.beg, s.end, kind)
     assert witness.contains(s.beg) and not witness.contains(s.end)
     return Verdict.false({"a": witness})
-
-
-def points_equal_def(p: Vec4, q: Vec4, kind: ModelKind) -> Verdict:
-    """The pencil rule behind Beg/End equality: all universe lines pass
-    through p iff through q exactly when p == q."""
-    if (q - p).is_zero():
-        return Verdict.true()
-    return Verdict.false({"a": _separating_line(p, q, kind)})
-
-
-def isbeg_def(e: Segment, s: Segment, kind: ModelKind) -> Verdict:
-    ev = ev_def(e, kind)
-    if not ev.is_true():
-        return ev
-    return points_equal_def(s.beg, e.beg, kind)
-
-
-def isend_def(e: Segment, s: Segment, kind: ModelKind) -> Verdict:
-    ev = ev_def(e, kind)
-    if not ev.is_true():
-        return ev
-    return points_equal_def(s.end, e.beg, kind)
 
 
 def l_def(e1: Segment, e2: Segment, kind: ModelKind) -> Verdict:
@@ -232,11 +212,8 @@ def bw_def(a: Line, b: Line, c: Line, kind: ModelKind) -> Verdict:
     x = a.base
     u_ab = b.base - x
     u_ac = c.base - x
-    try:
-        roots_ab = null_gap_params(u_ab, d)
-        roots_ac = null_gap_params(u_ac, d)
-    except CapacityError as err:
-        return Verdict.unknown(f"capacity: {err}")
+    roots_ab = null_gap_params(u_ab, d)
+    roots_ac = null_gap_params(u_ac, d)
     for r1 in roots_ab:
         v_ab = u_ab + d.scale(r1)
         if v_ab.x0.sign() < 0:
@@ -265,11 +242,8 @@ def bwrho_def(a: Line, b: Line, c: Line, kind: ModelKind) -> Verdict:
     x = a.base
     u_ab = b.base - x
     u_ac = c.base - x
-    try:
-        roots_ab = null_gap_params(u_ab, d)
-        roots_ac = null_gap_params(u_ac, d)
-    except CapacityError as err:
-        return Verdict.unknown(f"capacity: {err}")
+    roots_ab = null_gap_params(u_ab, d)
+    roots_ac = null_gap_params(u_ac, d)
     for r1 in roots_ab:
         v_ab = u_ab + d.scale(r1)
         for r2 in roots_ac:
@@ -316,11 +290,7 @@ def sim_def(c: Line, b1: Segment, b2: Segment, kind: ModelKind) -> Verdict:
     if (e2 - e1).is_zero():
         # degenerate diamond with its apexes at the event itself
         return Verdict.true({"a": Line(e1, c.dir)})
-    try:
-        pairs = _diamond_solutions(c.dir, e1, e2)
-    except CapacityError as err:
-        return Verdict.unknown(f"capacity: {err}")
-    for x, y in pairs:
+    for x, y in _diamond_solutions(c.dir, e1, e2):
         legs = [e1 - x, e2 - x, y - e1, y - e2]
         if all(lam(w).is_zero() for w in legs) and all(w.x0.sign() >= 0 for w in legs):
             return Verdict.true({"a": Line(x, c.dir), "apex_beg": x, "apex_end": y})
@@ -335,11 +305,7 @@ def simftl_def(c: Line, b1: Segment, b2: Segment, kind: ModelKind) -> Verdict:
         return Verdict.false()
     if b1.beg == b2.beg:
         return Verdict.true()
-    try:
-        pairs = _diamond_solutions(c.dir, b1.beg, b2.beg)
-    except CapacityError as err:
-        return Verdict.unknown(f"capacity: {err}")
-    for x, y in pairs:
+    for x, y in _diamond_solutions(c.dir, b1.beg, b2.beg):
         if (y - x).is_zero():
             continue  # the witness events must differ
         legs = [b1.beg - x, b2.beg - x, y - b1.beg, y - b2.beg]
@@ -407,11 +373,7 @@ def _vector_with_norm(ctx: ScalarContext, direction: Vec4, target: Scalar) -> Op
         if w.is_zero():
             continue
         if lam(w).sign() == sign_target:
-            try:
-                k = ctx.sqrt(target / lam(w))
-            except CapacityError:
-                return None
-            return w.scale(k)
+            return w.scale(ctx.sqrt(target / lam(w)))
     return None
 
 
@@ -421,12 +383,7 @@ def delta_def(
 ) -> Verdict:
     if not all(ev_def(x, kind).is_true() for x in (a0, a1, b0, b1)):
         return Verdict.false()
-    try:
-        projections = [
-            _sim_projection(a, e.beg, undirected, kind) for e in (a0, a1, b0, b1)
-        ]
-    except CapacityError as err:
-        return Verdict.unknown(f"capacity: {err}")
+    projections = [_sim_projection(a, e.beg, undirected, kind) for e in (a0, a1, b0, b1)]
     if any(p is None for p in projections):
         return Verdict.false()
     p0, p1, q0, q1 = projections
@@ -434,10 +391,7 @@ def delta_def(
         return Verdict.true({"b": Line(a.base, a.dir)})
     if (p1 - p0).is_zero() or (q1 - q0).is_zero():
         return Verdict.false()
-    try:
-        got = _double_diamond(a.dir, p0, p1, q0, q1)
-    except CapacityError as err:
-        return Verdict.unknown(f"capacity: {err}")
+    got = _double_diamond(a.dir, p0, p1, q0, q1)
     if got is None:
         return Verdict.false()
     apex1, apex2 = got
@@ -538,12 +492,8 @@ def tau_def(c: Line, b: Line, e1: Segment, e2: Segment, kind: ModelKind,
     if not bv.is_true():
         return bv if bv.is_unknown() else Verdict.false()
     # g: Beg on c, End = e2, with Sim(host, Beg(g), e1)
-    try:
-        params = null_params(e2.beg, c)
-    except CapacityError as err:
-        return Verdict.unknown(f"capacity: {err}")
     sim = simftl_def if ftl_variant else sim_def
-    for t in params:
+    for t in null_params(e2.beg, c):
         gb = c.at(t)
         if (e2.beg - gb).x0.sign() < 0:
             continue
@@ -643,10 +593,7 @@ def eq_def(a: Line, b: Line, c: Line, d: Line, kind: ModelKind) -> Verdict:
         return Verdict.false()
     ctx = a.ctx
     e_line = Line((a.base + c.base).scale(ctx.rat(1, 2)), dd)
-    try:
-        witness = _eq_witness(e_line, a, b, c, d)
-    except CapacityError as err:
-        return Verdict.unknown(f"capacity: {err}")
+    witness = _eq_witness(e_line, a, b, c, d)
     if witness is None:
         return Verdict.unknown("Eq witness construction failed")
     return Verdict.true(witness)
@@ -762,36 +709,35 @@ def dual_def(ap: Line, a: Line, b: Line, kind: ModelKind) -> Verdict:
     return Verdict.true() if dual_definitional_check(ap, a, b) else Verdict.false()
 
 
-def _bwftl_dual_branch(a: Line, b: Line, c: Line, kind: ModelKind) -> Verdict:
-    for a2 in dual_candidates(a, b):
-        for c2 in dual_candidates(c, b):
-            if not (dual_definitional_check(a2, a, b) and dual_definitional_check(c2, c, b)):
+def _dual_branch(x: Line, y: Line, u: Line, v: Line, decide: Callable, names: tuple) -> Verdict:
+    """exists x2, u2 (Dual(x2,x,y) & Dual(u2,u,v) & decide(x2,u2)) over the
+    dual candidates: TRUE at the first pair that decides TRUE, else UNKNOWN
+    if some pair was undecided, else FALSE."""
+    undecided = None
+    for x2 in dual_candidates(x, y):
+        for u2 in dual_candidates(u, v):
+            if not (dual_definitional_check(x2, x, y) and dual_definitional_check(u2, u, v)):
                 continue
-            got = bwrho_def(a2, b, c2, kind)
+            got = decide(x2, u2)
             if got.is_true():
-                return Verdict.true({"ap": a2, "cp": c2})
-    return Verdict.false()
+                return Verdict.true({names[0]: x2, names[1]: u2})
+            if got.is_unknown() and undecided is None:
+                undecided = got
+    return undecided or Verdict.false()
 
 
 def bwftl_def(a: Line, b: Line, c: Line, kind: ModelKind) -> Verdict:
     got = bwrho_def(a, b, c, kind)
     if got.is_true() or got.is_unknown():
         return got
-    return _bwftl_dual_branch(a, b, c, kind)
+    return _dual_branch(a, b, c, b, lambda a2, c2: bwrho_def(a2, b, c2, kind), ("ap", "cp"))
 
 
 def eqftl_def(a: Line, b: Line, c: Line, d: Line, kind: ModelKind) -> Verdict:
     got = eqrho_def(a, b, c, d, kind)
     if got.is_true() or got.is_unknown():
         return got
-    for b2 in dual_candidates(b, a):
-        for d2 in dual_candidates(d, c):
-            if not (dual_definitional_check(b2, b, a) and dual_definitional_check(d2, d, c)):
-                continue
-            sub = eqrho_def(a, b2, c, d2, kind)
-            if sub.is_true():
-                return Verdict.true({"bp": b2, "dp": d2})
-    return Verdict.false()
+    return _dual_branch(b, a, d, c, lambda b2, d2: eqrho_def(a, b2, c, d2, kind), ("bp", "dp"))
 
 
 def deltaftl_def(a: Line, a0: Segment, a1: Segment, b0: Segment, b1: Segment,
@@ -805,8 +751,6 @@ def tauftl_def(c: Line, b: Line, e1: Segment, e2: Segment, kind: ModelKind) -> V
 
 DEFINITIONAL_EVALUATORS: dict[str, Callable] = {
     "Ev": lambda args, kind: ev_def(args[0], kind),
-    "IsBeg": lambda args, kind: isbeg_def(args[0], args[1], kind),
-    "IsEnd": lambda args, kind: isend_def(args[0], args[1], kind),
     "L": lambda args, kind: l_def(args[0], args[1], kind),
     "Lsym": lambda args, kind: lsym_def(args[0], args[1], kind),
     "M": lambda args, kind: m_def(args[0], args[1], kind),

@@ -38,7 +38,6 @@ from relcheck.model import (
     tau_geo,
 )
 from relcheck.scalar import CapacityError, ScalarContext
-from relcheck.verifier import definitional
 from relcheck.verifier.report import Budget, Verdict
 
 CLASS_PREDICATES = ("STL", "FTL", "Lightspeed")
@@ -53,13 +52,11 @@ class EvalModel:
         ctx: Optional[ScalarContext] = None,
         scenario: Optional[Scenario] = None,
         table: Optional[DefinitionTable] = None,
-        use_geometric: bool = True,
     ) -> None:
         self.kind = kind
         self.ctx = ctx or (scenario.ctx if scenario else ScalarContext())
         self.scenario = scenario
         self.table = table
-        self.use_geometric = use_geometric
 
     @staticmethod
     def from_scenario(scenario: Scenario, table: Optional[DefinitionTable] = None) -> "EvalModel":
@@ -158,20 +155,19 @@ def _bool(b: bool) -> Verdict:
 
 def _eval_defined(f: DefinedAtom, model: EvalModel, env: dict, budget: Budget) -> Verdict:
     args = [_lookup(v, env) for v in f.args]
-    if model.use_geometric:
-        try:
-            if f.name in ("Tau", "TauFTL"):
-                got = tau_geo(args[1], args[2], args[3])
-                return _bool(got is not None and got == args[0])
-            if f.name == "Dual":
-                return _bool(dual_definitional_check(args[0], args[1], args[2]))
-            if f.name in GEOMETRIC_PREDICATES:
-                return _bool(GEOMETRIC_PREDICATES[f.name](args))
-        except UnsupportedPredicate as err:
-            return Verdict.unknown(str(err))
-    else:
-        if f.name in definitional.DEFINITIONAL_EVALUATORS:
-            return definitional.DEFINITIONAL_EVALUATORS[f.name](args, model.kind)
+    # An unsupported atom is UNKNOWN here, at the atom, and not at the
+    # evaluate_bounded boundary: And, Or and Iff must still combine it with
+    # siblings that decide (FALSE & UNKNOWN is FALSE).
+    try:
+        if f.name in ("Tau", "TauFTL"):
+            got = tau_geo(args[1], args[2], args[3])
+            return _bool(got is not None and got == args[0])
+        if f.name == "Dual":
+            return _bool(dual_definitional_check(args[0], args[1], args[2]))
+        if f.name in GEOMETRIC_PREDICATES:
+            return _bool(GEOMETRIC_PREDICATES[f.name](args))
+    except UnsupportedPredicate as err:
+        return Verdict.unknown(f"unsupported: {err}")
     # no evaluator: expand one definition layer and recurse
     if model.table and f.name in model.table:
         from relcheck.fol import expand_defined

@@ -623,11 +623,7 @@ def _iso_witnesses(a: Line, e: Segment):
     """gamma1 from a to the event, gamma2 from the event to a, or None."""
     g1 = None
     g2 = None
-    try:
-        roots = null_params(e.beg, a)
-    except CapacityError:
-        return None
-    for t in roots:
+    for t in null_params(e.beg, a):
         x = a.at(t)
         if (e.beg - x).x0.sign() >= 0 and g1 is None:
             g1 = Segment(x, e.beg)
@@ -700,11 +696,8 @@ def check_axpoind(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     cp = tau_geo(bp, y1, y2)
     if c is None or cp is None:
         return Verdict.true()  # hypothesis c = tau_b(...) unsatisfied
-    try:
-        lhs = ops.eq(a, c, ap, cp)
-        rhs = ops.sim(a, e2, y2)
-    except UnsupportedPredicate:
-        return Verdict.unknown("unsupported predicate")
+    lhs = ops.eq(a, c, ap, cp)
+    rhs = ops.sim(a, e2, y2)
     return _verdict(lhs == rhs, {"a": a, "b": b, "ap": ap, "bp": bp})
 
 
@@ -735,11 +728,7 @@ def check_axtiind(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
 
 
 def _future_null_to(p: Vec4, line: Line):
-    try:
-        roots = null_params(p, line)
-    except CapacityError:
-        return None
-    for t in roots:
+    for t in null_params(p, line):
         v = line.at(t) - p
         if v.x0.sign() >= 0:
             return v
@@ -758,14 +747,7 @@ def check_axunob(gen: ConfigGen, kind: ModelKind, ops: Ops, inner: int = 3) -> V
         a = Line(x.beg, direction)
         b = Line(y.beg, direction)
         c = Line(g.beg, direction)
-        try:
-            ok = (
-                ops.bw(a, c, b)
-                and ops.eq(a, c, c, b)
-                and ops.delta(a, x, g, g, y)
-            )
-        except UnsupportedPredicate:
-            return Verdict.unknown("unsupported predicate in class")
+        ok = ops.bw(a, c, b) and ops.eq(a, c, c, b) and ops.delta(a, x, g, g, y)
         if not ok:
             return Verdict.false(
                 {"d": d_obs, "x": x, "y": y, "g": g, "dir": direction}
@@ -821,13 +803,10 @@ def check_axsim(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     x, y = gen.sim_pair(a)
     y2, z = gen.sim_pair(a)
     z = event(y.beg + (z.beg - y2.beg))
-    try:
-        hyp = ops.sim(a, x, y) and ops.sim(a, y, z)
-        if not hyp:
-            return Verdict.true()
-        return _verdict(ops.sim(a, x, z), {"a": a, "x": x, "y": y, "z": z})
-    except UnsupportedPredicate:
-        return Verdict.unknown("unsupported predicate in class")
+    hyp = ops.sim(a, x, y) and ops.sim(a, y, z)
+    if not hyp:
+        return Verdict.true()
+    return _verdict(ops.sim(a, x, z), {"a": a, "x": x, "y": y, "z": z})
 
 
 def check_axlim(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
@@ -992,9 +971,16 @@ def _run_cases(
 
     Seed i < count is ``sub_seed(budget.seed, *key, i)``.  Each seed gets a
     fresh ConfigGen, and ``check(gen, i, j)`` draws from it for
-    ``j < repeats``, one recorded case per call.  A CapacityError is an
-    UNKNOWN case.  Every case that is not TRUE records its seed, its reason
-    and its bindings; ``ConfigGen(seed, budget.coordinate_bound)`` replays it.
+    ``j < repeats``, one recorded case per call.
+
+    This is the one place on the suite side where an exception from the
+    exact layers becomes a verdict: a CapacityError is UNKNOWN with reason
+    ``capacity: ...`` and an UnsupportedPredicate is UNKNOWN with reason
+    ``unsupported: ...``.  Checkers and the definitional procedures catch
+    neither, so neither can turn into a truth value on its way here.
+
+    Every case that is not TRUE records its seed, its reason and its
+    bindings; ``ConfigGen(seed, budget.coordinate_bound)`` replays it.
     """
     index = 0
     for i in range(count):
@@ -1005,6 +991,8 @@ def _run_cases(
                 verdict = check(gen, i, j)
             except CapacityError as err:
                 verdict = Verdict.unknown(f"capacity: {err}")
+            except UnsupportedPredicate as err:
+                verdict = Verdict.unknown(f"unsupported: {err}")
             detail = None
             if not verdict.is_true():
                 detail = {"seed": seed}
@@ -1122,11 +1110,8 @@ def lemma_stl_events(gen: ConfigGen, kind: ModelKind) -> Verdict:
     a = gen.timelike_line()
     x = gen.event_on(a)
     y = gen.event_on(a)
-    try:
-        if sim_geo(a, x, y):
-            return _verdict(x == y, {"a": a, "x": x, "y": y})
-    except UnsupportedPredicate:
-        return Verdict.unknown("unsupported")
+    if sim_geo(a, x, y):
+        return _verdict(x == y, {"a": a, "x": x, "y": y})
     return Verdict.true()
 
 
@@ -1159,13 +1144,10 @@ def lemma_sim_events(gen: ConfigGen, kind: ModelKind) -> Verdict:
     a = gen.timelike_line()
     beta = event(gen.point())
     alpha = event(sim_project(a, beta))
-    try:
-        if not (transmits(a, alpha) and sim_geo(a, alpha, beta)):
-            return Verdict.false({"a": a, "beta": beta})
-        other = event(alpha.beg + a.dir.scale(gen.ctx.one))
-        return _verdict(not sim_geo(a, other, beta), {"a": a, "beta": beta})
-    except UnsupportedPredicate:
-        return Verdict.unknown("unsupported")
+    if not (transmits(a, alpha) and sim_geo(a, alpha, beta)):
+        return Verdict.false({"a": a, "beta": beta})
+    other = event(alpha.beg + a.dir.scale(gen.ctx.one))
+    return _verdict(not sim_geo(a, other, beta), {"a": a, "beta": beta})
 
 
 def lemma_def_equiv(gen: ConfigGen, kind: ModelKind) -> Verdict:
@@ -1489,21 +1471,14 @@ CRITERION6_PREDICATES = [
     "Tau", "BwFTL", "EqFTL", "SimFTL", "DeltaFTL", "TauFTL",
 ]
 
-# Exempt from the unknown-rate bound of the equivalence tests only: a
-# disagreement on these items still counts against the gate.
-RATE_EXEMPT = {"Dual"}
 
-
-def _geo_eval(name: str, args) -> Optional[bool]:
-    try:
-        if name in ("Tau", "TauFTL"):
-            got = tau_geo(args[1], args[2], args[3])
-            return got is not None and got == args[0]
-        if name == "Dual":
-            return any(args[0] == c for c in dual_candidates(args[1], args[2]))
-        return bool(GEOMETRIC_PREDICATES[name](list(args)))
-    except UnsupportedPredicate:
-        return None
+def _geo_eval(name: str, args) -> bool:
+    if name in ("Tau", "TauFTL"):
+        got = tau_geo(args[1], args[2], args[3])
+        return got is not None and got == args[0]
+    if name == "Dual":
+        return any(args[0] == c for c in dual_candidates(args[1], args[2]))
+    return bool(GEOMETRIC_PREDICATES[name](list(args)))
 
 
 def _revalidate_witness(witness: dict) -> bool:
@@ -1540,8 +1515,6 @@ def run_equivalence_suite(
         def check(gen: ConfigGen, i: int, j: int) -> Verdict:
             args = genf(gen, kind, i)
             geo = _geo_eval(name, args)
-            if geo is None:
-                return Verdict.unknown("unsupported arguments")
             got = deff(list(args), kind)
             if got.is_unknown():
                 return Verdict.unknown(got.reason or "undecided")
@@ -1604,7 +1577,7 @@ def invariance_suite(
                 args = genf(gen, kind, i)
                 config.update(args=args, before=_geo_eval(name, args))
             if not config:
-                return Verdict.unknown("capacity: the configuration was not built")
+                return Verdict.unknown("the configuration was not built (see map 0)")
             after = _geo_eval(name, _transform_args(gen, gen.poincare(), config["args"]))
             if after == config["before"]:
                 return Verdict.true()

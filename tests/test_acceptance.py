@@ -152,8 +152,6 @@ def test_criterion_6_definitional_equivalence():
         rep = run_equivalence_suite(kind, Budget(seed=seed), cases=200, predicates=preds)
         disagreements += rep.total_failed
         for item in rep.items:
-            if item.name == "Dual":
-                continue  # exempt from the rate bound, not the disagreement bound
             if item.unknown * 10 > item.cases:
                 low_rate.append((kind.value, item.name, item.unknown))
     _report_line(

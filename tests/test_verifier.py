@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from relcheck.minkowski import Line, Segment, Vec4, inner, lam
 from relcheck.model import (
     ModelKind,
     Scenario,
+    UnsupportedPredicate,
     dual_candidates,
     event,
     lightlike,
@@ -16,6 +18,7 @@ from relcheck.model import (
 )
 from relcheck.scalar import ScalarContext
 from relcheck.verifier import definitional as de
+from relcheck.verifier import suites
 from relcheck.verifier.evaluate import EvalModel, evaluate_bounded
 from relcheck.verifier.generators import ConfigGen, GenerationError
 from relcheck.verifier.report import Budget, SuiteReport, Verdict, sub_seed
@@ -23,7 +26,6 @@ from relcheck.verifier.suites import (
     AXIOM_CHECKERS,
     CRITERION6_PREDICATES,
     PRED_GENERATORS,
-    RATE_EXEMPT,
     TARSKI_CHECKERS,
     Ops,
     invariance_suite,
@@ -228,8 +230,6 @@ def test_equivalence_zero_disagreements_smoke():
         rep = run_equivalence_suite(kind, Budget(seed=seed), cases=50)
         assert rep.total_failed == 0
         for item in rep.items:
-            if item.name in RATE_EXEMPT:
-                continue
             assert item.unknown * 10 <= item.cases, (item.name, item.unknown)
 
 
@@ -342,6 +342,56 @@ def test_dual_disagreement_fails_the_gate(monkeypatch):
     assert _report_exit([rep]) == EXIT_FAIL
 
 
+def test_capacity_is_unknown_in_axiom_checkers(monkeypatch):
+    # with no room for a square root, every null-root solve runs out of
+    # capacity: the case must be UNKNOWN, not a refuted or vacuous axiom
+    monkeypatch.setattr(suites, "ConfigGen", functools.partial(ConfigGen, depth_cap=0))
+    rep = run_axiom_suite("simplerel", STL, Budget(seed=1), cases=20,
+                          axioms=["AxIso", "AxTiInd", "AxUnSi"])
+    assert [i.unknown for i in rep.items] == [20, 20, 20], [
+        (i.name, i.passed, i.failed) for i in rep.items
+    ]
+    for item in rep.items:
+        assert item.unknowns
+        assert all(c.detail["reason"].startswith("capacity:") for c in item.unknowns)
+
+
+def test_capacity_is_unknown_in_definitional_delta(monkeypatch):
+    # out of capacity, the definitional Delta must not read FALSE where the
+    # geometric route decides TRUE
+    monkeypatch.setattr(suites, "ConfigGen", functools.partial(ConfigGen, depth_cap=0))
+    rep = run_equivalence_suite(STL, Budget(seed=1), cases=20, predicates=["Delta"])
+    assert rep.total_failed == 0
+    assert all(c.detail["reason"].startswith("capacity:") for c in rep.items[0].unknowns)
+
+
+def test_unsupported_predicate_is_unknown(monkeypatch):
+    def checker(gen, kind, ops):
+        raise UnsupportedPredicate("Sim requires a slower-than-light observer")
+
+    monkeypatch.setitem(AXIOM_CHECKERS, "AxSim", checker)
+    rep = run_axiom_suite("simplerel", STL, Budget(seed=1), cases=3, axioms=["AxSim"])
+    item = rep.items[0]
+    assert item.unknown == 3
+    assert all(c.detail["reason"].startswith("unsupported:") for c in item.unknowns)
+
+
+def test_dual_branch_keeps_unknown(monkeypatch):
+    # the first BwRho call is the direct disjunct; every dual candidate after
+    # it is undecided, so BwFTL cannot be refuted
+    honest = de.bwrho_def
+    calls = []
+
+    def bwrho(*args):
+        calls.append(args)
+        return honest(*args) if len(calls) == 1 else Verdict.unknown("capacity: stub")
+
+    args = PRED_GENERATORS["BwFTL"](ConfigGen(12, 8), FTL, 12)
+    monkeypatch.setattr(de, "bwrho_def", bwrho)
+    assert de.bwftl_def(*args, FTL).is_unknown()
+    assert len(calls) > 1
+
+
 def test_generator_patterns_certified():
     gen = ConfigGen(4242, 8)
     a, b = gen.nonrelatable_spacelike_pair()
@@ -392,6 +442,24 @@ def test_exists_witness_from_scenario(table):
     f = parse_formula("exists x:Si. (T(a,x) & !Ev(x))", table.signatures(), {"a": "Ob"})
     got = evaluate_bounded(f, model, {"a": scen.observers["a"]})
     assert got.is_true()
+
+
+def test_unsupported_atom_combines_with_decided_siblings(table):
+    scen = Scenario.from_dict(
+        {
+            "kind": "ftl",
+            "observers": {"f": {"base": ["0", "0", "0", "0"], "dir": ["0", "1", "0", "0"]}},
+            "signals": {"e": {"beg": ["0", "0", "0", "0"], "end": ["0", "0", "0", "0"]}},
+        }
+    )
+    model = EvalModel.from_scenario(scen, table)
+    env = {"f": scen.observers["f"], "e": scen.signals["e"]}
+    names = {"f": "Ob", "e": "Si"}
+    # Sim is not defined for a faster-than-light observer
+    got = evaluate_bounded(parse_formula("Sim(f,e,e)", table.signatures(), names), model, env)
+    assert got.is_unknown() and got.reason.startswith("unsupported:")
+    f = parse_formula("Sim(f,e,e) & Prec(e,e)", table.signatures(), names)
+    assert evaluate_bounded(f, model, env).is_false()
 
 
 def test_two_point_observer_rule(table):
