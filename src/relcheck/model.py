@@ -28,6 +28,7 @@ from relcheck.minkowski import (
     quotient_lift,
     quotient_norm,
     rank_of,
+    tarski_bw_f,
 )
 from relcheck.scalar import Scalar, ScalarContext
 
@@ -224,19 +225,7 @@ def bw_geo(a: Observer, b: Observer, c: Observer) -> bool:
     d = _parallel_family([a, b, c])
     if d is None or classify(d) is not IntervalClass.TIMELIKE:
         return False
-    ab = b.base - a.base
-    ac = c.base - a.base
-    # affine betweenness of the canonical base points
-    t: Optional[Scalar] = None
-    for i in range(4):
-        if not ac[i].is_zero():
-            t = ab[i] / ac[i]
-            break
-    if t is None:
-        return ab.is_zero()
-    if t.sign() < 0 or (t - 1).sign() > 0:
-        return False
-    return (ab - ac.scale(t)).is_zero()
+    return tarski_bw_f(a.base, b.base, c.base)
 
 
 def eq_geo(a: Observer, b: Observer, c: Observer, d: Observer) -> bool:
@@ -406,24 +395,17 @@ def null_gap_params(u: Vec4, d: Vec4) -> list[Scalar]:
 
 
 def bw_rho(a: Observer, b: Observer, c: Observer) -> bool:
-    """Betweenness by null-signal triangles on any common direction class."""
+    """Betweenness by null-signal triangles on any common direction class.
+
+    v_ab, v_bc and v_ac = v_ab + v_bc are null, so v_ab and v_bc are orthogonal
+    null vectors, hence parallel, and the time signs give v_ab = t*v_ac with
+    0 <= t <= 1.  Canonical bases (pivot coordinate 0) differ by a multiple of
+    d only when equal: the bases are between, and c.base - a.base + F*d is null.
+    """
     d = _parallel_family([a, b, c])
-    if d is None:
+    if d is None or not tarski_bw_f(a.base, b.base, c.base):
         return False
-    u_ab = b.base - a.base
-    u_ac = c.base - a.base
-    u_bc = c.base - b.base
-    for r1 in null_gap_params(u_ab, d):
-        v_ab = u_ab + d.scale(r1)
-        for r2 in null_gap_params(u_ac, d):
-            v_ac = u_ac + d.scale(r2)
-            v_bc = u_bc + d.scale(r2 - r1)
-            if not lam(v_bc).is_zero():
-                continue
-            signs = [v.x0.sign() for v in (v_ab, v_ac, v_bc)]
-            if all(s >= 0 for s in signs) or all(s <= 0 for s in signs):
-                return True
-    return False
+    return (lam(d) * quotient_norm(c.base - a.base, d)).sign() <= 0
 
 
 def eq_rho(a: Observer, b: Observer, c: Observer, d: Observer) -> bool:

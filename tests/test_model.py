@@ -288,6 +288,41 @@ def test_bw_rho_spacelike_chain():
     assert not bw_rho(bt, a, ct)
 
 
+def test_bw_rho_closed_form_matches_root_enumeration():
+    """bw_rho against the definitional route's enumeration of null-gap root
+    pairs, on collinear, off-segment and coincident parallel triples; the
+    closed form must not adjoin a square root."""
+    from relcheck.verifier.definitional import bwrho_def
+    from relcheck.verifier.generators import ConfigGen
+
+    seen = set()
+    for seed in range(600):
+        gen = ConfigGen(seed, 8)
+        d = gen.timelike_dir() if seed % 2 else gen.spacelike_dir()
+        a = Line(gen.point(), d)
+        far = Line(gen.point(), d)
+
+        def on_segment():
+            t = gen.ctx.rat(Fraction(gen.rng.randint(-2, 10), 8))  # [-1/4, 5/4]
+            return Line(a.base + (far.base - a.base).scale(t), d)
+
+        b, c = on_segment(), on_segment()
+        case = seed // 2 % 5
+        if case == 1:
+            b = a
+        elif case == 2:
+            c = b
+        elif case == 3:
+            c = a
+        elif case == 4:
+            b = far
+        got = bw_rho(a, b, c)
+        assert gen.ctx.depth == 0
+        assert got == bwrho_def(a, b, c, ModelKind.FTL).is_true(), seed
+        seen.add((lam(d).sign(), got))
+    assert seen == {(-1, True), (-1, False), (1, True), (1, False)}
+
+
 def test_eq_rho_cases():
     ctx = ScalarContext()
     a, b = vertical(ctx, 0), vertical(ctx, 1)

@@ -1,4 +1,5 @@
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,15 @@ import pytest
 from relcheck.cli import EXIT_FAIL, _report_exit
 from relcheck.corpus import load_axioms, load_definitions
 from relcheck.fol import parse_formula
-from relcheck.minkowski import Line, Segment, Vec4, inner, lam
+from relcheck.minkowski import (
+    Line,
+    Segment,
+    Vec4,
+    inner,
+    lam,
+    quotient_inner,
+    quotient_norm,
+)
 from relcheck.model import (
     ModelKind,
     Scenario,
@@ -300,6 +309,38 @@ def test_generate_configuration_dispatch():
     c = Line(v(gen.ctx, 0, 0, 0, 0), v(gen.ctx, 1, 0, 0, 0))
     with pytest.raises(GenerationError):
         gen.sim_pair(c)
+
+
+def test_classframe_basis_per_direction():
+    """Each grid direction gets a quotient-orthogonal basis of its
+    complement, equal in value across generators and built in each
+    generator's own context."""
+    timelike = [(1, Fraction(x1, 5), Fraction(x2, 5), Fraction(x3, 5))
+                for x1 in range(-3, 4) for x2 in range(-3, 4) for x3 in range(-2, 3)]
+    spacelike = [(Fraction(x0, 5), x1, x2, x3)
+                 for x0 in range(-3, 4) for x1 in range(-3, 4)
+                 for x2 in range(-3, 4) for x3 in range(-2, 3)
+                 if x1 * x1 + x2 * x2 + x3 * x3 > Fraction(x0, 5) ** 2]
+    assert len(timelike) == 245
+    for seed in range(40):  # the lists above are the generators' grids
+        gen = ConfigGen(seed, 8)
+        assert tuple(x.as_fraction() for x in gen.timelike_dir()) in timelike
+        assert tuple(x.as_fraction() for x in gen.spacelike_dir()) in spacelike
+    g1, g2 = ConfigGen(1, 8), ConfigGen(2, 8)
+    for coords in timelike + random.Random(4).sample(spacelike, 150):
+        f1 = suites.ClassFrame(g1, Vec4.of(g1.ctx, *coords))
+        f2 = suites.ClassFrame(g2, Vec4.of(g2.ctx, *coords))
+        d = f1.dir
+        assert len(f1.basis) == 3
+        for i, b in enumerate(f1.basis):
+            assert inner(b, d).is_zero()
+            assert not quotient_norm(b, d).is_zero()
+            for other in f1.basis[i + 1:]:
+                assert quotient_inner(b, other, d).is_zero()
+        for frame, gen in ((f1, g1), (f2, g2)):
+            assert all(x.ctx is gen.ctx for b in frame.basis for x in b)
+        assert ([[x.as_fraction() for x in b] for b in f1.basis]
+                == [[x.as_fraction() for x in b] for b in f2.basis])
 
 
 def test_axiom_checker_lookup_is_complete(monkeypatch):
