@@ -31,18 +31,16 @@ _MANIFESTS = {
 }
 
 
-def corpus_dir(path: Optional[str] = None) -> str:
-    if path:
-        return path
+def corpus_dir() -> str:
     env = os.environ.get("RELCHECK_CORPUS")
     if env:
         return env
     return os.path.join(os.path.dirname(__file__), "corpus")
 
 
-def corpus_version(path: Optional[str] = None) -> str:
+def corpus_version() -> str:
     """Deterministic digest of every corpus file's bytes."""
-    root = corpus_dir(path)
+    root = corpus_dir()
     h = hashlib.sha256()
     for name in sorted(os.listdir(root)):
         if name.endswith(".fol") or name.endswith(".json"):
@@ -52,8 +50,8 @@ def corpus_version(path: Optional[str] = None) -> str:
     return h.hexdigest()[:12]
 
 
-def load_definitions(path: Optional[str] = None) -> DefinitionTable:
-    root = corpus_dir(path)
+def load_definitions() -> DefinitionTable:
+    root = corpus_dir()
     with open(os.path.join(root, "definitions.json")) as fh:
         manifest = json.load(fh)
     signatures = {
@@ -84,15 +82,11 @@ class AxiomEntry:
     formula: Formula
 
 
-def load_axioms(
-    system: str,
-    path: Optional[str] = None,
-    table: Optional[DefinitionTable] = None,
-) -> list[AxiomEntry]:
+def load_axioms(system: str, table: Optional[DefinitionTable] = None) -> list[AxiomEntry]:
     if system not in _MANIFESTS:
         raise ValueError(f"unknown system {system!r}")
-    root = corpus_dir(path)
-    table = table or load_definitions(path)
+    root = corpus_dir()
+    table = table or load_definitions()
     signatures = table.signatures()
     out = []
     with open(os.path.join(root, _MANIFESTS[system])) as fh:
@@ -110,8 +104,8 @@ def load_axioms(
     return out
 
 
-def corpus_files(path: Optional[str] = None) -> list[str]:
-    root = corpus_dir(path)
+def corpus_files() -> list[str]:
+    root = corpus_dir()
     return sorted(
         os.path.join(root, f) for f in os.listdir(root) if f.endswith(".fol")
     )

@@ -237,39 +237,33 @@ class DefinitionTable:
         return order
 
 
-def expand_defined(
-    f: Formula,
-    table: DefinitionTable,
-    depth: Optional[int] = None,
-    keep: frozenset[str] = frozenset(),
-) -> Formula:
+def expand_defined(f: Formula, table: DefinitionTable, depth: Optional[int] = None) -> Formula:
     """Replace DefinedAtoms by their definitions, `depth` layers deep.
 
-    ``depth=None`` expands fully (terminates because the table is a DAG);
-    names in ``keep`` are never expanded.
+    ``depth=None`` expands fully (terminates because the table is a DAG).
     """
     if depth is not None and depth <= 0:
         return f
     nxt = None if depth is None else depth - 1
     if isinstance(f, DefinedAtom):
-        if f.name in keep or f.name not in table:
+        if f.name not in table:
             return f
         d = table[f.name]
         if len(d.params) != len(f.args):
             raise FolError(f"{f.name} arity mismatch")
         body = substitute(d.body, {p.name: a for p, a in zip(d.params, f.args)})
-        return expand_defined(body, table, nxt, keep)
+        return expand_defined(body, table, nxt)
     if isinstance(f, Atom):
         return f
     if isinstance(f, Not):
-        return Not(expand_defined(f.body, table, depth, keep))
+        return Not(expand_defined(f.body, table, depth))
     if isinstance(f, (And, Or, Implies, Iff)):
         return type(f)(
-            expand_defined(f.lhs, table, depth, keep),
-            expand_defined(f.rhs, table, depth, keep),
+            expand_defined(f.lhs, table, depth),
+            expand_defined(f.rhs, table, depth),
         )
     if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, expand_defined(f.body, table, depth, keep))
+        return type(f)(f.var, expand_defined(f.body, table, depth))
     raise TypeError(f"not a formula: {f!r}")
 
 

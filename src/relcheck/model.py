@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import json
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from relcheck.minkowski import (
     IDENTICAL_LINES,
@@ -131,13 +131,26 @@ def chron_precedes(e1: Signal, e2: Signal) -> bool:
 # --- null connections between a point and a line ------------------------------
 
 
-def null_params(p: Vec4, line: Line) -> list[Scalar]:
-    """Exact parameters t with lam(line.at(t) - p) == 0 (0, 1, or 2 of them).
+def null_links(p: Vec4, line: Line) -> Iterator[Vec4]:
+    """The null vectors v with p + v on the line (0, 1, or 2 of them), in
+    `null_gap_params` root order; the zero vector when p is on the line.
 
-    The line must not be lightlike.  May extend the scalar chain by one
-    square root.
+    The line must not be lightlike.  The roots are solved at the first
+    `next`, which may extend the scalar chain by one square root.
     """
-    return null_gap_params(line.base - p, line.dir)
+    u = line.base - p
+    for r in null_gap_params(u, line.dir):
+        yield u + line.dir.scale(r)
+
+
+def first_null_link(p: Vec4, line: Line, future: bool) -> Optional[Vec4]:
+    """The first of `null_links(p, line)` pointing to the future (x0 >= 0),
+    or to the past (x0 <= 0) when `future` is false; None if there is none."""
+    for v in null_links(p, line):
+        s = v.x0.sign()
+        if (s >= 0) if future else (s <= 0):
+            return v
+    return None
 
 
 def count_future_null_to_line(p: Vec4, line: Line) -> int:
@@ -654,6 +667,9 @@ GEOMETRIC_PREDICATES = {
     "EqFTL": lambda args: eq_ftl(*args),
     "SimFTL": lambda args: sim_ftl(args[0], args[1], args[2]),
     "DeltaFTL": lambda args: delta_ftl(*args),
+    # tau_geo gives None when its preconditions fail, and None equals no line
+    "Tau": lambda args: tau_geo(args[1], args[2], args[3]) == args[0],
+    "TauFTL": lambda args: tau_geo(args[1], args[2], args[3]) == args[0],
     "T": lambda args: transmits(args[0], args[1]),
     "R": lambda args: receives(args[0], args[1]),
 }

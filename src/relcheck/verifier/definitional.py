@@ -3,11 +3,19 @@
 Each procedure here decides a predicate by solving the quantifier structure
 of its *definition* over the primitives T, R, = — constructing explicit
 witnesses for existentials and refuting universals with verified
-counterexamples — and never calls the registered geometric twin it is
-cross-checked against.  Layering follows the definition DAG: a procedure
-may use the procedures of the predicates its definition mentions.  None of
-them catches a CapacityError from the scalar tower: it propagates to the
+counterexamples.  Four routes are not yet independent of the geometric
+twin they are cross-checked against: `rho_def` calls `model.rho`,
+`dual_def` wraps `model.dual_definitional_check`, `lightspeed_def` is a
+constant FALSE, and the third case of `eqrho_def` computes the quotient
+norms again.  Layering follows the definition DAG: a procedure may use
+the procedures of the predicates its definition mentions.  None of them
+catches a CapacityError from the scalar tower: it propagates to the
 suites' case driver, which records the case as UNKNOWN.
+
+The null links from an event to a given worldline come from
+`model.null_links`.  Bw and BwRho run one loop, `_null_triangle`, over the
+pairs of null links from a's base to b and to c; they differ only in the
+orientation rule, since BwRho also admits the all-past triangle.
 
 Derived unsatisfiability rules (the FALSE sides of Sim, Eq, Delta and the
 dual machinery) come from eliminating the quantifiers by hand; every rule
@@ -38,15 +46,15 @@ from relcheck.model import (
     dual_candidates,
     dual_definitional_check,
     event,
-    null_gap_params,
-    null_params,
+    first_null_link,
+    null_links,
     witness_zero_and_two,
 )
 from relcheck.scalar import Scalar, ScalarContext
 from relcheck.verifier.report import Verdict
 
 
-def _separating_line(keep: Vec4, avoid: Vec4, kind: ModelKind) -> Line:
+def _separating_line(keep: Vec4, avoid: Vec4) -> Line:
     """A universe line through `keep` missing `avoid` (they must differ)."""
     ctx = keep.ctx
     for c in (Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(1, 5)):
@@ -65,7 +73,7 @@ def ev_def(s: Segment, kind: ModelKind) -> Verdict:
     # through exactly one endpoint, which exists exactly when beg != end
     if (s.end - s.beg).is_zero():
         return Verdict.true()
-    witness = _separating_line(s.beg, s.end, kind)
+    witness = _separating_line(s.beg, s.end)
     assert witness.contains(s.beg) and not witness.contains(s.end)
     return Verdict.false({"a": witness})
 
@@ -198,65 +206,39 @@ def _parallel_layer(kind: ModelKind, a: Line, *rest: Line) -> Optional[Verdict]:
     return None
 
 
-def bw_def(a: Line, b: Line, c: Line, kind: ModelKind) -> Verdict:
-    """exists x,y,z events on a,b,c with L(x,y), L(x,z), L(y,z).
+def _null_triangle(a: Line, b: Line, c: Line, kind: ModelKind,
+                   oriented: Callable[[list[int]], bool]) -> Verdict:
+    """exists x,y,z events on a,b,c joined by null links x->y, x->z, y->z
+    whose time signs pass `oriented`.
 
     All hosts share one direction, so solutions are invariant under common
-    translation along it: anchoring x at a.base and enumerating the root
-    pairs of the two gap quadratics is exhaustive.
+    translation along it: anchoring x at a.base and enumerating the pairs of
+    its null links to b and to c is exhaustive.
     """
     guard = _parallel_layer(kind, a, b, c)
     if guard is not None:
         return guard
-    d = a.dir
     x = a.base
-    u_ab = b.base - x
-    u_ac = c.base - x
-    roots_ab = null_gap_params(u_ab, d)
-    roots_ac = null_gap_params(u_ac, d)
-    for r1 in roots_ab:
-        v_ab = u_ab + d.scale(r1)
-        if v_ab.x0.sign() < 0:
-            continue
-        for r2 in roots_ac:
-            v_ac = u_ac + d.scale(r2)
-            if v_ac.x0.sign() < 0:
-                continue
+    links_ab = list(null_links(x, b))
+    links_ac = list(null_links(x, c))
+    for v_ab in links_ab:
+        for v_ac in links_ac:
             v_bc = v_ac - v_ab
-            if not lam(v_bc).is_zero() or v_bc.x0.sign() < 0:
-                continue
-            y = x + v_ab
-            z = x + v_ac
-            return Verdict.true(
-                {"x": event(x), "y": event(y), "z": event(z)}
-            )
+            if oriented([v.x0.sign() for v in (v_ab, v_ac, v_bc)]) and lam(v_bc).is_zero():
+                return Verdict.true({"x": event(x), "y": event(x + v_ab), "z": event(x + v_ac)})
     return Verdict.false()
+
+
+def bw_def(a: Line, b: Line, c: Line, kind: ModelKind) -> Verdict:
+    """exists x,y,z events on a,b,c with L(x,y), L(x,z), L(y,z): the null
+    triangle with all three links future-directed."""
+    return _null_triangle(a, b, c, kind, lambda signs: min(signs) >= 0)
 
 
 def bwrho_def(a: Line, b: Line, c: Line, kind: ModelKind) -> Verdict:
-    """Like bw_def with the reversed-orientation disjunct admitted."""
-    guard = _parallel_layer(kind, a, b, c)
-    if guard is not None:
-        return guard
-    d = a.dir
-    x = a.base
-    u_ab = b.base - x
-    u_ac = c.base - x
-    roots_ab = null_gap_params(u_ab, d)
-    roots_ac = null_gap_params(u_ac, d)
-    for r1 in roots_ab:
-        v_ab = u_ab + d.scale(r1)
-        for r2 in roots_ac:
-            v_ac = u_ac + d.scale(r2)
-            v_bc = v_ac - v_ab
-            if not lam(v_bc).is_zero():
-                continue
-            signs = [v.x0.sign() for v in (v_ab, v_ac, v_bc)]
-            if all(sg >= 0 for sg in signs) or all(sg <= 0 for sg in signs):
-                return Verdict.true(
-                    {"x": event(x), "y": event(x + v_ab), "z": event(x + v_ac)}
-                )
-    return Verdict.false()
+    """Like bw_def with the all-past triangle admitted, the reversed
+    orientation disjunct of def_bwrho.fol."""
+    return _null_triangle(a, b, c, kind, lambda signs: min(signs) >= 0 or max(signs) <= 0)
 
 
 # --- simultaneity ------------------------------------------------------------
@@ -493,10 +475,10 @@ def tau_def(c: Line, b: Line, e1: Segment, e2: Segment, kind: ModelKind,
         return bv if bv.is_unknown() else Verdict.false()
     # g: Beg on c, End = e2, with Sim(host, Beg(g), e1)
     sim = simftl_def if ftl_variant else sim_def
-    for t in null_params(e2.beg, c):
-        gb = c.at(t)
-        if (e2.beg - gb).x0.sign() < 0:
+    for v in null_links(e2.beg, c):
+        if v.x0.sign() > 0:
             continue
+        gb = e2.beg + v
         sv = sim(host, event(gb), event(e1.beg), kind)
         if sv.is_true():
             return Verdict.true({"a": host, "g": Segment(gb, e2.beg)})
@@ -534,7 +516,7 @@ def op_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
     # a non-FTL transversal exists iff the plane carries a timelike direction
     if a == b:
         # any timelike line through a point of a meets it twice over
-        probe = _separating_line(a.base, a.base + a.dir, kind)
+        probe = _separating_line(a.base, a.base + a.dir)
         if probe.interval_class is IntervalClass.TIMELIKE:
             return Verdict.false({"c": probe})
         return Verdict.unknown("no refuting transversal constructed")
@@ -599,44 +581,33 @@ def eq_def(a: Line, b: Line, c: Line, d: Line, kind: ModelKind) -> Verdict:
     return Verdict.true(witness)
 
 
-def _future_gap(ctx: ScalarContext, host_from: Line, p: Vec4, host_to: Line) -> Optional[Vec4]:
-    """Future null vector from point p to the parallel line host_to."""
-    u = host_to.base - p
-    roots = null_gap_params(u, host_from.dir)
-    for r in roots:
-        v = u + host_from.dir.scale(r)
-        if v.x0.sign() >= 0:
-            return v
-    return None
-
-
 def _eq_witness(e: Line, a: Line, b: Line, c: Line, d: Line) -> Optional[dict]:
-    ctx = e.ctx
     e1pt = e.base
-    va = _future_gap(ctx, e, e1pt, a)
-    vc = _future_gap(ctx, e, e1pt, c)
+    va = first_null_link(e1pt, a, future=True)
+    vc = first_null_link(e1pt, c, future=True)
     if va is None or vc is None:
         return None
     a1 = e1pt + va
     g1 = e1pt + vc
-    v_ab = _future_gap(ctx, a, a1, b)
-    v_cd = _future_gap(ctx, c, g1, d)
+    v_ab = first_null_link(a1, b, future=True)
+    v_cd = first_null_link(g1, d, future=True)
     if v_ab is None or v_cd is None:
         return None
     be = a1 + v_ab
     a2 = _reflect_back(a, be, a1)
     de = g1 + v_cd
     g2 = _reflect_back(c, de, g1)
-    e1p = _future_target(a1, e)
+    v_e1p = first_null_link(a1, e, future=True)
+    v_e2 = first_null_link(a2, e, future=False)
+    v_e2p = first_null_link(a2, e, future=True)
+    if v_e1p is None or v_e2 is None or v_e2p is None:
+        return None
+    e1p, e2, e2p = a1 + v_e1p, a2 + v_e2, a2 + v_e2p
     checks = [
         (e1pt, a1), (e1pt, g1), (a1, e1p), (g1, e1p),
         (a1, be), (be, a2), (g1, de), (de, g2),
+        (e2, a2), (e2, g2), (a2, e2p), (g2, e2p),
     ]
-    e2 = _past_source(a2, e)
-    e2p = _future_target(a2, e)
-    if e2 is None or e2p is None or e1p is None:
-        return None
-    checks += [(e2, a2), (e2, g2), (a2, e2p), (g2, e2p)]
     for p, q in checks:
         w = q - p
         if not lam(w).is_zero() or w.x0.sign() < 0:
@@ -651,30 +622,11 @@ def _eq_witness(e: Line, a: Line, b: Line, c: Line, d: Line) -> Optional[dict]:
 
 def _reflect_back(host: Line, bounce: Vec4, start: Vec4) -> Vec4:
     """Second endpoint of the radar chain start -> bounce -> x on host."""
-    u = host.base - bounce
-    roots = null_gap_params(u, host.dir)
-    fallback = start  # degenerate chain (bounce on the host): x == start
-    for r in roots:
-        v = u + host.dir.scale(r)
+    for v in null_links(bounce, host):
         x = bounce + v
         if v.x0.sign() >= 0 and not (x - start).is_zero():
             return x
-    return fallback
-
-
-def _future_target(p: Vec4, host: Line) -> Optional[Vec4]:
-    v = _future_gap(p.ctx, host, p, host)
-    return None if v is None else p + v
-
-
-def _past_source(p: Vec4, host: Line) -> Optional[Vec4]:
-    u = host.base - p
-    roots = null_gap_params(u, host.dir)
-    for r in roots:
-        v = u + host.dir.scale(r)
-        if (-v).x0.sign() >= 0:
-            return p + v
-    return None
+    return start  # degenerate chain (bounce on the host): x == start
 
 
 def eqrho_def(a: Line, b: Line, c: Line, d: Line, kind: ModelKind) -> Verdict:
@@ -740,15 +692,6 @@ def eqftl_def(a: Line, b: Line, c: Line, d: Line, kind: ModelKind) -> Verdict:
     return _dual_branch(b, a, d, c, lambda b2, d2: eqrho_def(a, b2, c, d2, kind), ("bp", "dp"))
 
 
-def deltaftl_def(a: Line, a0: Segment, a1: Segment, b0: Segment, b1: Segment,
-                 kind: ModelKind) -> Verdict:
-    return delta_def(a, a0, a1, b0, b1, kind, undirected=True)
-
-
-def tauftl_def(c: Line, b: Line, e1: Segment, e2: Segment, kind: ModelKind) -> Verdict:
-    return tau_def(c, b, e1, e2, kind, ftl_variant=True)
-
-
 DEFINITIONAL_EVALUATORS: dict[str, Callable] = {
     "Ev": lambda args, kind: ev_def(args[0], kind),
     "L": lambda args, kind: l_def(args[0], args[1], kind),
@@ -774,6 +717,6 @@ DEFINITIONAL_EVALUATORS: dict[str, Callable] = {
     "BwFTL": lambda args, kind: bwftl_def(args[0], args[1], args[2], kind),
     "EqFTL": lambda args, kind: eqftl_def(args[0], args[1], args[2], args[3], kind),
     "SimFTL": lambda args, kind: simftl_def(args[0], args[1], args[2], kind),
-    "DeltaFTL": lambda args, kind: deltaftl_def(args[0], args[1], args[2], args[3], args[4], kind),
-    "TauFTL": lambda args, kind: tauftl_def(args[0], args[1], args[2], args[3], kind),
+    "DeltaFTL": lambda args, kind: delta_def(*args, kind, undirected=True),
+    "TauFTL": lambda args, kind: tau_def(*args, kind, ftl_variant=True),
 }

@@ -34,7 +34,7 @@ from relcheck.model import (
     UnsupportedPredicate,
     dual_definitional_check,
     event,
-    null_params,
+    null_links,
     tau_geo,
 )
 from relcheck.scalar import CapacityError, ScalarContext
@@ -159,9 +159,6 @@ def _eval_defined(f: DefinedAtom, model: EvalModel, env: dict, budget: Budget) -
     # evaluate_bounded boundary: And, Or and Iff must still combine it with
     # siblings that decide (FALSE & UNKNOWN is FALSE).
     try:
-        if f.name in ("Tau", "TauFTL"):
-            got = tau_geo(args[1], args[2], args[3])
-            return _bool(got is not None and got == args[0])
         if f.name == "Dual":
             return _bool(dual_definitional_check(args[0], args[1], args[2]))
         if f.name in GEOMETRIC_PREDICATES:
@@ -356,8 +353,7 @@ def _point_candidates(ctx, domain, anchor: Optional[Vec4]) -> tuple[list, bool]:
             return ok, len(lines) == 2 or bool(ok)
         line = lines[0]
         if anchor is not None:
-            roots = null_params(anchor, line)
-            return [line.at(t) for t in roots], True
+            return [anchor + v for v in null_links(anchor, line)], True
         return [line.base, line.at(ctx.one), line.at(ctx.rat(-1))], False
     if anchor is not None:
         return [anchor, anchor + Vec4.of(ctx, 1, 1, 0, 0)], False

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
 
 from relcheck.minkowski import (
     IntervalClass,
@@ -40,12 +39,11 @@ class ConfigGen:
 
     # -- scalars / vectors ---------------------------------------------------
 
-    def rat_fraction(self, bound: Optional[int] = None, den: int = 4) -> Fraction:
-        b = bound or self.bound
-        return Fraction(self.rng.randint(-b, b), self.rng.randint(1, den))
+    def rat_fraction(self) -> Fraction:
+        return Fraction(self.rng.randint(-self.bound, self.bound), self.rng.randint(1, 4))
 
-    def rat(self, bound: Optional[int] = None) -> Scalar:
-        return self.ctx.rat(self.rat_fraction(bound))
+    def rat(self) -> Scalar:
+        return self.ctx.rat(self.rat_fraction())
 
     def point(self) -> Vec4:
         return Vec4(*(self.rat() for _ in range(4)))
@@ -109,9 +107,8 @@ class ConfigGen:
     def observer(self, kind: ModelKind) -> Line:
         return Line(self.point(), self.direction(kind))
 
-    def parallel_family(self, n: int, kind: ModelKind = ModelKind.STL_ONLY,
-                        direction: Optional[Vec4] = None) -> list[Line]:
-        d = direction if direction is not None else self.direction(kind)
+    def parallel_family(self, n: int, kind: ModelKind = ModelKind.STL_ONLY) -> list[Line]:
+        d = self.direction(kind)
         out = []
         seen = set()
         while len(out) < n:

@@ -47,11 +47,12 @@ from relcheck.model import (
     eq_ftl,
     eq_geo,
     event,
+    first_null_link,
     is_event,
     lightlike,
     light_between,
     meets,
-    null_params,
+    null_links,
     observer_class,
     parallel,
     receives,
@@ -641,11 +642,12 @@ def _iso_witnesses(a: Line, e: Segment):
     """gamma1 from a to the event, gamma2 from the event to a, or None."""
     g1 = None
     g2 = None
-    for t in null_params(e.beg, a):
-        x = a.at(t)
-        if (e.beg - x).x0.sign() >= 0 and g1 is None:
+    for v in null_links(e.beg, a):
+        x = e.beg + v
+        s = v.x0.sign()
+        if s <= 0 and g1 is None:
             g1 = Segment(x, e.beg)
-        if (x - e.beg).x0.sign() >= 0 and g2 is None:
+        if s >= 0 and g2 is None:
             g2 = Segment(e.beg, x)
     if g1 is None or g2 is None:
         return None
@@ -726,11 +728,11 @@ def check_axtiind(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     if c == a:
         return Verdict.true()
     x1 = gen.event_on(a)
-    m1v = _future_null_to(x1.beg, c)
+    m1v = first_null_link(x1.beg, c, future=True)
     if m1v is None:
         return Verdict.true()
     m1 = x1.beg + m1v
-    back1 = _future_null_to(m1, a)
+    back1 = first_null_link(m1, a, future=True)
     if back1 is None:
         return Verdict.true()
     x2 = event(m1 + back1)
@@ -745,22 +747,14 @@ def check_axtiind(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     return _verdict(d == dp, {"a": a, "c": c, "d": d, "dp": dp})
 
 
-def _future_null_to(p: Vec4, line: Line):
-    for t in null_params(p, line):
-        v = line.at(t) - p
-        if v.x0.sign() >= 0:
-            return v
-    return None
-
-
-def check_axunob(gen: ConfigGen, kind: ModelKind, ops: Ops, inner: int = 3) -> Verdict:
+def check_axunob(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     d_obs = gen.observer(kind)
     x = gen.event_on(d_obs)
     y = gen.event_on(d_obs)
     g = event((x.beg + y.beg).scale(gen.ctx.rat(1, 2)))
     if not d_obs.contains(g.beg):
         return Verdict.false({"d": d_obs})
-    for _ in range(inner):
+    for _ in range(3):
         direction = gen.direction(kind) if ops.variant == "ftl" else gen.timelike_dir()
         a = Line(x.beg, direction)
         b = Line(y.beg, direction)
@@ -784,7 +778,7 @@ def check_axunsi(gen: ConfigGen, kind: ModelKind, ops: Ops, guard_stl: bool = Fa
     if not ops.bw(a, b, cc):
         return Verdict.true()
     x = gen.event_on(a)
-    v = _future_null_to(x.beg, cc)
+    v = first_null_link(x.beg, cc, future=True)
     if v is None:
         return Verdict.true()
     z = event(x.beg + v)
@@ -1109,8 +1103,7 @@ def lemma_stl1(gen: ConfigGen, kind: ModelKind) -> Verdict:
     e = event(gen.point())
     if count_future_null_to_line(e.beg, a) != 1:
         return Verdict.false({"a": a, "e": e})
-    roots = null_params(e.beg, a)
-    future = [t for t in roots if (a.at(t) - e.beg).x0.sign() >= 0]
+    future = [v for v in null_links(e.beg, a) if v.x0.sign() >= 0]
     return _verdict(len(future) == 1, {"a": a, "e": e})
 
 
@@ -1144,15 +1137,14 @@ def lemma_tau_unique(gen: ConfigGen, kind: ModelKind, ftl: bool = False) -> Verd
     c = tau_geo(b, e1, e2)
     if c is None:
         return Verdict.false({"a": a, "b": b})
-    check = definitional.tauftl_def if ftl else definitional.tau_def
-    good = check(c, b, e1, e2, kind)
+    good = definitional.tau_def(c, b, e1, e2, kind, ftl_variant=ftl)
     if not good.is_true():
         return Verdict.false({"c": c}) if good.is_false() else good
     # a perturbed candidate must be refuted by the defining clause
     wrong = Line(c.base + (c.base - b.base), c.dir)
     if wrong == c:
         return Verdict.true()
-    refuted = check(wrong, b, e1, e2, kind)
+    refuted = definitional.tau_def(wrong, b, e1, e2, kind, ftl_variant=ftl)
     if refuted.is_unknown():
         return refuted
     return _verdict(refuted.is_false(), {"c": c, "wrong": wrong})
@@ -1225,7 +1217,7 @@ def run_lemma_suite(kind: ModelKind, budget: Budget, cases: int = 100) -> SuiteR
 # --- definitional equivalence --------------------------------------------------------
 
 
-def _mix(gen: ConfigGen, index: int, *weights: int) -> int:
+def _mix(index: int, *weights: int) -> int:
     """Deterministic case-mix bucket, interleaved across indices."""
     total = sum(weights)
     slot = (index * 37 + 11) % total
@@ -1237,7 +1229,7 @@ def _mix(gen: ConfigGen, index: int, *weights: int) -> int:
 
 
 def _gen_line_pair(gen: ConfigGen, kind: ModelKind, index: int):
-    bucket = _mix(gen, index, 46, 46, 8)
+    bucket = _mix(index, 46, 46, 8)
     if bucket == 0:  # parallel
         return tuple(gen.parallel_family(2, kind))
     if bucket == 1:  # crossing
@@ -1247,7 +1239,7 @@ def _gen_line_pair(gen: ConfigGen, kind: ModelKind, index: int):
 
 
 def _gen_event_pair(gen: ConfigGen, kind: ModelKind, index: int):
-    bucket = _mix(gen, index, 35, 25, 20, 20)
+    bucket = _mix(index, 35, 25, 20, 20)
     if bucket == 0:
         return gen.null_connected_pair()
     if bucket == 1:
@@ -1261,7 +1253,7 @@ def _gen_event_pair(gen: ConfigGen, kind: ModelKind, index: int):
 
 
 def _gen_bw_args(gen: ConfigGen, kind: ModelKind, index: int):
-    bucket = _mix(gen, index, 40, 20, 20, 20)
+    bucket = _mix(index, 40, 20, 20, 20)
     if bucket == 3:
         p = gen.point()
         return (Line(p, gen.timelike_dir()), Line(p, gen.timelike_dir()),
@@ -1280,7 +1272,7 @@ def _gen_bw_args(gen: ConfigGen, kind: ModelKind, index: int):
 
 
 def _gen_eq_args(gen: ConfigGen, kind: ModelKind, index: int):
-    bucket = _mix(gen, index, 40, 30, 10, 20)
+    bucket = _mix(index, 40, 30, 10, 20)
     if bucket == 3:
         p = gen.point()
         lines = [Line(p, gen.timelike_dir()) for _ in range(2)]
@@ -1300,7 +1292,7 @@ def _gen_eq_args(gen: ConfigGen, kind: ModelKind, index: int):
 
 def _gen_sim_args(gen: ConfigGen, kind: ModelKind, index: int):
     c = gen.timelike_line()
-    bucket = _mix(gen, index, 50, 40, 10)
+    bucket = _mix(index, 50, 40, 10)
     if bucket == 0:
         e1, e2 = gen.sim_pair(c)
     elif bucket == 1:
@@ -1313,7 +1305,7 @@ def _gen_sim_args(gen: ConfigGen, kind: ModelKind, index: int):
 
 def _gen_delta_args(gen: ConfigGen, kind: ModelKind, index: int):
     a = gen.timelike_line()
-    bucket = _mix(gen, index, 40, 30, 10, 20)
+    bucket = _mix(index, 40, 30, 10, 20)
     gap = gen.ctx.rat(Fraction(gen.rng.randint(0, 8), 2))
     a0 = gen.event_on(a)
     a1 = event(a0.beg + a.dir.scale(gap))
@@ -1333,7 +1325,7 @@ def _gen_delta_args(gen: ConfigGen, kind: ModelKind, index: int):
 
 
 def _gen_stl_args(gen: ConfigGen, kind: ModelKind, index: int):
-    if kind is ModelKind.FTL and _mix(gen, index, 1, 1) == 1:
+    if kind is ModelKind.FTL and _mix(index, 1, 1) == 1:
         return (gen.spacelike_line(),)
     return (gen.timelike_line(),)
 
@@ -1344,7 +1336,7 @@ def _gen_tau_args(gen: ConfigGen, kind: ModelKind, index: int):
     b = frame.random_line()
     e1 = gen.event_on(a)
     e2 = event(e1.beg + a.dir.scale(gen.ctx.rat(Fraction(gen.rng.randint(1, 8), 2))))
-    bucket = _mix(gen, index, 50, 30, 20)
+    bucket = _mix(index, 50, 30, 20)
     if bucket == 2 or b == a:
         return b, b, e1, e2  # c == b never satisfies the clause
     c = tau_geo(b, e1, e2)
@@ -1356,7 +1348,7 @@ def _gen_tau_args(gen: ConfigGen, kind: ModelKind, index: int):
 
 
 def _gen_ftl_pairs(gen: ConfigGen, kind: ModelKind, index: int):
-    bucket = _mix(gen, index, 50, 50) if kind is ModelKind.FTL else 0
+    bucket = _mix(index, 50, 50) if kind is ModelKind.FTL else 0
     if bucket == 0:
         frame = ClassFrame(gen)
         lines = [frame.random_line() for _ in range(3)]
@@ -1370,7 +1362,7 @@ def _gen_ftl_pairs(gen: ConfigGen, kind: ModelKind, index: int):
 
 
 def _gen_eqftl_args(gen: ConfigGen, kind: ModelKind, index: int):
-    bucket = _mix(gen, index, 50, 50) if kind is ModelKind.FTL else 0
+    bucket = _mix(index, 50, 50) if kind is ModelKind.FTL else 0
     if bucket == 0:
         return _gen_eq_args(gen, kind, index)
     frame = ClassFrame(gen, gen.spacelike_dir())
@@ -1383,11 +1375,11 @@ def _gen_eqftl_args(gen: ConfigGen, kind: ModelKind, index: int):
 
 
 def _gen_simftl_args(gen: ConfigGen, kind: ModelKind, index: int):
-    if kind is ModelKind.FTL and _mix(gen, index, 1, 1) == 1:
+    if kind is ModelKind.FTL and _mix(index, 1, 1) == 1:
         c = gen.spacelike_line()
     else:
         c = gen.timelike_line()
-    bucket = _mix(gen, index, 40, 40, 20)
+    bucket = _mix(index, 40, 40, 20)
     if bucket == 0:
         e1, e2 = gen.sim_pair(c)
     elif bucket == 1:
@@ -1401,7 +1393,7 @@ def _gen_simftl_args(gen: ConfigGen, kind: ModelKind, index: int):
 
 
 def _gen_deltaftl_args(gen: ConfigGen, kind: ModelKind, index: int):
-    if kind is ModelKind.FTL and _mix(gen, index, 1, 1) == 1:
+    if kind is ModelKind.FTL and _mix(index, 1, 1) == 1:
         a = gen.spacelike_line()
         gap = gen.ctx.rat(Fraction(gen.rng.randint(0, 8), 2))
         a0 = gen.event_on(a)
@@ -1419,7 +1411,7 @@ def _gen_dual_args(gen: ConfigGen, kind: ModelKind, index: int):
         return Line(a.base + a.dir, a.dir), a, b
     a, b = gen.nonrelatable_spacelike_pair()
     cands = dual_candidates(a, b)
-    bucket = _mix(gen, index, 40, 20, 20, 20)
+    bucket = _mix(index, 40, 20, 20, 20)
     if bucket == 0 and cands:
         return cands[0], a, b
     if bucket == 1 and cands:
@@ -1432,7 +1424,7 @@ def _gen_dual_args(gen: ConfigGen, kind: ModelKind, index: int):
 
 
 def _gen_rho_args(gen: ConfigGen, kind: ModelKind, index: int):
-    bucket = _mix(gen, index, 30, 30, 40)
+    bucket = _mix(index, 30, 30, 40)
     if bucket == 0 and kind is ModelKind.FTL:
         return gen.nonrelatable_spacelike_pair()
     if bucket == 1:
@@ -1443,7 +1435,7 @@ def _gen_rho_args(gen: ConfigGen, kind: ModelKind, index: int):
 def _gen_op_args(gen: ConfigGen, kind: ModelKind, index: int):
     if kind is not ModelKind.FTL:
         return tuple(gen.parallel_family(2, kind))
-    bucket = _mix(gen, index, 40, 30, 30)
+    bucket = _mix(index, 40, 30, 30)
     d = gen.spacelike_dir()
     a = Line(gen.point(), d)
     if bucket == 0:
@@ -1457,7 +1449,7 @@ def _gen_op_args(gen: ConfigGen, kind: ModelKind, index: int):
 
 
 PRED_GENERATORS = {
-    "Ev": lambda g, k, i: (g.signal() if _mix(g, i, 1, 1) else event(g.point()),),
+    "Ev": lambda g, k, i: (g.signal() if _mix(i, 1, 1) else event(g.point()),),
     "M": _gen_line_pair,
     "Cop": _gen_line_pair,
     "Par": _gen_line_pair,
@@ -1491,9 +1483,6 @@ CRITERION6_PREDICATES = [
 
 
 def _geo_eval(name: str, args) -> bool:
-    if name in ("Tau", "TauFTL"):
-        got = tau_geo(args[1], args[2], args[3])
-        return got is not None and got == args[0]
     if name == "Dual":
         return any(args[0] == c for c in dual_candidates(args[1], args[2]))
     return bool(GEOMETRIC_PREDICATES[name](list(args)))

@@ -24,12 +24,14 @@ from relcheck.model import (
     eq_geo,
     eq_rho,
     event,
+    first_null_link,
     is_event,
     light_between,
     lightlike,
     meets,
     midline,
-    null_params,
+    null_gap_params,
+    null_links,
     observer_class,
     optical_plane,
     parallel,
@@ -202,14 +204,32 @@ def test_stl_counting_and_witnesses():
     assert count_future_null_to_line(v(ctx, -5, 0, 3, 0), spacelike) == 2
 
 
-def test_null_params_roots_verify():
-    ctx = ScalarContext()
-    line = vertical(ctx)
-    p = v(ctx, 0, 2, 0, 0)
-    roots = null_params(p, line)
-    assert len(roots) == 2
-    for t in roots:
-        assert lam(line.at(t) - p).is_zero()
+def test_null_links_solve_the_gap_quadratic():
+    """null_links on seeded (event, observer) pairs of both classes, one in
+    five with the event on the line: every link is null and ends on the line,
+    in null_gap_params order; the future links are the sqrt-free count; and
+    first_null_link picks the first future or past link of that list."""
+    from relcheck.verifier.generators import ConfigGen
+
+    future_counts = set()
+    for seed in range(400):
+        gen = ConfigGen(seed, 8)
+        line = gen.timelike_line() if seed % 2 else gen.spacelike_line()
+        on_line = seed % 5 == 0
+        p = gen.event_on(line).beg if on_line else gen.point()
+        links = list(null_links(p, line))
+        assert links == [line.at(r) - p for r in null_gap_params(line.base - p, line.dir)]
+        for w in links:
+            assert lam(w).is_zero() and line.contains(p + w)
+        if on_line:
+            assert any(w.is_zero() for w in links)
+        future = [w for w in links if w.x0.sign() >= 0]
+        past = [w for w in links if w.x0.sign() <= 0]
+        assert len(future) == count_future_null_to_line(p, line), seed
+        assert first_null_link(p, line, future=True) == (future[0] if future else None)
+        assert first_null_link(p, line, future=False) == (past[0] if past else None)
+        future_counts.add(len(future))
+    assert future_counts == {0, 1, 2}
 
 
 def test_tau_geo_fixture_and_3d_case():

@@ -8,6 +8,7 @@ from relcheck.cli import EXIT_FAIL, _report_exit
 from relcheck.corpus import load_axioms, load_definitions
 from relcheck.fol import parse_formula
 from relcheck.minkowski import (
+    IntervalClass,
     Line,
     Segment,
     Vec4,
@@ -114,6 +115,22 @@ def test_bw_def_matches_fixture():
     assert lightlike(x, y) and lightlike(x, z) and lightlike(y, z)
     assert de.bw_def(a, c, b, STL).is_false()
     assert de.bw_def(a, a, c, STL).is_true()
+
+
+def test_bwrho_def_is_bw_def_in_either_orientation():
+    # BwRho admits the all-past triangle, which is the future triangle of
+    # the reversed triple: one root-pair loop with two orientation rules
+    seen = set()
+    for name in ("Bw", "BwRho"):
+        for i in range(300):
+            a, b, c = PRED_GENERATORS[name](ConfigGen(sub_seed(9, name, i), 8), FTL, i)
+            forward = de.bw_def(a, b, c, FTL).is_true()
+            backward = de.bw_def(c, b, a, FTL).is_true()
+            assert de.bwrho_def(a, b, c, FTL).is_true() == (forward or backward), (name, i)
+            if forward or backward:
+                seen.add((a.interval_class, forward and backward))
+    assert {cls for cls, _ in seen} == {IntervalClass.TIMELIKE, IntervalClass.SPACELIKE}
+    assert (IntervalClass.SPACELIKE, False) in seen
 
 
 def test_sim_def_diamond():
