@@ -42,15 +42,21 @@ class Vec4:
         return iter(self.c)
 
     def __add__(self, other: "Vec4") -> "Vec4":
+        if _rational(self.c + other.c):
+            return Vec4(*(Scalar(a.ctx, 0, a.a + b.a, None) for a, b in zip(self.c, other.c)))
         return Vec4(*(a + b for a, b in zip(self.c, other.c)))
 
     def __sub__(self, other: "Vec4") -> "Vec4":
+        if _rational(self.c + other.c):
+            return Vec4(*(Scalar(a.ctx, 0, a.a - b.a, None) for a, b in zip(self.c, other.c)))
         return Vec4(*(a - b for a, b in zip(self.c, other.c)))
 
     def __neg__(self) -> "Vec4":
         return Vec4(*(-a for a in self.c))
 
     def scale(self, k: Scalar) -> "Vec4":
+        if isinstance(k, Scalar) and _rational(self.c + (k,)):
+            return Vec4(*(Scalar(a.ctx, 0, a.a * k.a, None) for a in self.c))
         return Vec4(*(a * k for a in self.c))
 
     def is_zero(self) -> bool:
@@ -79,8 +85,16 @@ class Vec4:
         return Vec4(*out)
 
 
+def _rational(coords: tuple) -> bool:
+    """True when every scalar in `coords` is at level 0 (a plain Fraction)."""
+    return not any(a.level for a in coords)
+
+
 def inner(x: Vec4, y: Vec4) -> Scalar:
     """Minkowski inner product -x0*y0 + x1*y1 + x2*y2 + x3*y3."""
+    if _rational(x.c + y.c):
+        (x0, x1, x2, x3), (y0, y1, y2, y3) = x.c, y.c
+        return Scalar(x0.ctx, 0, x1.a * y1.a + x2.a * y2.a + x3.a * y3.a - x0.a * y0.a, None)
     return -(x[0] * y[0]) + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
 
 

@@ -358,7 +358,16 @@ def rho_witness(a: Observer, b: Observer) -> Optional[tuple[Vec4, Vec4]]:
                     break
             if t is not None:
                 break
-        assert t is not None
+        if t is None:
+            # disc >= 0 only beyond the probed integers.  rho holds, so l2 > 0
+            # or lin != 0.  For l2 > 0, disc has its minimum vmin at the
+            # vertex, and k past it disc = l2*k^2 + vmin >= 0 once k >= 1 and
+            # k >= -vmin/l2.  A linear disc is 0 at its root.
+            if l2.sign() > 0:
+                k = -(const - lin * lin / (l2 * 4)) / l2
+                t = -lin / (l2 * 2) + (k if k > 1 else ctx.one)
+            else:
+                t = -const / lin
     dsc = disc_at(t)
     assert dsc.sign() >= 0
     root = ctx.sqrt(dsc)

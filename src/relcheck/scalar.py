@@ -15,6 +15,14 @@ that catch it, and they make it UNKNOWN with a reason starting
 from ``model.UnsupportedPredicate`` by the case driver and by the
 evaluator's atom step.
 
+Level 0 is a plain ``Fraction`` and most arithmetic stays there, so the
+operators have a level-0 fast path: when both operands are level-0
+Scalars, ``+``, ``-``, ``*``, ``/`` and unary ``-`` apply the Fraction
+operation and wrap the result once, in the left operand's context.
+``minkowski.Vec4`` does the same coordinate by coordinate.  Mixing two
+contexts is refused only when both operands are above level 0; a result
+above level 0 lives in the context that owns its radicand.
+
 Scalars are immutable values and safe to share; a context's radicand
 chain is append-only, so create one context per worker rather than
 sharing one across threads.
@@ -92,10 +100,9 @@ class Scalar:
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def _make(ctx: "ScalarContext", level: int, a: "Scalar | Fraction", b) -> "Scalar":
-        if level == 0:
-            return Scalar(ctx, 0, a, None)
-        assert isinstance(a, Scalar) and isinstance(b, Scalar)
+    def _make(ctx: "ScalarContext", level: int, a: "Scalar", b: "Scalar") -> "Scalar":
+        """Level > 0 value a + b*sqrt(r_level), or just a when b is zero."""
+        assert level > 0 and isinstance(a, Scalar) and isinstance(b, Scalar)
         if b.is_zero():
             return a
         return Scalar(ctx, level, a, b)
@@ -145,24 +152,30 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
+        if self.level == 0 and isinstance(other, Scalar) and other.level == 0:
+            return Scalar(self.ctx, 0, self.a + other.a, None)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         lvl = max(self.level, o.level)
         if lvl == 0:
-            return Scalar._make(self.ctx, 0, self.a + o.a, None)
+            return Scalar(self.ctx, 0, self.a + o.a, None)
+        # a level > 0 result lives in the context that owns its radicand
+        ctx = self.ctx if self.level == lvl else o.ctx
         xa, xb = self._parts(lvl)
         ya, yb = o._parts(lvl)
-        return Scalar._make(self.ctx, lvl, xa + ya, xb + yb)
+        return Scalar._make(ctx, lvl, xa + ya, xb + yb)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
         if self.level == 0:
-            return Scalar._make(self.ctx, 0, -self.a, None)
+            return Scalar(self.ctx, 0, -self.a, None)
         return Scalar(self.ctx, self.level, -self.a, -self.b)
 
     def __sub__(self, other) -> "Scalar":
+        if self.level == 0 and isinstance(other, Scalar) and other.level == 0:
+            return Scalar(self.ctx, 0, self.a - other.a, None)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -175,16 +188,19 @@ class Scalar:
         return o + (-self)
 
     def __mul__(self, other) -> "Scalar":
+        if self.level == 0 and isinstance(other, Scalar) and other.level == 0:
+            return Scalar(self.ctx, 0, self.a * other.a, None)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         lvl = max(self.level, o.level)
         if lvl == 0:
-            return Scalar._make(self.ctx, 0, self.a * o.a, None)
+            return Scalar(self.ctx, 0, self.a * o.a, None)
+        ctx = self.ctx if self.level == lvl else o.ctx
         xa, xb = self._parts(lvl)
         ya, yb = o._parts(lvl)
-        r = self.ctx.radicands[lvl - 1]
-        return Scalar._make(self.ctx, lvl, xa * ya + xb * yb * r, xa * yb + xb * ya)
+        r = ctx.radicands[lvl - 1]
+        return Scalar._make(ctx, lvl, xa * ya + xb * yb * r, xa * yb + xb * ya)
 
     __rmul__ = __mul__
 
@@ -192,7 +208,7 @@ class Scalar:
         if self.level == 0:
             if self.a == 0:
                 raise DomainError("division by zero")
-            return Scalar._make(self.ctx, 0, 1 / self.a, None)
+            return Scalar(self.ctx, 0, 1 / self.a, None)
         r = self.ctx.radicands[self.level - 1]
         den = self.a * self.a - self.b * self.b * r
         assert not den.is_zero(), "radicand was a perfect square; chain invariant broken"
@@ -200,6 +216,10 @@ class Scalar:
         return Scalar._make(self.ctx, self.level, self.a * inv_den, -(self.b * inv_den))
 
     def __truediv__(self, other) -> "Scalar":
+        if self.level == 0 and isinstance(other, Scalar) and other.level == 0:
+            if other.a == 0:
+                raise DomainError("division by zero")
+            return Scalar(self.ctx, 0, self.a / other.a, None)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -993,6 +993,8 @@ def _run_cases(
 
     Every case that is not TRUE records its seed, its reason and its
     bindings; ``ConfigGen(seed, budget.coordinate_bound)`` replays it.
+    Any other exception is a crash, never a verdict: it is re-raised as a
+    RuntimeError naming the item, the case index and that replay.
     """
     index = 0
     for i in range(count):
@@ -1005,6 +1007,11 @@ def _run_cases(
                 verdict = Verdict.unknown(f"capacity: {err}")
             except UnsupportedPredicate as err:
                 verdict = Verdict.unknown(f"unsupported: {err}")
+            except Exception as err:
+                raise RuntimeError(
+                    f"{item.name} case {index} raised {type(err).__name__}: {err} "
+                    f"(replay with ConfigGen({seed}, {budget.coordinate_bound}))"
+                ) from err
             detail = None
             if not verdict.is_true():
                 detail = {"seed": seed}

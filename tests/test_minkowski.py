@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcheck.minkowski import (
     IDENTICAL_LINES,
@@ -19,7 +21,7 @@ from relcheck.minkowski import (
     tarski_bw_f,
     tarski_eq_f,
 )
-from relcheck.scalar import ScalarContext
+from relcheck.scalar import ScalarContext, ScalarError
 
 
 def v(ctx, *vals):
@@ -296,3 +298,51 @@ def test_quotient_norm_positive_definite_for_timelike():
     d2 = v(ctx, 5, 3, 0, 0)  # timelike: -25+9 = -16
     u = v(ctx, 0, 0, 2, 0)
     assert quotient_norm(u, d2) == 4
+
+
+# --- level-0 fast path ----------------------------------------------------
+
+_coords = st.lists(
+    st.fractions(min_value=-12, max_value=12, max_denominator=30), min_size=4, max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coords, _coords, st.fractions(min_value=-5, max_value=5), st.lists(st.booleans(), min_size=9, max_size=9))
+def test_rational_vec4_ops_are_fraction_formulas(fx, fy, fk, pick):
+    # each coordinate comes from one of two contexts; a result coordinate
+    # lives in its left operand's context, coordinate by coordinate
+    ctxs = (ScalarContext(), ScalarContext())
+    x = Vec4(*(ctxs[p].rat(f) for p, f in zip(pick[:4], fx)))
+    y = Vec4(*(ctxs[p].rat(f) for p, f in zip(pick[4:8], fy)))
+    k = ctxs[pick[8]].rat(fk)
+    for got, want in [
+        (x + y, [a + b for a, b in zip(fx, fy)]),
+        (x - y, [a - b for a, b in zip(fx, fy)]),
+        (x.scale(k), [a * fk for a in fx]),
+    ]:
+        assert [c.as_fraction() for c in got] == want
+        assert [c.ctx for c in got] == [c.ctx for c in x]
+    ip = inner(x, y)
+    assert ip.level == 0 and ip.ctx is x[0].ctx
+    assert ip.as_fraction() == -fx[0] * fy[0] + fx[1] * fy[1] + fx[2] * fy[2] + fx[3] * fy[3]
+
+
+def test_vec4_with_a_level1_coordinate_takes_the_tower_path():
+    ctx = ScalarContext()
+    r2 = ctx.sqrt(ctx.rat(2))
+    x = Vec4(ctx.rat(3), ctx.rat(1), r2, ctx.rat(-2))
+    y = v(ctx, 1, Fraction(1, 2), 4, 5)
+    assert (x + y)[2] == r2 + 4 and (x + y)[2].level == 1
+    assert (y - x)[2] == 4 - r2
+    assert x.scale(ctx.rat(3))[2] == r2 * 3
+    assert y.scale(r2) == Vec4(*(c * r2 for c in y))
+    assert inner(x, y) == -3 + Fraction(1, 2) + r2 * 4 - 10
+    assert inner(x, x) == -9 + 1 + 2 + 4
+    # level-1 coordinates of two contexts still refuse to mix
+    other = ScalarContext()
+    z = Vec4(other.rat(0), other.rat(0), other.sqrt(other.rat(3)), other.rat(0))
+    with pytest.raises(ScalarError):
+        _ = x + z
+    with pytest.raises(ScalarError):
+        inner(x, z)

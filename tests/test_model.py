@@ -45,6 +45,7 @@ from relcheck.model import (
     tau_geo,
     transmits,
     witness_zero_and_two,
+    _conic_coefficients,
 )
 from relcheck.scalar import ScalarContext
 
@@ -271,6 +272,35 @@ def test_rho_known_cases():
     assert not optical_plane(vertical(ctx, 0), vertical(ctx, 5))
     w = rho_witness(vertical(ctx, 0), vertical(ctx, 5))
     assert w is not None and lam(w[1] - w[0]).is_zero()
+
+
+def test_rho_witness_beyond_the_probed_parameters():
+    # the discriminant in t is >= 0 only for |t| > 39, past the integers that
+    # rho_witness probes; the first pair is an FTL equivalence case (Rho case
+    # 2 of ConfigGen(5059949114506954519, 8)) that used to raise
+    rng = random.Random(3)
+    far = {1: 0, 0: 0, -1: 0}  # by sign of the t^2 coefficient: witnesses with |t| > 39
+    for i in range(-1, 120):
+        ctx = ScalarContext()  # one per pair, as each witness may adjoin a root
+        if i < 0:
+            a = Line(v(ctx, 0, 11, 2, Fraction(-29, 6)), v(ctx, 1, 5, 0, Fraction(-10, 3)))
+            b = Line(v(ctx, -3, 0, 8, 3), v(ctx, 0, 1, 0, Fraction(-1, 2)))
+        else:
+            if i % 2:  # spacelike directions spanning a null plane: disc is linear
+                a, db = Line(v(ctx, 0, 0, 0, 0), v(ctx, 0, 1, 0, 0)), v(ctx, 1, 1, 1, 0)
+            else:
+                r = lambda: rng.randint(-3, 3)
+                a = Line(v(ctx, 0, 0, 0, 0), v(ctx, r(), 5, r(), r()))
+                db = v(ctx, r(), r(), 5, r())
+            b = Line(v(ctx, *(rng.randint(-400, 400) for _ in range(4))), db)
+        if not rho(a, b):
+            continue
+        p, q = rho_witness(a, b)
+        assert a.contains(p) and b.contains(q) and lam(q - p).is_zero()
+        A, B, C = _conic_coefficients(a, b)[:3]
+        if abs(b.param_of(q).approx()) > 39:
+            far[(B * B - A * C * 4).sign()] += 1
+    assert far[1] >= 1 and far[0] >= 1
 
 
 def test_rho_includes_meeting_lines():

@@ -105,6 +105,10 @@ def test_div_by_zero_is_domain_error():
     ctx = ScalarContext()
     with pytest.raises(DomainError):
         ctx.one / ctx.zero
+    with pytest.raises(DomainError):
+        ctx.one / ScalarContext().zero  # a zero of another context
+    with pytest.raises(DomainError):
+        ctx.one / 0
 
 
 def test_compare_sqrt2_three_halves():
@@ -335,3 +339,54 @@ def test_cross_context_equality_compares_radicands():
     assert x == z and hash(x) == hash(z)
     # rationals compare across contexts
     assert c1.rat(1, 2) == c2.rat(1, 2)
+
+
+# --- level-0 fast path ----------------------------------------------------
+
+_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fractions, _fractions, st.booleans())
+def test_level0_ops_are_fraction_ops(fa, fb, two_contexts):
+    c1 = ScalarContext()
+    c2 = ScalarContext() if two_contexts else c1
+    a, b = c1.rat(fa), c2.rat(fb)
+    results = [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (-a, -fa)]
+    if fb != 0:
+        results.append((a / b, fa / fb))
+    else:
+        with pytest.raises(DomainError):
+            _ = a / b
+    for got, want in results:
+        assert got.level == 0 and got.as_fraction() == want
+        assert got.ctx is c1  # the left operand's context
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fractions, _fractions, _fractions.filter(lambda f: f != 0), st.sampled_from([2, 3, 5]))
+def test_level0_with_level1_uses_the_tower(fq, fx, fy, rad):
+    # q is rational, s = x + y*sqrt(rad) is level 1 in another context: the
+    # cross-context check needs both above level 0, so they still combine,
+    # and a level-1 result lives in the context that owns sqrt(rad)
+    c1, c2 = ScalarContext(), ScalarContext()
+    c2.sqrt(c2.rat(7))  # c2's own radicand must not be read
+    s = c1.rat(fx) + c1.rat(fy) * c1.sqrt(c1.rat(rad))
+    q = c2.rat(fq)
+    for got, lo, hi in [
+        (q + s, fq + fx, fy),
+        (s + q, fx + fq, fy),
+        (q - s, fq - fx, -fy),
+        (s - q, fx - fq, fy),
+        (q * s, fq * fx, fq * fy),
+        (s * q, fx * fq, fy * fq),
+    ]:
+        if hi == 0:
+            assert got.level == 0 and got.as_fraction() == lo
+        else:
+            assert got.level == 1 and got.a.as_fraction() == lo and got.b.as_fraction() == hi
+            assert got.ctx is c1
+    if fq != 0:
+        got = s / q
+        assert got.a.as_fraction() == fx / fq and got.b.as_fraction() == fy / fq
+    assert (q / s) * s == q

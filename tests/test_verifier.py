@@ -434,6 +434,29 @@ def test_unsupported_predicate_is_unknown(monkeypatch):
     assert all(c.detail["reason"].startswith("unsupported:") for c in item.unknowns)
 
 
+def test_crash_names_item_case_and_replay_seed(monkeypatch):
+    # an exception other than CapacityError/UnsupportedPredicate stays a
+    # crash, and its message replays the case that raised it
+    draws = []
+
+    def checker(gen, kind, ops):
+        draws.append(gen.point())
+        if len(draws) == 3:
+            raise AssertionError("planted")
+        return Verdict.true()
+
+    monkeypatch.setitem(AXIOM_CHECKERS, "AxSim", checker)
+    budget = Budget(seed=1)
+    with pytest.raises(RuntimeError) as err:
+        run_axiom_suite("simplerel", STL, budget, cases=5, axioms=["AxSim"])
+    msg = str(err.value)
+    assert isinstance(err.value.__cause__, AssertionError)
+    assert "AxSim case 2 raised AssertionError: planted" in msg
+    seed = sub_seed(1, "simplerel", "AxSim", 2)
+    assert f"ConfigGen({seed}, {budget.coordinate_bound})" in msg
+    assert ConfigGen(seed, budget.coordinate_bound).point() == draws[2]
+
+
 def test_dual_branch_keeps_unknown(monkeypatch):
     # the first BwRho call is the direct disjunct; every dual candidate after
     # it is undecided, so BwFTL cannot be refuted
