@@ -6,7 +6,7 @@ keeps every value in normalized coordinates over the chain basis, and
 orders everything exactly.
 """
 
-from relcheck.scalar import CapacityError, ScalarContext, compare
+from relcheck.scalar import CapacityError, ScalarContext
 
 ctx = ScalarContext()
 

@@ -4,8 +4,8 @@ from relcheck.corpus import SYSTEM_SIMPLEREL, SYSTEM_SIMPLERELFTL, load_axioms, 
 from relcheck.fol import atoms_used, expand_defined, parse_formula, render_formula
 
 table = load_definitions()
-print(f"{len(table.definitions)} defined predicates, expansion order:")
-print("  " + " -> ".join(table.expansion_order()[:10]) + " -> ...")
+print(f"{len(table.definitions)} defined predicates:")
+print("  " + ", ".join(list(table.definitions)[:10]) + ", ...")
 
 f = parse_formula("forall a:Ob. exists s:Si. (T(a,s) & !Ev(s))", table.signatures())
 print("\nparsed:", render_formula(f))

@@ -5,10 +5,9 @@ from relcheck.model import (
     chron_precedes,
     count_future_null_to_line,
     dual_candidates,
+    dual_geo,
     event,
-    midline,
     optical_plane,
-    relatable_dual,
     rho,
     sim_geo,
     tau_geo,
@@ -42,8 +41,13 @@ tangent = Line(v(1, 0, 1, 0), d)
 base = Line(v(0, 0, 0, 0), d)
 print("\nrelatable to the far parallel:", rho(base, far))
 print("optical plane with the tangent one:", optical_plane(base, tangent))
-dual = relatable_dual(base, far)
+dual = dual_candidates(base, far)[0]
 print("relatable dual worldline through", dual.base.render())
-print("midline (the optical-plane witness) through", midline(base, dual).base.render())
+mid = Line((base.base + dual.base).scale(ctx.rat(1, 2)), d)
+print("midline (the optical-plane witness) through", mid.base.render())
 print("both time signs satisfy the printed clauses:",
       [cand.base.render() for cand in dual_candidates(base, far)])
+# the clauses admit a one-parameter family: any null offset n with <n, u> = q(u)
+off_plane = Line(v(13, 0, 5, 12), d)
+print("so does the off-plane member through", off_plane.base.render() + ":",
+      dual_geo(off_plane, base, far))

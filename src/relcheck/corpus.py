@@ -103,9 +103,3 @@ def load_axioms(system: str, table: Optional[DefinitionTable] = None) -> list[Ax
         out.append(AxiomEntry(entry["name"], entry["file"], formula))
     return out
 
-
-def corpus_files() -> list[str]:
-    root = corpus_dir()
-    return sorted(
-        os.path.join(root, f) for f in os.listdir(root) if f.endswith(".fol")
-    )

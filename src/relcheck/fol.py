@@ -219,23 +219,6 @@ class DefinitionTable:
         for n in self.definitions:
             visit(n, [])
 
-    def expansion_order(self) -> list[str]:
-        order: list[str] = []
-        seen: set[str] = set()
-
-        def visit(name: str) -> None:
-            if name in seen:
-                return
-            seen.add(name)
-            for dep in atoms_used(self.definitions[name].body):
-                if dep in self.definitions:
-                    visit(dep)
-            order.append(name)
-
-        for n in self.definitions:
-            visit(n)
-        return order
-
 
 def expand_defined(f: Formula, table: DefinitionTable, depth: Optional[int] = None) -> Formula:
     """Replace DefinedAtoms by their definitions, `depth` layers deep.

@@ -111,10 +111,6 @@ def classify(v: Vec4) -> IntervalClass:
     return IntervalClass.SPACELIKE
 
 
-def classify_interval(p: Vec4, q: Vec4) -> IntervalClass:
-    return classify(q - p)
-
-
 def quotient_norm(u: Vec4, d: Vec4) -> Scalar:
     """Induced form on F^4 / <d>: lam of u with its d-component removed.
 
@@ -151,21 +147,6 @@ def tarski_bw_f(a: Sequence[Scalar], b: Sequence[Scalar], c: Sequence[Scalar]) -
     if t.sign() < 0 or (t - 1).sign() > 0:
         return False
     return all((num - t * den).is_zero() for num, den in zip(ab, ac))
-
-
-def tarski_eq_f(
-    a: Sequence[Scalar], b: Sequence[Scalar], c: Sequence[Scalar], d: Sequence[Scalar]
-) -> bool:
-    """Squared Euclidean distance ab equals squared distance cd."""
-
-    def sq(p, q):
-        acc = None
-        for x, y in zip(p, q):
-            term = (y - x) * (y - x)
-            acc = term if acc is None else acc + term
-        return acc
-
-    return sq(a, b) == sq(c, d)
 
 
 # --- lines and segments -----------------------------------------------------
@@ -377,13 +358,7 @@ class PoincareMap:
         return self.translation.ctx
 
     def apply(self, x: Vec4) -> Vec4:
-        out = []
-        for i in range(4):
-            acc = self.ctx.zero
-            for j in range(4):
-                acc = acc + self.linear[i][j] * x[j]
-            out.append(acc)
-        return Vec4(*out) + self.translation
+        return self.apply_direction(x) + self.translation
 
     def apply_direction(self, v: Vec4) -> Vec4:
         out = []

@@ -25,6 +25,7 @@ from relcheck.minkowski import (
     inner,
     lam,
     lines_intersect,
+    quotient_inner,
     quotient_lift,
     quotient_norm,
     rank_of,
@@ -513,29 +514,20 @@ def dual_candidates(a: Observer, b: Observer) -> list[Observer]:
     return out
 
 
-def relatable_dual(a: Observer, b: Observer) -> Optional[Observer]:
-    cands = dual_candidates(a, b)
-    return cands[0] if cands else None
-
-
-def midline(a: Observer, ap: Observer) -> Observer:
-    half = a.ctx.rat(1, 2)
-    return Line((a.base + ap.base).scale(half), a.dir)
-
-
-def dual_definitional_check(ap: Observer, a: Observer, b: Observer) -> bool:
-    """Decision for the Dual clause, derived from its printed conjuncts:
-    chain rigidity forces the OP witness onto the quotient midpoint line."""
-    if parallel(a, b) is False or a == b:
+def dual_geo(ap: Observer, a: Observer, b: Observer) -> bool:
+    """Dual(ap, a, b) in closed form, for the whole one-parameter family of
+    duals.  On one spacelike class d, with u = b - a and n = ap - a in the
+    quotient: !Rho(a, b) is q(u) > 0; OP(a, ap) is q(n) = 0 with ap != a;
+    OP(b, m) for the midline m is q(n/2 - u) = 0, i.e. <n, u> = q(u), which
+    with q(u) > 0 also gives ap != a; and BwRho(a, m, ap) always holds
+    (canonical bases give t = 1/2, q(n) = 0)."""
+    d = a.dir
+    if not (b.dir == d == ap.dir) or classify(d) is not IntervalClass.SPACELIKE:
         return False
-    if rho(a, b):
-        return False
-    if not optical_plane(a, ap):
-        return False
-    mid = midline(a, ap)
-    if not optical_plane(b, mid):
-        return False
-    return bw_rho(a, mid, ap)
+    u = b.base - a.base
+    n = ap.base - a.base
+    qu = quotient_norm(u, d)
+    return qu.sign() > 0 and quotient_norm(n, d).is_zero() and quotient_inner(n, u, d) == qu
 
 
 def bw_ftl(a: Observer, b: Observer, c: Observer) -> bool:
@@ -579,12 +571,14 @@ class Scenario:
     @staticmethod
     def from_dict(data: dict, ctx: Optional[ScalarContext] = None) -> "Scenario":
         ctx = ctx or ScalarContext()
+        if not isinstance(data, dict):
+            raise ModelError("a scenario must be a JSON object")
         kind_text = data.get("kind")
         if kind_text not in ("stl", "ftl"):
             raise ModelError(f"unknown model kind {kind_text!r} (want 'stl' or 'ftl')")
         kind = ModelKind.STL_ONLY if kind_text == "stl" else ModelKind.FTL
         observers: dict[str, Observer] = {}
-        for name, entry in (data.get("observers") or {}).items():
+        for name, entry in _entries(data, "observers", "observer"):
             base = _vec(ctx, entry, "base", f"observer {name!r}")
             direction = _vec(ctx, entry, "dir", f"observer {name!r}")
             if direction.is_zero():
@@ -600,7 +594,7 @@ class Scenario:
                 )
             observers[name] = line
         signals: dict[str, Signal] = {}
-        for name, entry in (data.get("signals") or {}).items():
+        for name, entry in _entries(data, "signals", "signal"):
             beg = _vec(ctx, entry, "beg", f"signal {name!r}")
             end = _vec(ctx, entry, "end", f"signal {name!r}")
             if not lam(end - beg).is_zero():
@@ -619,24 +613,16 @@ class Scenario:
                 raise ModelError(f"{path}: not valid JSON: {err}") from err
         return Scenario.from_dict(data, ctx)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "stl" if self.kind is ModelKind.STL_ONLY else "ftl",
-            "observers": {
-                name: {
-                    "base": [c.render() for c in line.base],
-                    "dir": [c.render() for c in line.dir],
-                }
-                for name, line in self.observers.items()
-            },
-            "signals": {
-                name: {
-                    "beg": [c.render() for c in seg.beg],
-                    "end": [c.render() for c in seg.end],
-                }
-                for name, seg in self.signals.items()
-            },
-        }
+
+def _entries(data: dict, key: str, what: str) -> list[tuple[str, dict]]:
+    """The named entries of `data[key]`, each checked to be a JSON object."""
+    table = data.get(key) or {}
+    if not isinstance(table, dict):
+        raise ModelError(f"{key!r} must be an object of named {what}s")
+    for name, entry in table.items():
+        if not isinstance(entry, dict):
+            raise ModelError(f"{what} {name!r} must be an object")
+    return list(table.items())
 
 
 def _vec(ctx: ScalarContext, entry: dict, key: str, what: str) -> Vec4:
@@ -676,6 +662,7 @@ GEOMETRIC_PREDICATES = {
     "EqFTL": lambda args: eq_ftl(*args),
     "SimFTL": lambda args: sim_ftl(args[0], args[1], args[2]),
     "DeltaFTL": lambda args: delta_ftl(*args),
+    "Dual": lambda args: dual_geo(args[0], args[1], args[2]),
     # tau_geo gives None when its preconditions fail, and None equals no line
     "Tau": lambda args: tau_geo(args[1], args[2], args[3]) == args[0],
     "TauFTL": lambda args: tau_geo(args[1], args[2], args[3]) == args[0],

@@ -34,8 +34,6 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-LT, EQ, GT = -1, 0, 1
-
 RatLike = Union[int, Fraction]
 
 
@@ -509,7 +507,3 @@ class _ScalarParser:
             return self.ctx.rat(int(self.text[start : self.pos]))
         raise ScalarParseError("expected a number, sqrt(...), or '('", self.pos)
 
-
-def compare(a: Scalar, b: Scalar) -> int:
-    """Total-order comparison: LT (-1), EQ (0), or GT (1)."""
-    return (a - b).sign()

@@ -1,4 +1,4 @@
-from relcheck.verifier.report import Budget, CaseRecord, SuiteReport, Verdict
+from relcheck.verifier.report import Budget, SuiteReport, Verdict
 from relcheck.verifier.evaluate import EvalModel, evaluate_bounded
 from relcheck.verifier.suites import (
     invariance_suite,
@@ -9,7 +9,6 @@ from relcheck.verifier.suites import (
 
 __all__ = [
     "Budget",
-    "CaseRecord",
     "SuiteReport",
     "Verdict",
     "EvalModel",

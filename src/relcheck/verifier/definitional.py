@@ -3,13 +3,14 @@
 Each procedure here decides a predicate by solving the quantifier structure
 of its *definition* over the primitives T, R, = — constructing explicit
 witnesses for existentials and refuting universals with verified
-counterexamples.  Four routes are not yet independent of the geometric
+counterexamples.  Three routes are not yet independent of the geometric
 twin they are cross-checked against: `rho_def` calls `model.rho`,
-`dual_def` wraps `model.dual_definitional_check`, `lightspeed_def` is a
-constant FALSE, and the third case of `eqrho_def` computes the quotient
-norms again.  Layering follows the definition DAG: a procedure may use
-the procedures of the predicates its definition mentions.  None of them
-catches a CapacityError from the scalar tower: it propagates to the
+`lightspeed_def` is a constant FALSE, and the third case of `eqrho_def`
+computes the quotient norms again.  `dual_def` decides the printed Dual
+clauses with `model.rho`, `optical_plane` and `bw_rho`, not with its
+closed-form twin `model.dual_geo`.  Layering follows the definition DAG: a
+procedure may use the procedures of the predicates its definition mentions.
+None of them catches a CapacityError from the scalar tower: it propagates to the
 suites' case driver, which records the case as UNKNOWN.
 
 The null links from an event to a given worldline come from
@@ -43,11 +44,13 @@ from relcheck.minkowski import (
 )
 from relcheck.model import (
     ModelKind,
+    bw_rho,
     dual_candidates,
-    dual_definitional_check,
     event,
     first_null_link,
     null_links,
+    optical_plane,
+    rho,
     witness_zero_and_two,
 )
 from relcheck.scalar import Scalar, ScalarContext
@@ -87,13 +90,6 @@ def l_def(e1: Segment, e2: Segment, kind: ModelKind) -> Verdict:
     if lam(d).is_zero() and d.x0.sign() >= 0:
         return Verdict.true({"s": Segment(e1.beg, e2.beg)})
     return Verdict.false()
-
-
-def lsym_def(e1: Segment, e2: Segment, kind: ModelKind) -> Verdict:
-    v1 = l_def(e1, e2, kind)
-    if v1.is_true():
-        return v1
-    return l_def(e2, e1, kind)
 
 
 def m_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
@@ -658,17 +654,24 @@ def eqrho_def(a: Line, b: Line, c: Line, d: Line, kind: ModelKind) -> Verdict:
 
 
 def dual_def(ap: Line, a: Line, b: Line, kind: ModelKind) -> Verdict:
-    return Verdict.true() if dual_definitional_check(ap, a, b) else Verdict.false()
+    """The printed Dual clauses: a, b parallel and not relatable, OP(a, ap),
+    and chain rigidity forces the OP witness for b onto the midline m of a
+    and ap, which must satisfy OP(b, m) and BwRho(a, m, ap)."""
+    if a.dir != b.dir or a == b or rho(a, b) or not optical_plane(a, ap):
+        return Verdict.false()
+    mid = Line((a.base + ap.base).scale(a.ctx.rat(1, 2)), a.dir)
+    return Verdict.true() if optical_plane(b, mid) and bw_rho(a, mid, ap) else Verdict.false()
 
 
-def _dual_branch(x: Line, y: Line, u: Line, v: Line, decide: Callable, names: tuple) -> Verdict:
+def _dual_branch(x: Line, y: Line, u: Line, v: Line, decide: Callable, names: tuple,
+                 kind: ModelKind) -> Verdict:
     """exists x2, u2 (Dual(x2,x,y) & Dual(u2,u,v) & decide(x2,u2)) over the
     dual candidates: TRUE at the first pair that decides TRUE, else UNKNOWN
     if some pair was undecided, else FALSE."""
     undecided = None
     for x2 in dual_candidates(x, y):
         for u2 in dual_candidates(u, v):
-            if not (dual_definitional_check(x2, x, y) and dual_definitional_check(u2, u, v)):
+            if not (dual_def(x2, x, y, kind).is_true() and dual_def(u2, u, v, kind).is_true()):
                 continue
             got = decide(x2, u2)
             if got.is_true():
@@ -682,20 +685,21 @@ def bwftl_def(a: Line, b: Line, c: Line, kind: ModelKind) -> Verdict:
     got = bwrho_def(a, b, c, kind)
     if got.is_true() or got.is_unknown():
         return got
-    return _dual_branch(a, b, c, b, lambda a2, c2: bwrho_def(a2, b, c2, kind), ("ap", "cp"))
+    return _dual_branch(a, b, c, b, lambda a2, c2: bwrho_def(a2, b, c2, kind), ("ap", "cp"),
+                        kind)
 
 
 def eqftl_def(a: Line, b: Line, c: Line, d: Line, kind: ModelKind) -> Verdict:
     got = eqrho_def(a, b, c, d, kind)
     if got.is_true() or got.is_unknown():
         return got
-    return _dual_branch(b, a, d, c, lambda b2, d2: eqrho_def(a, b2, c, d2, kind), ("bp", "dp"))
+    return _dual_branch(b, a, d, c, lambda b2, d2: eqrho_def(a, b2, c, d2, kind), ("bp", "dp"),
+                        kind)
 
 
 DEFINITIONAL_EVALUATORS: dict[str, Callable] = {
     "Ev": lambda args, kind: ev_def(args[0], kind),
     "L": lambda args, kind: l_def(args[0], args[1], kind),
-    "Lsym": lambda args, kind: lsym_def(args[0], args[1], kind),
     "M": lambda args, kind: m_def(args[0], args[1], kind),
     "Cop": lambda args, kind: cop_def(args[0], args[1], kind),
     "Par": lambda args, kind: par_def(args[0], args[1], kind),

@@ -32,7 +32,6 @@ from relcheck.model import (
     ModelKind,
     Scenario,
     UnsupportedPredicate,
-    dual_definitional_check,
     event,
     null_links,
     tau_geo,
@@ -159,8 +158,6 @@ def _eval_defined(f: DefinedAtom, model: EvalModel, env: dict, budget: Budget) -
     # evaluate_bounded boundary: And, Or and Iff must still combine it with
     # siblings that decide (FALSE & UNKNOWN is FALSE).
     try:
-        if f.name == "Dual":
-            return _bool(dual_definitional_check(args[0], args[1], args[2]))
         if f.name in GEOMETRIC_PREDICATES:
             return _bool(GEOMETRIC_PREDICATES[f.name](args))
     except UnsupportedPredicate as err:

@@ -97,23 +97,8 @@ class Verdict:
             return Verdict(TRUE, witness=self.witness)
         return self
 
-    def as_dict(self) -> dict:
-        out: dict[str, Any] = {"status": self.status}
-        if self.witness:
-            out["witness"] = {k: serialize_entity(v) for k, v in self.witness.items()}
-        if self.reason:
-            out["reason"] = self.reason
-        return out
-
     def __repr__(self) -> str:
         return f"Verdict({self.status})"
-
-
-@dataclass
-class CaseRecord:
-    index: int
-    status: str
-    detail: Optional[dict] = None
 
 
 @dataclass
@@ -124,8 +109,8 @@ class ItemResult:
     failed: int = 0
     unknown: int = 0
     expected_divergence: bool = False
-    failures: list[CaseRecord] = field(default_factory=list)
-    unknowns: list[CaseRecord] = field(default_factory=list)
+    failures: list[dict] = field(default_factory=list)  # {"case": index, **detail}
+    unknowns: list[dict] = field(default_factory=list)
 
     def record(self, index: int, verdict_status: str, detail: Optional[dict] = None) -> None:
         self.cases += 1
@@ -134,11 +119,11 @@ class ItemResult:
         elif verdict_status == FALSE:
             self.failed += 1
             if len(self.failures) < 5:
-                self.failures.append(CaseRecord(index, verdict_status, detail))
+                self.failures.append({"case": index, **(detail or {})})
         else:
             self.unknown += 1
             if len(self.unknowns) < 5:
-                self.unknowns.append(CaseRecord(index, verdict_status, detail))
+                self.unknowns.append({"case": index, **(detail or {})})
 
     def as_dict(self) -> dict:
         out = {
@@ -151,13 +136,9 @@ class ItemResult:
         if self.expected_divergence:
             out["expected_divergence"] = True
         if self.failures:
-            out["failures"] = [
-                {"case": c.index, **(c.detail or {})} for c in self.failures
-            ]
+            out["failures"] = self.failures
         if self.unknowns:
-            out["unknowns"] = [
-                {"case": c.index, **(c.detail or {})} for c in self.unknowns
-            ]
+            out["unknowns"] = self.unknowns
         return out
 
 

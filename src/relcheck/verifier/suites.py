@@ -1489,12 +1489,6 @@ CRITERION6_PREDICATES = [
 ]
 
 
-def _geo_eval(name: str, args) -> bool:
-    if name == "Dual":
-        return any(args[0] == c for c in dual_candidates(args[1], args[2]))
-    return bool(GEOMETRIC_PREDICATES[name](list(args)))
-
-
 def _revalidate_witness(witness: dict) -> bool:
     """Soundness spot-check: witness entities survive the geometric layer."""
     for value in witness.values():
@@ -1528,7 +1522,7 @@ def run_equivalence_suite(
 
         def check(gen: ConfigGen, i: int, j: int) -> Verdict:
             args = genf(gen, kind, i)
-            geo = _geo_eval(name, args)
+            geo = bool(GEOMETRIC_PREDICATES[name](args))
             got = deff(list(args), kind)
             if got.is_unknown():
                 return Verdict.unknown(got.reason or "undecided")
@@ -1567,11 +1561,9 @@ def _transform_args(gen: ConfigGen, m: PoincareMap, args):
     return tuple(out)
 
 
-def invariance_suite(
-    kind: ModelKind, budget: Budget, configs: int = 20, maps_per_config: int = 5
-) -> SuiteReport:
+def invariance_suite(kind: ModelKind, budget: Budget, configs: int = 20) -> SuiteReport:
     """Each predicate's geometric verdict on a configuration, against its
-    verdict after each of `maps_per_config` random Poincaré maps."""
+    verdict after each of 5 random Poincaré maps."""
     report = SuiteReport("invariance", kind.value, budget, corpus_version())
 
     def control(gen: ConfigGen, i: int, j: int) -> Verdict:
@@ -1589,14 +1581,15 @@ def invariance_suite(
             if j == 0:
                 config.clear()
                 args = genf(gen, kind, i)
-                config.update(args=args, before=_geo_eval(name, args))
+                config.update(args=args, before=bool(GEOMETRIC_PREDICATES[name](args)))
             if not config:
                 return Verdict.unknown("the configuration was not built (see map 0)")
-            after = _geo_eval(name, _transform_args(gen, gen.poincare(), config["args"]))
+            moved = _transform_args(gen, gen.poincare(), config["args"])
+            after = bool(GEOMETRIC_PREDICATES[name](moved))
             if after == config["before"]:
                 return Verdict.true()
             reason = f"map {j}: {config['before']} before, {after} after"
             return Verdict(FALSE, _arguments(config["args"]), reason)
 
-        _run_cases(report.item(name), budget, ("inv", name), configs, check, maps_per_config)
+        _run_cases(report.item(name), budget, ("inv", name), configs, check, 5)
     return report.finish()

@@ -94,6 +94,24 @@ def test_eval_bad_scenario_exit_2(tmp_path):
     assert main(["eval", "--scenario", str(path), "--formula", "forall a:Ob. STL(a)"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "a scenario must be a JSON object"),
+        ('{"kind": "stl", "observers": [1]}', "'observers' must be an object"),
+        ('{"kind": "stl", "observers": {"a": [0, 0]}}', "observer 'a' must be an object"),
+    ],
+)
+def test_malformed_scenario_shape_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "shape.json"
+    path.write_text(text)
+    assert main(["eval", "--scenario", str(path), "--formula", "forall a:Ob. STL(a)"]) == EXIT_USAGE
+    assert main(["diagram", "--scenario", str(path), "--out", str(tmp_path / "x.svg")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count(f"scenario error: {message}") == 2
+    assert "Traceback" not in err
+
+
 def test_verify_writes_report_and_is_seeded(tmp_path, capsys):
     report1 = tmp_path / "r1.json"
     report2 = tmp_path / "r2.json"

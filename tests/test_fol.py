@@ -1,9 +1,11 @@
+import os
+
 import pytest
 
 from relcheck.corpus import (
     SYSTEM_SIMPLEREL,
     SYSTEM_SIMPLERELFTL,
-    corpus_files,
+    corpus_dir,
     load_axioms,
     load_definitions,
 )
@@ -103,7 +105,7 @@ def test_render_parse_identity_on_manual_formulas():
 
 
 def test_corpus_has_at_least_45_formula_files():
-    assert len(corpus_files()) >= 45
+    assert len([f for f in os.listdir(corpus_dir()) if f.endswith(".fol")]) >= 45
 
 
 def test_corpus_roundtrip_all_files():
@@ -117,16 +119,6 @@ def test_corpus_roundtrip_all_files():
         for ax in load_axioms(system, table=table):
             rendered = render_formula(ax.formula)
             assert parse_formula(rendered, sigs) == ax.formula, ax.name
-
-
-def test_definition_table_is_dag():
-    table = load_definitions()
-    order = table.expansion_order()
-    seen = set()
-    for name in order:
-        deps = atoms_used(table[name].body) & set(table.definitions)
-        assert deps <= seen
-        seen.add(name)
 
 
 def test_expand_ev_one_layer():

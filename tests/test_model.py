@@ -19,7 +19,7 @@ from relcheck.model import (
     delta_ftl,
     delta_geo,
     dual_candidates,
-    dual_definitional_check,
+    dual_geo,
     eq_ftl,
     eq_geo,
     eq_rho,
@@ -29,14 +29,12 @@ from relcheck.model import (
     light_between,
     lightlike,
     meets,
-    midline,
     null_gap_params,
     null_links,
     observer_class,
     optical_plane,
     parallel,
     receives,
-    relatable_dual,
     rho,
     rho_witness,
     sim_ftl,
@@ -48,6 +46,7 @@ from relcheck.model import (
     _conic_coefficients,
 )
 from relcheck.scalar import ScalarContext
+from relcheck.verifier import definitional as de
 
 
 def v(ctx, *vals):
@@ -422,29 +421,33 @@ def test_delta_ftl_spacelike():
     assert not delta_ftl(a, ev(0, 0, 1, 0), ev(0, 3, 1, 0), ev(0, 5, 0, 0), ev(0, 8, 0, 0))
 
 
+def _both_dual_readings(ap, a, b) -> bool:
+    geo = dual_geo(ap, a, b)
+    assert de.dual_def(ap, a, b, ModelKind.FTL).is_true() == geo
+    return geo
+
+
 def test_relatable_dual_fixture():
     ctx = ScalarContext()
     d = v(ctx, 0, 1, 0, 0)
     a = Line(v(ctx, 0, 0, 0, 0), d)
     b = Line(v(ctx, 0, 0, 5, 0), d)
     assert not rho(a, b)
-    dual = relatable_dual(a, b)
-    assert dual == Line(v(ctx, 5, 0, 5, 0), d)
-    mid = midline(a, dual)
+    cands = dual_candidates(a, b)
+    assert cands == [Line(v(ctx, 5, 0, 5, 0), d), Line(v(ctx, -5, 0, 5, 0), d)]
+    mid = Line((a.base + cands[0].base).scale(ctx.rat(1, 2)), d)
     assert mid == Line(v(ctx, Fraction(5, 2), 0, Fraction(5, 2), 0), d)
     assert optical_plane(b, mid)
-    assert dual_definitional_check(dual, a, b)
-    # both in-plane candidates satisfy the printed clauses (documented
-    # non-uniqueness of the printed clauses)
-    cands = dual_candidates(a, b)
-    assert len(cands) == 2
-    assert cands[1] == Line(v(ctx, -5, 0, 5, 0), d)
-    assert dual_definitional_check(cands[1], a, b)
+    # both in-plane candidates satisfy the printed clauses, and so does a
+    # member of the family off their plane: n = (13, 0, 5, 12) is null and
+    # <n, u> = q(u) = 25
+    for dual in cands + [Line(v(ctx, 13, 0, 5, 12), d)]:
+        assert _both_dual_readings(dual, a, b)
     # a perturbed candidate is refuted
     wrong = Line(v(ctx, 3, 0, 3, 0), d)
-    assert not dual_definitional_check(wrong, a, b)
+    assert not _both_dual_readings(wrong, a, b)
     not_null = Line(v(ctx, 1, 0, 5, 0), d)
-    assert not dual_definitional_check(not_null, a, b)
+    assert not _both_dual_readings(not_null, a, b)
 
 
 def test_relatable_dual_absent_when_relatable():
@@ -453,8 +456,9 @@ def test_relatable_dual_absent_when_relatable():
     a = Line(v(ctx, 0, 0, 0, 0), d)
     b = Line(v(ctx, 5, 0, 3, 0), d)  # quotient-timelike offset: relatable
     assert rho(a, b)
-    assert relatable_dual(a, b) is None
-    assert relatable_dual(vertical(ctx, 0), vertical(ctx, 1)) is None
+    assert dual_candidates(a, b) == []
+    assert not _both_dual_readings(Line(v(ctx, 3, 0, 3, 0), d), a, b)
+    assert dual_candidates(vertical(ctx, 0), vertical(ctx, 1)) == []
 
 
 def test_dual_of_dual_is_reflection_back():
@@ -466,13 +470,14 @@ def test_dual_of_dual_is_reflection_back():
     d = v(ctx, 0, 1, 0, 0)
     a = Line(v(ctx, 0, 0, 0, 0), d)
     b = Line(v(ctx, 0, 0, 5, 0), d)
-    dual = relatable_dual(a, b)
+    dual = dual_candidates(a, b)[0]
     assert rho(dual, b)
-    assert relatable_dual(dual, b) is None
-    mid = midline(a, dual)
+    assert dual_candidates(dual, b) == []
+    assert not _both_dual_readings(a, dual, b)
+    mid = Line((a.base + dual.base).scale(ctx.rat(1, 2)), d)
     reflected = Line(mid.base.scale(ctx.rat(2)) - dual.base, d)
     assert reflected == a
-    assert dual_definitional_check(dual, a, b)
+    assert _both_dual_readings(dual, a, b)
 
 
 def test_bw_ftl_and_eq_ftl():
@@ -502,7 +507,7 @@ def test_bw_ftl_and_eq_ftl():
     assert not eq_ftl(sa, sb, sa, sc)
 
 
-def test_scenario_roundtrip_and_diagnostics():
+def test_scenario_from_dict_and_diagnostics():
     ctx = ScalarContext()
     data = {
         "kind": "stl",
@@ -512,8 +517,6 @@ def test_scenario_roundtrip_and_diagnostics():
     sc = Scenario.from_dict(data, ctx)
     assert sc.kind is ModelKind.STL_ONLY
     assert "a" in sc.observers and "s" in sc.signals
-    again = Scenario.from_dict(sc.to_dict(), ScalarContext())
-    assert again.to_dict() == sc.to_dict()
 
     bad = {"kind": "stl", "observers": {"x": {"base": ["0"] * 4, "dir": ["1", "1", "0", "0"]}}}
     with pytest.raises(ModelError) as err:

@@ -7,15 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcheck.scalar import (
-    EQ,
-    GT,
-    LT,
     CapacityError,
     DomainError,
     Scalar,
     ScalarContext,
     ScalarParseError,
-    compare,
 )
 
 
@@ -64,16 +60,17 @@ def interval_enclosure(s: Scalar, steps: int = 80) -> tuple[Fraction, Fraction]:
 
 
 def oracle_compare(x: Scalar, y: Scalar) -> int:
+    """-1, 0 or 1 as x is below, equal to or above y."""
     for steps in (60, 120, 240):
         lo1, hi1 = interval_enclosure(x, steps)
         lo2, hi2 = interval_enclosure(y, steps)
         if hi1 < lo2:
-            return LT
+            return -1
         if hi2 < lo1:
-            return GT
+            return 1
     # enclosures keep overlapping: fall back to exact difference of squares
     # only through representation equality
-    return EQ if x == y else (LT if float(x) < float(y) else GT)
+    return 0 if x == y else (-1 if float(x) < float(y) else 1)
 
 
 # --- operation examples with frozen values --------------------------------------------
@@ -114,15 +111,15 @@ def test_div_by_zero_is_domain_error():
 def test_compare_sqrt2_three_halves():
     ctx = ScalarContext()
     r2 = ctx.sqrt(ctx.rat(2))
-    assert compare(r2, ctx.rat(3, 2)) == LT
-    assert oracle_compare(r2, ctx.rat(3, 2)) == LT
+    assert (r2 - ctx.rat(3, 2)).sign() == -1
+    assert oracle_compare(r2, ctx.rat(3, 2)) == -1
 
 
 def test_compare_reflexive_and_negated_root():
     ctx = ScalarContext()
     x = ctx.rat(7, 3) + ctx.sqrt(ctx.rat(5))
-    assert compare(x, x) == EQ
-    assert compare(-ctx.sqrt(ctx.rat(2)), ctx.zero) == LT
+    assert (x - x).sign() == 0
+    assert (-ctx.sqrt(ctx.rat(2)) - ctx.zero).sign() == -1
 
 
 def test_sqrt_perfect_square():
@@ -255,7 +252,7 @@ def test_compare_agrees_with_interval_oracle():
         r1 = ctx.sqrt(ctx.rat(rng.choice([2, 3, 5, 7, 11])))
         x = ctx.rat(_random_rational(rng, 12)) + ctx.rat(_random_rational(rng, 12)) * r1
         y = ctx.rat(_random_rational(rng, 12)) + ctx.rat(_random_rational(rng, 12)) * r1
-        assert compare(x, y) == oracle_compare(x, y)
+        assert (x - y).sign() == oracle_compare(x, y)
 
 
 @settings(max_examples=200, deadline=None)
