@@ -103,7 +103,11 @@ def lam(v: Vec4) -> Scalar:
 
 
 def classify(v: Vec4) -> IntervalClass:
-    s = lam(v).sign()
+    return sign_class(lam(v).sign())
+
+
+def sign_class(s: int) -> IntervalClass:
+    """The interval class of a vector v with lam(v).sign() == s."""
     if s < 0:
         return IntervalClass.TIMELIKE
     if s == 0:
@@ -224,6 +228,8 @@ def lines_intersect(a: Line, b: Line) -> LineMeet:
     """Unique common point, IDENTICAL_LINES marker, or None."""
     if a == b:
         return IDENTICAL_LINES
+    if a.dir == b.dir:
+        return None  # distinct and parallel: equal canonical directions
     # solve base_a + s*da = base_b + t*db exactly
     rows = []
     rhs = []

@@ -3,15 +3,19 @@
 Each procedure here decides a predicate by solving the quantifier structure
 of its *definition* over the primitives T, R, = — constructing explicit
 witnesses for existentials and refuting universals with verified
-counterexamples.  Three routes are not yet independent of the geometric
-twin they are cross-checked against: `rho_def` calls `model.rho`,
-`lightspeed_def` is a constant FALSE, and the third case of `eqrho_def`
-computes the quotient norms again.  `dual_def` decides the printed Dual
-clauses with `model.rho`, `optical_plane` and `bw_rho`, not with its
-closed-form twin `model.dual_geo`.  Layering follows the definition DAG: a
-procedure may use the procedures of the predicates its definition mentions.
-None of them catches a CapacityError from the scalar tower: it propagates to the
-suites' case driver, which records the case as UNKNOWN.
+counterexamples.  Two routes are not yet independent of the geometric twin
+they are cross-checked against: `rho_def` calls `model.rho`, and the third
+case of `eqrho_def` computes the quotient norms again.  `dual_def` decides
+the printed Dual clauses with `model.rho`, `optical_plane` and `bw_rho`, not
+with its closed-form twin `model.dual_geo`.  Layering follows the definition
+DAG: a procedure may use the procedures of the predicates its definition
+mentions.  None of them catches a CapacityError from the scalar tower: it
+propagates to the suites' case driver, which records the case as UNKNOWN.
+
+Witness searches read a candidate line's class before they build it: the
+line through p and q has the class of q - p, and in `cop_def` that class
+comes from a quadratic in the parameter of q.  The four M conjuncts of Cop
+are checked at the events the transversals were built on, not solved again.
 
 The null links from an event to a given worldline come from
 `model.null_links`.  Bw and BwRho run one loop, `_null_triangle`, over the
@@ -41,6 +45,7 @@ from relcheck.minkowski import (
     lines_intersect,
     quotient_lift,
     quotient_norm,
+    sign_class,
 )
 from relcheck.model import (
     ModelKind,
@@ -131,34 +136,37 @@ def cop_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
                 return Verdict.true({"c": c, "d": d, "g": event(g)})
         return Verdict.unknown("no Cop witness constructed")
 
-    def slanted(p: Vec4, param: Fraction) -> Optional[Line]:
-        q = b.at(ctx.rat(param))
-        if (q - p).is_zero():
-            return None
-        cand = Line.through(p, q)
-        return cand if kind.allows(cand.interval_class) else None
+    # the transversal from p to b.at(k) has direction w + k*b.dir with
+    # w = b.base - p, so its class is the sign of c0 + (c1 + lam(b.dir)*k)*k;
+    # a pair is built only when kind allows both classes
+    lam_b = lam(b.dir)
+
+    def allows_at(p: Vec4) -> Callable[[Scalar], bool]:
+        w = b.base - p
+        c0, c1 = lam(w), inner(w, b.dir) * 2
+        return lambda k: kind.allows(sign_class((c0 + (c1 + lam_b * k) * k).sign()))
 
     for t1, t2 in ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(-1)),
                    (Fraction(1, 2), Fraction(-3, 2)), (Fraction(-2), Fraction(2)),
                    (Fraction(3), Fraction(-3))):
         p1, p2 = a.at(ctx.rat(t1)), a.at(ctx.rat(t2))
+        allows1, allows2 = allows_at(p1), allows_at(p2)
         for k in (1, 2, 3, 5, 8, 13, 64, 256, 1024):
-            c = slanted(p1, Fraction(k))
-            d = slanted(p2, Fraction(-k - 1))
-            if c is None or d is None or c == d or c in (a, b) or d in (a, b):
+            k1, k2 = ctx.rat(k), ctx.rat(-k - 1)
+            if not (allows1(k1) and allows2(k2)):
+                continue
+            q1, q2 = b.at(k1), b.at(k2)
+            c, d = Line(p1, q1 - p1), Line(p2, q2 - p2)
+            if c == d or c in (a, b) or d in (a, b):
                 continue
             g = lines_intersect(c, d)
             if not isinstance(g, Vec4):
                 continue
             if a.contains(g) or b.contains(g):
                 continue
-            ok = (
-                m_def(a, c, kind).is_true()
-                and m_def(c, b, kind).is_true()
-                and m_def(d, b, kind).is_true()
-                and m_def(d, a, kind).is_true()
-            )
-            if ok:
+            # M(a,c), M(c,b), M(d,b) and M(d,a), each at the event it was built on
+            if all(x.contains(s) and y.contains(s)
+                   for x, y, s in ((a, c, p1), (c, b, q1), (d, b, q2), (d, a, p2))):
                 return Verdict.true({"c": c, "d": d, "g": event(g)})
     return Verdict.unknown("no Cop witness constructed")
 
@@ -167,11 +175,8 @@ def _line_through_meeting(p: Vec4, target: Line, param: Fraction, kind: ModelKin
     ctx = p.ctx
 
     def attempt(k: int) -> Optional[Line]:
-        q = target.at(ctx.rat(param * k))
-        if (q - p).is_zero():
-            return None
-        cand = Line.through(p, q)
-        return cand if kind.allows(cand.interval_class) else None
+        v = target.at(ctx.rat(param * k)) - p
+        return Line(p, v) if kind.allows(classify(v)) else None
 
     return _grow_until(attempt)
 
@@ -419,20 +424,34 @@ def stl_def(a: Line, kind: ModelKind) -> Verdict:
 
     For timelike lines the connection count is one for every event (the
     gap quadratic always has one future root); otherwise a verified
-    witness event with count != 1 refutes the universal.
+    witness event with count != 1 refutes the universal.  On a lightlike
+    line that event is a.base, which begins two signals received on a.
     """
     if a.interval_class is IntervalClass.TIMELIKE:
         return Verdict.true()
+    chord = _light_chord(a)
+    if chord is not None:
+        return Verdict.false({"g": event(a.base), "b": event(a.base), "b2": chord})
     got = witness_zero_and_two(a)
     assert got is not None
     p_zero, p_two = got
     return Verdict.false({"g": event(p_zero), "g2": event(p_two)})
 
 
+def _light_chord(a: Line) -> Optional[Segment]:
+    """A non-degenerate signal with both endpoints on a, or None.  A chord
+    between two points of a lies along a.dir, so one exists iff a is
+    lightlike.  A non-zero null vector has x0 != 0, so the canonical a.dir
+    then has x0 = 1 and the chord from a.base to a.base + a.dir is future."""
+    if not lam(a.dir).is_zero():
+        return None
+    return Segment(a.base, a.base + a.dir)
+
+
 def lightspeed_def(a: Line, kind: ModelKind) -> Verdict:
-    # exists s (!Ev(s) & T(a,s) & R(a,s)): both endpoints on a, so the
-    # chord is along the direction and null only when degenerate
-    return Verdict.false()
+    # exists s (!Ev(s) & T(a,s) & R(a,s))
+    chord = _light_chord(a)
+    return Verdict.false() if chord is None else Verdict.true({"s": chord})
 
 
 def ftl_def(a: Line, kind: ModelKind) -> Verdict:
@@ -527,11 +546,8 @@ def op_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
     if lam(d).sign() < 0:
 
         def attempt_timelike(k: int) -> Optional[Line]:
-            qq = b.at(ctx.rat(Fraction(k)))
-            if (qq - a.base).is_zero():
-                return None
-            t_cand = Line.through(a.base, qq)
-            return t_cand if t_cand.interval_class is IntervalClass.TIMELIKE else None
+            v = b.at(ctx.rat(Fraction(k))) - a.base
+            return Line(a.base, v) if classify(v) is IntervalClass.TIMELIKE else None
 
         cand = _grow_until(attempt_timelike)
     else:

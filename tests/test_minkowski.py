@@ -206,6 +206,32 @@ def test_lines_intersect_skew():
     assert lines_intersect(a, b) is None
 
 
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_nonzero = st.lists(_small, min_size=4, max_size=4).filter(any)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_small, min_size=4, max_size=4), _nonzero, _nonzero, _small,
+       st.fractions(min_value=1, max_value=4, max_denominator=3), st.sampled_from(range(4)))
+def test_lines_intersect_properties(base, d1, d2, t, k, build):
+    ctx = ScalarContext()
+    p, u, w = v(ctx, *base), v(ctx, *d1), v(ctx, *d2)
+    a = Line(p, u)
+    # 0: the same line reparametrized, 1: a parallel line through p + w,
+    # 2: a line through a.at(t), 3: a line through p + w
+    b = [Line(a.at(ctx.rat(t)), u.scale(ctx.rat(-k))), Line(p + w, u.scale(ctx.rat(k))),
+         Line(a.at(ctx.rat(t)), w), Line(p + w, w)][build]
+    meet = lines_intersect(a, b)
+    assert (meet is IDENTICAL_LINES) == (a == b)
+    if a.dir == b.dir and a != b:
+        assert meet is None
+    if isinstance(meet, Vec4):
+        assert a.contains(meet) and b.contains(meet)
+    if build == 2 and a.dir != b.dir:
+        assert meet == a.at(ctx.rat(t))
+    assert lines_intersect(b, a) == meet
+
+
 def test_rank_of():
     ctx = ScalarContext()
     assert rank_of([v(ctx, 1, 0, 0, 0), v(ctx, 0, 1, 0, 0), v(ctx, 1, 1, 0, 0)]) == 2

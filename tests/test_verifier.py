@@ -14,6 +14,7 @@ from relcheck.minkowski import (
     Vec4,
     inner,
     lam,
+    lines_intersect,
     quotient_inner,
     quotient_lift,
     quotient_norm,
@@ -107,6 +108,96 @@ def test_cop_and_par_def():
     assert de.par_def(a, skew, STL).is_unknown()
 
 
+def _reference_cop(a, b, kind):
+    """The Cop witness search as it stood before the class-first test: each
+    candidate Line is built before its class is read, and the four M
+    conjuncts are decided by m_def.  Returns (verdict, branch), where branch
+    is "a == b", the k of the witness, or None."""
+    ctx = a.ctx
+
+    def meeting(p, target, param):
+        for k in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096):
+            q = target.at(ctx.rat(param * k))
+            if (q - p).is_zero():
+                continue
+            cand = Line.through(p, q)
+            if kind.allows(cand.interval_class):
+                return cand
+        return None
+
+    if a == b:
+        for off in (v(ctx, 0, 1, 0, 0), v(ctx, 0, 0, 1, 0), v(ctx, 0, 1, 1, 0)):
+            g = a.base + off
+            if a.contains(g):
+                continue
+            c, d = meeting(g, a, Fraction(5)), meeting(g, a, Fraction(-5))
+            if c is not None and d is not None and c != d:
+                return Verdict.true({"c": c, "d": d, "g": event(g)}), "a == b"
+        return Verdict.unknown("no Cop witness constructed"), "a == b"
+
+    def slanted(p, param):
+        q = b.at(ctx.rat(param))
+        if (q - p).is_zero():
+            return None
+        cand = Line.through(p, q)
+        return cand if kind.allows(cand.interval_class) else None
+
+    for t1, t2 in ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(-1)),
+                   (Fraction(1, 2), Fraction(-3, 2)), (Fraction(-2), Fraction(2)),
+                   (Fraction(3), Fraction(-3))):
+        p1, p2 = a.at(ctx.rat(t1)), a.at(ctx.rat(t2))
+        for k in (1, 2, 3, 5, 8, 13, 64, 256, 1024):
+            c = slanted(p1, Fraction(k))
+            d = slanted(p2, Fraction(-k - 1))
+            if c is None or d is None or c == d or c in (a, b) or d in (a, b):
+                continue
+            g = lines_intersect(c, d)
+            if not isinstance(g, Vec4) or a.contains(g) or b.contains(g):
+                continue
+            if all(de.m_def(x, y, kind).is_true() for x, y in ((a, c), (c, b), (d, b), (d, a))):
+                return Verdict.true({"c": c, "d": d, "g": event(g)}), k
+    return Verdict.unknown("no Cop witness constructed"), None
+
+
+def _cop_cases():
+    """Line pairs of the Cop and Par generators at both kinds, and level-1
+    parallel pairs (and some equal pairs) from the Tau generator."""
+    for kind in (STL, FTL):
+        for name in ("Cop", "Par"):
+            for i in range(110):
+                gen = ConfigGen(sub_seed(9, "cop-search", name, kind.value, i), 8)
+                yield kind, PRED_GENERATORS[name](gen, kind, i)
+    for i in range(140):
+        gen = ConfigGen(sub_seed(9, "cop-search", "Tau", i), 8)
+        c, b, _, _ = PRED_GENERATORS["Tau"](gen, STL, i)
+        yield STL, (b, c)
+
+
+def test_cop_search_matches_the_reference_search():
+    reached = set()
+    level1 = 0
+    for kind, (a, b) in _cop_cases():
+        got = de.cop_def(a, b, kind)
+        want, branch = _reference_cop(a, b, kind)
+        assert (got.status, got.reason) == (want.status, want.reason), (a, b)
+        level1 += max(x.level for x in b.base.c + b.dir.c) > 0
+        if branch == "a == b":
+            reached.add("a == b")
+        elif kind is STL and isinstance(branch, int) and branch > 1:
+            reached.add("STL k > 1")
+        elif want.is_unknown() and not de.m_def(a, b, kind).is_true() and a.dir != b.dir:
+            reached.add("UNKNOWN skew")
+        if not got.is_true():
+            continue
+        assert [got.witness[n] for n in "cdg"] == [want.witness[n] for n in "cdg"]
+        c, d, g = (got.witness[n] for n in "cdg")
+        assert c != d and c.contains(g.beg) and d.contains(g.beg)
+        assert all(de.m_def(x, y, kind).is_true() for x, y in ((a, c), (c, b), (d, b), (d, a)))
+        assert not a.contains(g.beg) and not b.contains(g.beg)
+    assert reached == {"a == b", "STL k > 1", "UNKNOWN skew"}
+    assert level1 >= 100
+
+
 def test_bw_def_matches_fixture():
     ctx = ScalarContext()
     a, b, c = vertical(ctx, 0), vertical(ctx, 1), vertical(ctx, 2)
@@ -196,6 +287,27 @@ def test_stl_def_counting():
     got = de.stl_def(spacelike, FTL)
     assert got.is_false()
     assert "g" in got.witness and "g2" in got.witness
+
+
+def test_stl_lightspeed_ftl_on_lightlike_lines():
+    # a lightlike line carries a non-degenerate signal from a.base along it,
+    # so Lightspeed holds and a.base begins two signals received on a
+    kinds = {IntervalClass.LIGHTLIKE: 0, IntervalClass.TIMELIKE: 0, IntervalClass.SPACELIKE: 0}
+    for i in range(60):
+        gen = ConfigGen(sub_seed(9, "lightlike", i), 8)
+        a = Line(gen.point(), (gen.null_dir, gen.timelike_dir, gen.spacelike_dir)[i % 3]())
+        kinds[a.interval_class] += 1
+        for name in ("STL", "Lightspeed", "FTL"):
+            got = de.DEFINITIONAL_EVALUATORS[name]([a], FTL)
+            assert got.is_true() == GEOMETRIC_PREDICATES[name]([a]), (name, a)
+        if a.interval_class is not IntervalClass.LIGHTLIKE:
+            continue
+        s = de.lightspeed_def(a, FTL).witness["s"]
+        assert not s.is_degenerate() and a.contains(s.beg) and a.contains(s.end)
+        w = de.stl_def(a, FTL).witness
+        assert w["g"].is_degenerate() and w["b"] != w["b2"]
+        assert all(x.beg == w["g"].beg and a.contains(x.end) for x in (w["b"], w["b2"]))
+    assert min(kinds.values()) >= 20
 
 
 def test_tau_def_fixture():
