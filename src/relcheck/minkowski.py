@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from relcheck.scalar import Scalar, ScalarContext
 
@@ -212,104 +212,33 @@ class Line:
         return Line(p, q - p)
 
 
-class _IdenticalLines:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "IDENTICAL_LINES"
-
-
-IDENTICAL_LINES = _IdenticalLines()
-
-LineMeet = Union[Vec4, _IdenticalLines, None]
-
-
-def lines_intersect(a: Line, b: Line) -> LineMeet:
-    """Unique common point, IDENTICAL_LINES marker, or None."""
+def lines_intersect(a: Line, b: Line) -> Optional[Vec4]:
+    """A point on both lines, or None: `a.base` for identical lines, None for
+    distinct parallel ones (equal canonical directions), and otherwise the
+    s of a.at(s) from the first non-zero 2x2 minor of (a.dir, b.dir) by
+    Cramer's rule, kept only if b contains that point."""
     if a == b:
-        return IDENTICAL_LINES
-    if a.dir == b.dir:
-        return None  # distinct and parallel: equal canonical directions
-    # solve base_a + s*da = base_b + t*db exactly
-    rows = []
-    rhs = []
+        return a.base
+    da, db = a.dir, b.dir
+    if da == db:
+        return None
     diff = b.base - a.base
-    for i in range(4):
-        rows.append([a.dir[i], -b.dir[i]])
-        rhs.append(diff[i])
-    sol = _solve_two_unknowns(rows, rhs)
-    if sol is None:
-        return None
-    s, t = sol
-    p = a.at(s)
-    if (p - b.at(t)).is_zero():
-        return p
+    for i in range(3):
+        for j in range(i + 1, 4):
+            det = da[i] * db[j] - da[j] * db[i]
+            if not det.is_zero():
+                p = a.at((diff[i] * db[j] - diff[j] * db[i]) / det)
+                return p if b.contains(p) else None
+    raise AssertionError("non-parallel directions have a non-zero minor")
+
+
+def along(u: Vec4, d: Vec4) -> Optional[Scalar]:
+    """The t with u == t*d, or None (also when d is zero)."""
+    for ui, di in zip(u, d):
+        if not di.is_zero():
+            t = ui / di
+            return t if (u - d.scale(t)).is_zero() else None
     return None
-
-
-def _solve_two_unknowns(
-    rows: list[list[Scalar]], rhs: list[Scalar]
-) -> Optional[tuple[Scalar, Scalar]]:
-    """Unique solution of an overdetermined 2-unknown linear system, or None.
-
-    None covers both inconsistent and underdetermined systems; callers
-    re-verify any returned solution.
-    """
-    pivot_row = None
-    for i, row in enumerate(rows):
-        if not row[0].is_zero():
-            pivot_row = i
-            break
-    if pivot_row is None:
-        # s is unconstrained: system degenerate in the first unknown
-        for i, row in enumerate(rows):
-            if not row[1].is_zero():
-                t = rhs[i] / row[1]
-                ok = all((rows[j][1] * t - rhs[j]).is_zero() for j in range(len(rows)))
-                return (rows[0][0].ctx.zero, t) if ok else None
-        return None
-    r0 = rows[pivot_row]
-    b0 = rhs[pivot_row]
-    second = None
-    for i, row in enumerate(rows):
-        if i == pivot_row:
-            continue
-        coef = row[1] - row[0] * r0[1] / r0[0]
-        val = rhs[i] - row[0] * b0 / r0[0]
-        if not coef.is_zero():
-            second = (coef, val)
-            break
-    if second is None:
-        return None  # underdetermined: parallel or identical
-    t = second[1] / second[0]
-    s = (b0 - r0[1] * t) / r0[0]
-    return s, t
-
-
-def rank_of(vectors: Iterable[Vec4]) -> int:
-    """Exact rank of a list of 4-vectors."""
-    rows = [list(v.c) for v in vectors]
-    rank = 0
-    col = 0
-    while col < 4 and rank < len(rows):
-        piv = None
-        for i in range(rank, len(rows)):
-            if not rows[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 class Segment:

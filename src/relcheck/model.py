@@ -16,7 +16,6 @@ import json
 from typing import Iterator, Optional, Sequence
 
 from relcheck.minkowski import (
-    IDENTICAL_LINES,
     IntervalClass,
     Line,
     Segment,
@@ -28,7 +27,6 @@ from relcheck.minkowski import (
     quotient_inner,
     quotient_lift,
     quotient_norm,
-    rank_of,
     tarski_bw_f,
 )
 from relcheck.scalar import Scalar, ScalarContext
@@ -60,27 +58,23 @@ class ObserverClass(enum.Enum):
     FTL = "ftl"
 
 
-Observer = Line
-Signal = Segment
-
-
-def event(p: Vec4) -> Signal:
+def event(p: Vec4) -> Segment:
     return Segment(p, p)
 
 
-def is_event(s: Signal) -> bool:
+def is_event(s: Segment) -> bool:
     return s.is_degenerate()
 
 
-def transmits(a: Observer, s: Signal) -> bool:
+def transmits(a: Line, s: Segment) -> bool:
     return a.contains(s.beg)
 
 
-def receives(a: Observer, s: Signal) -> bool:
+def receives(a: Line, s: Segment) -> bool:
     return a.contains(s.end)
 
 
-def observer_class(a: Observer) -> ObserverClass:
+def observer_class(a: Line) -> ObserverClass:
     cls = a.interval_class
     if cls is IntervalClass.TIMELIKE:
         return ObserverClass.STL
@@ -92,25 +86,26 @@ def observer_class(a: Observer) -> ObserverClass:
 # --- elementary relations between observers ----------------------------------
 
 
-def meets(a: Observer, b: Observer) -> bool:
-    m = lines_intersect(a, b)
-    return m is IDENTICAL_LINES or isinstance(m, Vec4)
+def meets(a: Line, b: Line) -> bool:
+    return lines_intersect(a, b) is not None
 
 
-def parallel(a: Observer, b: Observer) -> bool:
+def parallel(a: Line, b: Line) -> bool:
     """Identical, or coplanar and disjoint; for lines this is equal canonical
     direction."""
     return a == b or a.dir == b.dir
 
 
-def coplanar(a: Observer, b: Observer) -> bool:
-    return rank_of([a.dir, b.dir, b.base - a.base]) <= 2
+def coplanar(a: Line, b: Line) -> bool:
+    """Two lines of affine 4-space lie in one plane iff they are parallel
+    or they meet."""
+    return parallel(a, b) or meets(a, b)
 
 
 # --- events -------------------------------------------------------------------
 
 
-def lightlike(e1: Signal, e2: Signal) -> bool:
+def lightlike(e1: Segment, e2: Segment) -> bool:
     """Relation L: a (possibly degenerate) future signal from e1 to e2."""
     if not (is_event(e1) and is_event(e2)):
         return False
@@ -118,11 +113,11 @@ def lightlike(e1: Signal, e2: Signal) -> bool:
     return lam(d).is_zero() and d.x0.sign() >= 0
 
 
-def light_between(e1: Signal, e2: Signal) -> bool:
+def light_between(e1: Segment, e2: Segment) -> bool:
     return lightlike(e1, e2) or lightlike(e2, e1)
 
 
-def chron_precedes(e1: Signal, e2: Signal) -> bool:
+def chron_precedes(e1: Segment, e2: Segment) -> bool:
     if not (is_event(e1) and is_event(e2)):
         return False
     d = e2.beg - e1.beg
@@ -234,7 +229,7 @@ def _parallel_family(lines: Sequence[Line]) -> Optional[Vec4]:
     return first.dir
 
 
-def bw_geo(a: Observer, b: Observer, c: Observer) -> bool:
+def bw_geo(a: Line, b: Line, c: Line) -> bool:
     """Quotient betweenness on a timelike parallel class (false otherwise)."""
     d = _parallel_family([a, b, c])
     if d is None or classify(d) is not IntervalClass.TIMELIKE:
@@ -242,7 +237,7 @@ def bw_geo(a: Observer, b: Observer, c: Observer) -> bool:
     return tarski_bw_f(a.base, b.base, c.base)
 
 
-def eq_geo(a: Observer, b: Observer, c: Observer, d: Observer) -> bool:
+def eq_geo(a: Line, b: Line, c: Line, d: Line) -> bool:
     dd = _parallel_family([a, b, c, d])
     if dd is None or classify(dd) is not IntervalClass.TIMELIKE:
         return False
@@ -252,7 +247,7 @@ def eq_geo(a: Observer, b: Observer, c: Observer, d: Observer) -> bool:
 # --- simultaneity and frame time ----------------------------------------------
 
 
-def sim_geo(c: Observer, e1: Signal, e2: Signal) -> bool:
+def sim_geo(c: Line, e1: Segment, e2: Segment) -> bool:
     if observer_class(c) is not ObserverClass.STL:
         raise UnsupportedPredicate("Sim requires a slower-than-light observer")
     if not (is_event(e1) and is_event(e2)):
@@ -260,7 +255,7 @@ def sim_geo(c: Observer, e1: Signal, e2: Signal) -> bool:
     return inner(e2.beg - e1.beg, c.dir).is_zero()
 
 
-def delta_geo(a: Observer, a0: Signal, a1: Signal, b0: Signal, b1: Signal) -> bool:
+def delta_geo(a: Line, a0: Segment, a1: Segment, b0: Segment, b1: Segment) -> bool:
     if observer_class(a) is not ObserverClass.STL:
         raise UnsupportedPredicate("Delta requires a slower-than-light observer")
     if not all(is_event(x) for x in (a0, a1, b0, b1)):
@@ -270,14 +265,14 @@ def delta_geo(a: Observer, a0: Signal, a1: Signal, b0: Signal, b1: Signal) -> bo
     return ga * ga == gb * gb
 
 
-def sim_project(a: Observer, e: Signal) -> Vec4:
+def sim_project(a: Line, e: Segment) -> Vec4:
     """The unique point x on a with <e - x, dir> == 0 (timelike a)."""
     d = a.dir
     t = inner(e.beg - a.base, d) / lam(d)
     return a.at(t)
 
 
-def tau_geo(b: Observer, e1: Signal, e2: Signal) -> Optional[Observer]:
+def tau_geo(b: Line, e1: Segment, e2: Segment) -> Optional[Line]:
     """The observer c = tau_b(e1, e2), or None when the preconditions fail.
 
     It also decides TauFTL: the transmitter of two <<-ordered events is
@@ -314,7 +309,7 @@ def _conic_coefficients(a: Line, b: Line):
     )
 
 
-def rho(a: Observer, b: Observer) -> bool:
+def rho(a: Line, b: Line) -> bool:
     """Some null segment connects a point of a with a point of b."""
     A, B, C, D, E, F = _conic_coefficients(a, b)
     # f(s,t) = A s^2 + B s t + C t^2 + D s + E t + F; A != 0 for observers.
@@ -334,7 +329,7 @@ def rho(a: Observer, b: Observer) -> bool:
     return vmax.sign() >= 0
 
 
-def rho_witness(a: Observer, b: Observer) -> Optional[tuple[Vec4, Vec4]]:
+def rho_witness(a: Line, b: Line) -> Optional[tuple[Vec4, Vec4]]:
     """A null-connected point pair (p on a, q on b), constructed exactly."""
     if not rho(a, b):
         return None
@@ -379,7 +374,7 @@ def rho_witness(a: Observer, b: Observer) -> Optional[tuple[Vec4, Vec4]]:
     return p, q
 
 
-def strict_rho_parallel(a: Observer, b: Observer) -> bool:
+def strict_rho_parallel(a: Line, b: Line) -> bool:
     """Parallel pair with two distinct null connections from each event
     (discriminant strictly positive)."""
     if not parallel(a, b) or a == b:
@@ -389,7 +384,7 @@ def strict_rho_parallel(a: Observer, b: Observer) -> bool:
     return (-(lam(d)) * q).sign() > 0
 
 
-def optical_plane(a: Observer, b: Observer) -> bool:
+def optical_plane(a: Line, b: Line) -> bool:
     if not parallel(a, b) or a == b:
         return False
     d = a.dir
@@ -417,7 +412,7 @@ def null_gap_params(u: Vec4, d: Vec4) -> list[Scalar]:
     return [(-b - r) / (a * 2), (-b + r) / (a * 2)]
 
 
-def bw_rho(a: Observer, b: Observer, c: Observer) -> bool:
+def bw_rho(a: Line, b: Line, c: Line) -> bool:
     """Betweenness by null-signal triangles on any common direction class.
 
     v_ab, v_bc and v_ac = v_ab + v_bc are null, so v_ab and v_bc are orthogonal
@@ -431,7 +426,7 @@ def bw_rho(a: Observer, b: Observer, c: Observer) -> bool:
     return (lam(d) * quotient_norm(c.base - a.base, d)).sign() <= 0
 
 
-def eq_rho(a: Observer, b: Observer, c: Observer, d: Observer) -> bool:
+def eq_rho(a: Line, b: Line, c: Line, d: Line) -> bool:
     dd = _parallel_family([a, b, c, d])
     if dd is None:
         return False
@@ -444,7 +439,7 @@ def eq_rho(a: Observer, b: Observer, c: Observer, d: Observer) -> bool:
     return False
 
 
-def sim_ftl(c: Observer, e1: Signal, e2: Signal) -> bool:
+def sim_ftl(c: Line, e1: Segment, e2: Segment) -> bool:
     """Simultaneity for any observer class: orthogonality plus the
     witness-pair realizability condition."""
     if not (is_event(e1) and is_event(e2)):
@@ -462,7 +457,7 @@ def sim_ftl(c: Observer, e1: Signal, e2: Signal) -> bool:
     return lam(u).sign() < 0
 
 
-def delta_ftl(a: Observer, a0: Signal, a1: Signal, b0: Signal, b1: Signal) -> bool:
+def delta_ftl(a: Line, a0: Segment, a1: Segment, b0: Segment, b1: Segment) -> bool:
     if not all(is_event(x) for x in (a0, a1, b0, b1)):
         return False
     if observer_class(a) is ObserverClass.STL:
@@ -481,7 +476,7 @@ def delta_ftl(a: Observer, a0: Signal, a1: Signal, b0: Signal, b1: Signal) -> bo
 # --- the relatable dual --------------------------------------------------------
 
 
-def dual_candidates(a: Observer, b: Observer) -> list[Observer]:
+def dual_candidates(a: Line, b: Line) -> list[Line]:
     """In-plane dual candidates of a with respect to b (future-signed first).
 
     Empty unless a || b, spacelike class, and not relatable.  The printed
@@ -514,7 +509,7 @@ def dual_candidates(a: Observer, b: Observer) -> list[Observer]:
     return out
 
 
-def dual_geo(ap: Observer, a: Observer, b: Observer) -> bool:
+def dual_geo(ap: Line, a: Line, b: Line) -> bool:
     """Dual(ap, a, b) in closed form, for the whole one-parameter family of
     duals.  On one spacelike class d, with u = b - a and n = ap - a in the
     quotient: !Rho(a, b) is q(u) > 0; OP(a, ap) is q(n) = 0 with ap != a;
@@ -530,7 +525,7 @@ def dual_geo(ap: Observer, a: Observer, b: Observer) -> bool:
     return qu.sign() > 0 and quotient_norm(n, d).is_zero() and quotient_inner(n, u, d) == qu
 
 
-def bw_ftl(a: Observer, b: Observer, c: Observer) -> bool:
+def bw_ftl(a: Line, b: Line, c: Line) -> bool:
     if bw_rho(a, b, c):
         return True
     for a2 in dual_candidates(a, b):
@@ -540,14 +535,19 @@ def bw_ftl(a: Observer, b: Observer, c: Observer) -> bool:
     return False
 
 
-def eq_ftl(a: Observer, b: Observer, c: Observer, d: Observer) -> bool:
+def eq_ftl(a: Line, b: Line, c: Line, d: Line) -> bool:
+    """EqRho(a, b, c, d), or EqRho(a, b2, c, d2) for some dual b2 of b w.r.t.
+    a and d2 of d w.r.t. c.  Decided without building a dual: every dual b2
+    has q(b2 - a) = -q(b - a) < 0, so the second disjunct can hold only in
+    eq_rho's strict-rho case, and it holds iff q(b - a) = q(d - c) > 0 on one
+    common spacelike class, whichever family members are taken."""
     if eq_rho(a, b, c, d):
         return True
-    for b2 in dual_candidates(b, a):
-        for d2 in dual_candidates(d, c):
-            if eq_rho(a, b2, c, d2):
-                return True
-    return False
+    dd = _parallel_family([a, b, c, d])
+    if dd is None or classify(dd) is not IntervalClass.SPACELIKE:
+        return False
+    q = quotient_norm(b.base - a.base, dd)
+    return q.sign() > 0 and q == quotient_norm(d.base - c.base, dd)
 
 
 # --- scenarios -----------------------------------------------------------------
@@ -560,8 +560,8 @@ class Scenario:
         self,
         kind: ModelKind,
         ctx: ScalarContext,
-        observers: dict[str, Observer],
-        signals: dict[str, Signal],
+        observers: dict[str, Line],
+        signals: dict[str, Segment],
     ) -> None:
         self.kind = kind
         self.ctx = ctx
@@ -577,7 +577,7 @@ class Scenario:
         if kind_text not in ("stl", "ftl"):
             raise ModelError(f"unknown model kind {kind_text!r} (want 'stl' or 'ftl')")
         kind = ModelKind.STL_ONLY if kind_text == "stl" else ModelKind.FTL
-        observers: dict[str, Observer] = {}
+        observers: dict[str, Line] = {}
         for name, entry in _entries(data, "observers", "observer"):
             base = _vec(ctx, entry, "base", f"observer {name!r}")
             direction = _vec(ctx, entry, "dir", f"observer {name!r}")
@@ -593,7 +593,7 @@ class Scenario:
                     f" {kind_text} structure"
                 )
             observers[name] = line
-        signals: dict[str, Signal] = {}
+        signals: dict[str, Segment] = {}
         for name, entry in _entries(data, "signals", "signal"):
             beg = _vec(ctx, entry, "beg", f"signal {name!r}")
             end = _vec(ctx, entry, "end", f"signal {name!r}")

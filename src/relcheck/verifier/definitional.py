@@ -34,11 +34,11 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from relcheck.minkowski import (
-    IDENTICAL_LINES,
     IntervalClass,
     Line,
     Segment,
     Vec4,
+    along,
     classify,
     inner,
     lam,
@@ -100,11 +100,7 @@ def l_def(e1: Segment, e2: Segment, kind: ModelKind) -> Verdict:
 def m_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
     # exists s (T(a,s) & T(b,s)): Beg(s) must lie on both lines
     meet = lines_intersect(a, b)
-    if meet is IDENTICAL_LINES:
-        return Verdict.true({"s": event(a.base)})
-    if isinstance(meet, Vec4):
-        return Verdict.true({"s": event(meet)})
-    return Verdict.false()
+    return Verdict.false() if meet is None else Verdict.true({"s": event(meet)})
 
 
 def _grow_until(predicate: Callable[[int], Optional[object]], cap: int = 4096):
@@ -160,9 +156,7 @@ def cop_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
             if c == d or c in (a, b) or d in (a, b):
                 continue
             g = lines_intersect(c, d)
-            if not isinstance(g, Vec4):
-                continue
-            if a.contains(g) or b.contains(g):
+            if g is None or a.contains(g) or b.contains(g):
                 continue
             # M(a,c), M(c,b), M(d,b) and M(d,a), each at the event it was built on
             if all(x.contains(s) and y.contains(s)
@@ -329,15 +323,7 @@ def _double_diamond(b_dir: Vec4, p: Vec4, q: Vec4, r: Vec4, s: Vec4):
     a2 = mid1 + w
     b2 = mid2 + w
     # both apexes on one parallel line iff their difference is along b_dir
-    diff = b2 - a2
-    t = None
-    for i in range(4):
-        if not b_dir[i].is_zero():
-            t = diff[i] / b_dir[i]
-            break
-    if t is None or not (diff - b_dir.scale(t)).is_zero():
-        return None
-    return a2, b2
+    return None if along(b2 - a2, b_dir) is None else (a2, b2)
 
 
 def _vector_with_norm(ctx: ScalarContext, direction: Vec4, target: Scalar) -> Optional[Vec4]:
@@ -564,8 +550,7 @@ def op_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
         cand = _grow_until(attempt_mixed)
     if cand is not None and cand.interval_class is IntervalClass.TIMELIKE:
         # cand meets a at its base; check it meets b as well
-        hit = lines_intersect(cand, b)
-        if isinstance(hit, Vec4) or hit is IDENTICAL_LINES:
+        if lines_intersect(cand, b) is not None:
             return Verdict.false({"c": cand})
     return Verdict.unknown("no refuting transversal constructed")
 

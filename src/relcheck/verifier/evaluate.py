@@ -26,7 +26,7 @@ from relcheck.fol import (
     Or,
     Var,
 )
-from relcheck.minkowski import IntervalClass, Line, Segment, Vec4, lam
+from relcheck.minkowski import IntervalClass, Line, Segment, Vec4, lam, lines_intersect
 from relcheck.model import (
     GEOMETRIC_PREDICATES,
     ModelKind,
@@ -334,19 +334,9 @@ def _point_candidates(ctx, domain, anchor: Optional[Vec4]) -> tuple[list, bool]:
                 return [], True
         return [p], True
     if lines:
-        from relcheck.minkowski import IDENTICAL_LINES, lines_intersect
-
         if len(lines) >= 2:
-            pts: list[Vec4] = []
             got = lines_intersect(lines[0], lines[1])
-            if got is IDENTICAL_LINES:
-                pts = [lines[0].base]
-            elif isinstance(got, Vec4):
-                pts = [got]
-            ok = []
-            for p in pts:
-                if all(ln.contains(p) for ln in lines):
-                    ok.append(p)
+            ok = [got] if got is not None and all(ln.contains(got) for ln in lines) else []
             return ok, len(lines) == 2 or bool(ok)
         line = lines[0]
         if anchor is not None:

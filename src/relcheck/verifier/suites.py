@@ -21,11 +21,11 @@ from relcheck.corpus import (
     load_axioms,
 )
 from relcheck.minkowski import (
-    IDENTICAL_LINES,
     Line,
     PoincareMap,
     Segment,
     Vec4,
+    along,
     lam,
     lines_intersect,
     quotient_inner,
@@ -263,10 +263,8 @@ def _pasch_candidates(frame: ClassFrame, x: Line, y: Line, z: Line, t: Line) -> 
     d2 = t.base - z.base
     if not d1.is_zero() and not d2.is_zero():
         meet = lines_intersect(Line(x.base, d1), Line(z.base, d2))
-        if isinstance(meet, Vec4):
+        if meet is not None:
             out.insert(0, Line(meet, frame.dir))
-        elif meet is IDENTICAL_LINES:
-            out.insert(0, Line(x.base, frame.dir))
     elif d1.is_zero():
         out.insert(0, x)
     else:
@@ -389,43 +387,27 @@ def check_tarski12(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
 
 
 def _equidistant_locus(frame: ClassFrame, cu, cv, cw):
-    """Solve the two linear equidistance equations in basis coordinates."""
-    norms = [quotient_norm(b, frame.dir) for b in frame.basis]
+    """The line of basis coordinates equidistant from cu, cv and cw, as a
+    point and a direction, or None.  The two equidistance equations are
+    r0.x = h0 and r1.x = h1; with n = r0 x r1 the locus is the line through
+    (h0 (r1 x n) + h1 (n x r0)) / n.n along n, and None when n = 0."""
+    norms = [quotient_norm(b, frame.dir).as_fraction() for b in frame.basis]
 
     def nsq(c):
-        return sum((Fraction(x) * Fraction(x)) * n.as_fraction() for x, n in zip(c, norms))
+        return sum(Fraction(x) * Fraction(x) * n for x, n in zip(c, norms))
 
-    rows = []
-    rhs = []
-    for other in (cv, cw):
-        rows.append(
-            [2 * (Fraction(other[i]) - Fraction(cu[i])) * norms[i].as_fraction() for i in range(3)]
-        )
-        rhs.append(nsq(other) - nsq(cu))
-    # Gaussian elimination on a 2x3 rational system
-    import itertools
+    def cross(x, y):
+        return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
 
-    for i, j in itertools.permutations(range(3), 2):
-        a00 = rows[0][i]
-        if a00 == 0:
-            continue
-        a10 = rows[1][i]
-        r1 = [rows[1][k] - a10 / a00 * rows[0][k] for k in range(3)]
-        b1 = rhs[1] - a10 / a00 * rhs[0]
-        if r1[j] == 0:
-            continue
-        k = next(k for k in range(3) if k not in (i, j))
-        # free coordinate k := 0; kernel direction from the two pivots
-        xj = b1 / r1[j]
-        xi = (rhs[0] - rows[0][j] * xj) / a00
-        sol = [Fraction(0)] * 3
-        sol[i], sol[j] = xi, xj
-        nj = -r1[k] / r1[j]
-        ni = -(rows[0][k] + rows[0][j] * nj) / a00
-        ker = [Fraction(0)] * 3
-        ker[i], ker[j], ker[k] = ni, nj, Fraction(1)
-        return tuple(sol), tuple(ker)
-    return None
+    r0, r1 = ([2 * (Fraction(o) - Fraction(u)) * n for o, u, n in zip(other, cu, norms)]
+              for other in (cv, cw))
+    h0, h1 = nsq(cv) - nsq(cu), nsq(cw) - nsq(cu)
+    n = cross(r0, r1)
+    nn = sum(x * x for x in n)
+    if nn == 0:
+        return None
+    o = tuple((h0 * x + h1 * y) / nn for x, y in zip(cross(r1, n), cross(n, r0)))
+    return o, n
 
 
 # --- continuity instances -----------------------------------------------------------
@@ -453,22 +435,6 @@ def check_cont_segments(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     return _continuity_segments(frame, ops, (w1, w2), (w3, w4), gen)
 
 
-def _param_of(frame: ClassFrame, anchor: Line, far: Line, p: Line) -> Optional[Scalar]:
-    """Affine parameter of p on the line through anchor/far classes, if any."""
-    d = far.base - anchor.base
-    u = p.base - anchor.base
-    t = None
-    for i in range(4):
-        if not d[i].is_zero():
-            t = u[i] / d[i]
-            break
-    if t is None:
-        return None
-    if (u - d.scale(t)).is_zero():
-        return t
-    return None
-
-
 def _continuity_segments(frame, ops, seg1, seg2, gen) -> Verdict:
     w1, w2 = seg1
     w3, w4 = seg2
@@ -480,8 +446,8 @@ def _continuity_segments(frame, ops, seg1, seg2, gen) -> Verdict:
         ok = all(ops.bw(w1, u, y) for y in samples)
         return _verdict(ok)
     # hypothesis needs S2 collinear with and beyond one end of S1
-    t3 = _param_of(frame, w1, w2, w3)
-    t4 = _param_of(frame, w1, w2, w4)
+    t3 = along(w3.base - w1.base, w2.base - w1.base)
+    t4 = along(w4.base - w1.base, w2.base - w1.base)
     if t3 is None or t4 is None:
         return Verdict.true()  # hypothesis fails: some y is off the line
     lo, hi = (t3, t4) if t3 <= t4 else (t4, t3)
@@ -626,7 +592,7 @@ def check_axobunique(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     else:
         b = gen.observer(kind)
         meet = lines_intersect(a, b)
-        if not isinstance(meet, Vec4):
+        if meet is None:
             return Verdict.true()
         x = event(meet)
         y = event(meet)
@@ -788,7 +754,7 @@ def check_axunsi(gen: ConfigGen, kind: ModelKind, ops: Ops, guard_stl: bool = Fa
     if not v.is_zero():
         ray = Line(x.beg, v)
         hit = lines_intersect(ray, b)
-        if isinstance(hit, Vec4):
+        if hit is not None:
             betas.append(event(hit))
     betas.append(gen.event_on(b))
     betas.append(gen.event_on(b))

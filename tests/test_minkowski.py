@@ -6,18 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcheck.minkowski import (
-    IDENTICAL_LINES,
     IntervalClass,
     Line,
     PoincareMap,
     Segment,
     Vec4,
+    along,
     classify,
     inner,
     lam,
     lines_intersect,
     quotient_norm,
-    rank_of,
     tarski_bw_f,
 )
 from relcheck.scalar import ScalarContext, ScalarError
@@ -196,7 +195,10 @@ def test_lines_intersect_known_cases():
     assert meet == v(ctx, 1, 0, 0, 0)
     par = Line(v(ctx, 0, 1, 0, 0), v(ctx, 1, 0, 0, 0))
     assert lines_intersect(vertical, par) is None
-    assert lines_intersect(vertical, vertical) is IDENTICAL_LINES
+    # identical lines: a point on both, the canonical base
+    same = Line(v(ctx, 3, 0, 0, 0), v(ctx, -2, 0, 0, 0))
+    assert lines_intersect(vertical, same) == vertical.base
+    assert lines_intersect(same, vertical) == vertical.base
 
 
 def test_lines_intersect_skew():
@@ -222,21 +224,34 @@ def test_lines_intersect_properties(base, d1, d2, t, k, build):
     b = [Line(a.at(ctx.rat(t)), u.scale(ctx.rat(-k))), Line(p + w, u.scale(ctx.rat(k))),
          Line(a.at(ctx.rat(t)), w), Line(p + w, w)][build]
     meet = lines_intersect(a, b)
-    assert (meet is IDENTICAL_LINES) == (a == b)
-    if a.dir == b.dir and a != b:
+    if a == b:
+        assert meet == a.base
+    elif a.dir == b.dir:
         assert meet is None
-    if isinstance(meet, Vec4):
+    if meet is not None:
         assert a.contains(meet) and b.contains(meet)
+    if build == 0:
+        assert meet is not None
     if build == 2 and a.dir != b.dir:
         assert meet == a.at(ctx.rat(t))
     assert lines_intersect(b, a) == meet
 
 
-def test_rank_of():
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_small, min_size=4, max_size=4), _nonzero, _small, st.booleans())
+def test_along_properties(u, d, t, on_line):
     ctx = ScalarContext()
-    assert rank_of([v(ctx, 1, 0, 0, 0), v(ctx, 0, 1, 0, 0), v(ctx, 1, 1, 0, 0)]) == 2
-    assert rank_of([v(ctx, 1, 2, 3, 4)]) == 1
-    assert rank_of([v(ctx, 0, 0, 0, 0)]) == 0
+    dv = v(ctx, *d)
+    uv = dv.scale(ctx.rat(t)) if on_line else v(ctx, *u)
+    got = along(uv, dv)
+    if on_line:
+        assert got == ctx.rat(t)
+    # u is a multiple of d iff every 2x2 minor of (u, d) vanishes
+    off_span = any(uv[i] * dv[j] != uv[j] * dv[i] for i in range(4) for j in range(i + 1, 4))
+    assert (got is None) == off_span
+    if got is not None:
+        assert uv == dv.scale(got)
+    assert along(uv, v(ctx, 0, 0, 0, 0)) is None
 
 
 # --- segments ----------------------------------------------------------------

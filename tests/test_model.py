@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relcheck import model
 from relcheck.minkowski import IntervalClass, Line, Segment, Vec4, inner, lam
 from relcheck.model import (
     ModelError,
@@ -47,6 +50,7 @@ from relcheck.model import (
 )
 from relcheck.scalar import ScalarContext
 from relcheck.verifier import definitional as de
+from relcheck.verifier.generators import ConfigGen
 
 
 def v(ctx, *vals):
@@ -88,6 +92,44 @@ def test_meets_parallel_coplanar_known_cases():
     assert not coplanar(a, skew)
     assert coplanar(a, b)
     assert parallel(a, a)
+
+
+def _rank(vectors):
+    """Rank of rational 4-vectors by Gaussian elimination on Fractions."""
+    rows = [[x.as_fraction() for x in vec] for vec in vectors]
+    rank = 0
+    for col in range(4):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_nonzero = st.lists(_small, min_size=4, max_size=4).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_small, min_size=4, max_size=4), _nonzero, _nonzero, _nonzero, _small,
+       st.sampled_from(range(4)))
+def test_coplanar_matches_rank_reference(base, d1, d2, off, t, build):
+    ctx = ScalarContext()
+    p, u, w, o = v(ctx, *base), v(ctx, *d1), v(ctx, *d2), v(ctx, *off)
+    a = Line(p, u)
+    # 0: identical, 1: parallel through p + o, 2: crossing at a.at(t),
+    # 3: through p + o along w (skew unless o and w happen to fit)
+    b = [Line(a.at(ctx.rat(t)), u.scale(ctx.rat(-2))), Line(p + o, u),
+         Line(a.at(ctx.rat(t)), w), Line(p + o, w)][build]
+    expect = _rank([a.dir, b.dir, b.base - a.base]) <= 2
+    assert coplanar(a, b) == expect == coplanar(b, a)
+    if build < 3:
+        assert expect
 
 
 def test_lightlike_known_cases():
@@ -505,6 +547,49 @@ def test_bw_ftl_and_eq_ftl():
     assert eq_ftl(sa, sa, sc, sc)
     assert eq_ftl(sa, sb, sb, sc)
     assert not eq_ftl(sa, sb, sa, sc)
+
+
+def _eq_ftl_by_candidates(a, b, c, d):
+    """eq_ftl as a loop over the two dual candidates of b and of d."""
+    if eq_rho(a, b, c, d):
+        return True
+    return any(eq_rho(a, b2, c, d2)
+               for b2 in dual_candidates(b, a) for d2 in dual_candidates(d, c))
+
+
+def test_eq_ftl_dual_branch_matches_the_candidate_loop(monkeypatch):
+    cases = []
+    for seed in range(60):
+        gen = ConfigGen(seed)
+        a, b = gen.nonrelatable_spacelike_pair()
+        d = a.dir
+        shape = seed % 4
+        if shape == 0:  # a translate of (a, b): equal quotient norms
+            w = gen.point()
+            c, dl = Line(a.base + w, d), Line(b.base + w, d)
+        elif shape == 1:  # a point reflection of (a, b)
+            p = gen.point()
+            c, dl = Line(p, d), Line(p - (b.base - a.base), d)
+        elif shape == 2:  # unrelated lines of the same class
+            c, dl = Line(gen.point(), d), Line(gen.point(), d)
+        else:  # a second pair on another spacelike class
+            c, dl = gen.nonrelatable_spacelike_pair()
+        cases.append((a, b, c, dl))
+    # zero quotient offsets, (a, a) and the optical pair (a, op), have no duals
+    ctx = ScalarContext()
+    a = Line(v(ctx, 0, 0, 0, 0), v(ctx, 0, 1, 0, 0))
+    op = Line(v(ctx, 1, 0, 1, 0), a.dir)
+    cases += [(a, a, a, op), (a, op, a, a)]
+    expected = [_eq_ftl_by_candidates(*args) for args in cases]
+    assert [eq_ftl(*args) for args in cases] == expected
+    dual_true = sum(got and not eq_rho(*args) for got, args in zip(expected, cases))
+    assert dual_true >= 25 and expected.count(False) >= 10
+
+    def no_duals(*args):
+        raise AssertionError("eq_ftl must not build dual candidates")
+
+    monkeypatch.setattr(model, "dual_candidates", no_duals)
+    assert [eq_ftl(*args) for args in cases] == expected
 
 
 def test_scenario_from_dict_and_diagnostics():

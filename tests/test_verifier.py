@@ -527,6 +527,34 @@ def test_classframe_basis_per_direction():
                 == [[x.as_fraction() for x in b] for b in f2.basis])
 
 
+def test_equidistant_locus():
+    """Every point of the locus is quotient-equidistant from u, v and w, and
+    collinear u, v, w have no locus."""
+    loci = 0
+    for seed in range(240):
+        gen = ConfigGen(seed, 8)
+        direction = gen.timelike_dir() if seed % 2 else gen.spacelike_dir()
+        frame = suites.ClassFrame(gen, direction)
+        cu, cv, cw = frame.random_coords(), frame.random_coords(), frame.random_coords()
+        lu, lv, lw = (frame.line_at(c) for c in (cu, cv, cw))
+        du = [b - a for a, b in zip(cu, cv)]
+        dw = [b - a for a, b in zip(cu, cw)]
+        collinear = all(du[i] * dw[j] == du[j] * dw[i] for i in range(3) for j in range(3))
+        locus = suites._equidistant_locus(frame, cu, cv, cw)
+        assert (locus is None) == collinear
+        if locus is not None:
+            loci += 1
+            o, n = locus
+            assert any(n)
+            for k in (0, 1, -2):
+                x = frame.line_at(tuple(a + k * b for a, b in zip(o, n)))
+                assert frame.qnorm(x, lu) == frame.qnorm(x, lv) == frame.qnorm(x, lw)
+        s = Fraction(gen.rng.randint(-8, 8), 4)
+        cz = tuple(a + s * (b - a) for a, b in zip(cu, cv))
+        assert suites._equidistant_locus(frame, cu, cv, cz) is None
+    assert loci >= 200
+
+
 def test_axiom_checker_lookup_is_complete(monkeypatch):
     # stub every checker in place: the suite must look the tables up at run
     # time, find a checker for every manifest name, and use every entry
