@@ -19,17 +19,13 @@ from relcheck.corpus import (
     load_definitions,
 )
 from relcheck.fol import (
-    And,
     Atom,
     DefinedAtom,
     Exists,
     FolError,
     Forall,
     Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
+    children,
     expand_defined,
     parse_formula,
     render_formula,
@@ -56,18 +52,10 @@ def _ast_lines(f: Formula, indent: int = 0) -> list[str]:
         return [f"{pad}Atom {f.pred}({', '.join(v.name for v in f.args)})"]
     if isinstance(f, DefinedAtom):
         return [f"{pad}Defined {f.name}({', '.join(v.name for v in f.args)})"]
-    if isinstance(f, Not):
-        return [f"{pad}Not"] + _ast_lines(f.body, indent + 1)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return (
-            [f"{pad}{type(f).__name__}"]
-            + _ast_lines(f.lhs, indent + 1)
-            + _ast_lines(f.rhs, indent + 1)
-        )
+    head = f"{pad}{type(f).__name__}"
     if isinstance(f, (Forall, Exists)):
-        word = type(f).__name__
-        return [f"{pad}{word} {f.var.name}:{f.var.sort}"] + _ast_lines(f.body, indent + 1)
-    return [f"{pad}?{f!r}"]
+        head += f" {f.var.name}:{f.var.sort}"
+    return [head] + [line for c in children(f) for line in _ast_lines(c, indent + 1)]
 
 
 def cmd_parse(args: argparse.Namespace) -> int:

@@ -101,28 +101,38 @@ class Exists(Formula):
     body: Formula
 
 
+# The binary connectives, loosest first; only "->" groups to the right.
+_BINARY = [("<->", Iff), ("->", Implies), ("|", Or), ("&", And)]
+_BINARY_LEVEL = {node: (level, op) for level, (op, node) in enumerate(_BINARY, 1)}
+
+
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The immediate sub-formulas of f; TypeError if f is not a formula."""
+    if isinstance(f, (Atom, DefinedAtom)):
+        return ()
+    if isinstance(f, (Not, Forall, Exists)):
+        return (f.body,)
+    if type(f) in _BINARY_LEVEL:
+        return (f.lhs, f.rhs)
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def free_vars(f: Formula) -> set[Var]:
     if isinstance(f, (Atom, DefinedAtom)):
         return set(f.args)
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return free_vars(f.lhs) | free_vars(f.rhs)
+    out = set().union(*map(free_vars, children(f)))
     if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+        out.discard(f.var)
+    return out
 
 
 def used_names(f: Formula) -> set[str]:
     if isinstance(f, (Atom, DefinedAtom)):
         return {v.name for v in f.args}
-    if isinstance(f, Not):
-        return used_names(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return used_names(f.lhs) | used_names(f.rhs)
+    out = set().union(*map(used_names, children(f)))
     if isinstance(f, (Forall, Exists)):
-        return used_names(f.body) | {f.var.name}
-    raise TypeError(f"not a formula: {f!r}")
+        out.add(f.var.name)
+    return out
 
 
 def atoms_used(f: Formula) -> set[str]:
@@ -131,13 +141,7 @@ def atoms_used(f: Formula) -> set[str]:
         return {f.pred}
     if isinstance(f, DefinedAtom):
         return {f.name}
-    if isinstance(f, Not):
-        return atoms_used(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return atoms_used(f.lhs) | atoms_used(f.rhs)
-    if isinstance(f, (Forall, Exists)):
-        return atoms_used(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return set().union(*map(atoms_used, children(f)))
 
 
 def substitute(f: Formula, mapping: dict[str, Var]) -> Formula:
@@ -146,10 +150,6 @@ def substitute(f: Formula, mapping: dict[str, Var]) -> Formula:
         return Atom(f.pred, tuple(mapping.get(v.name, v) for v in f.args))
     if isinstance(f, DefinedAtom):
         return DefinedAtom(f.name, tuple(mapping.get(v.name, v) for v in f.args))
-    if isinstance(f, Not):
-        return Not(substitute(f.body, mapping))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(substitute(f.lhs, mapping), substitute(f.rhs, mapping))
     if isinstance(f, (Forall, Exists)):
         inner = {k: v for k, v in mapping.items() if k != f.var.name}
         if not inner:
@@ -164,7 +164,7 @@ def substitute(f: Formula, mapping: dict[str, Var]) -> Formula:
             body = substitute(body, {var.name: fresh})
             var = fresh
         return type(f)(var, substitute(body, inner))
-    raise TypeError(f"not a formula: {f!r}")
+    return type(f)(*(substitute(c, mapping) for c in children(f)))
 
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -238,16 +238,9 @@ def expand_defined(f: Formula, table: DefinitionTable, depth: Optional[int] = No
         return expand_defined(body, table, nxt)
     if isinstance(f, Atom):
         return f
-    if isinstance(f, Not):
-        return Not(expand_defined(f.body, table, depth))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(
-            expand_defined(f.lhs, table, depth),
-            expand_defined(f.rhs, table, depth),
-        )
     if isinstance(f, (Forall, Exists)):
         return type(f)(f.var, expand_defined(f.body, table, depth))
-    raise TypeError(f"not a formula: {f!r}")
+    return type(f)(*(expand_defined(c, table, depth) for c in children(f)))
 
 
 # --- concrete syntax ----------------------------------------------------------
@@ -343,36 +336,17 @@ class _Parser:
                 return Var(name, frame[name])
         raise FolError(f"unbound variable {name!r}", tok.line, tok.col)
 
-    # precedence climbing: iff < implies < or < and < not < atom
-    def parse_formula(self) -> Formula:
-        return self.parse_iff()
-
-    def parse_iff(self) -> Formula:
-        lhs = self.parse_implies()
-        while self.peek().text == "<->":
+    def parse_formula(self, level: int = 0) -> Formula:
+        """Precedence climbing over _BINARY from `level` on, then unary."""
+        if level == len(_BINARY):
+            return self.parse_unary()
+        op, node = _BINARY[level]
+        lhs = self.parse_formula(level + 1)
+        while self.peek().text == op:
             self.next()
-            lhs = Iff(lhs, self.parse_implies())
-        return lhs
-
-    def parse_implies(self) -> Formula:
-        lhs = self.parse_or()
-        if self.peek().text == "->":
-            self.next()
-            return Implies(lhs, self.parse_implies())
-        return lhs
-
-    def parse_or(self) -> Formula:
-        lhs = self.parse_and()
-        while self.peek().text == "|":
-            self.next()
-            lhs = Or(lhs, self.parse_and())
-        return lhs
-
-    def parse_and(self) -> Formula:
-        lhs = self.parse_unary()
-        while self.peek().text == "&":
-            self.next()
-            lhs = And(lhs, self.parse_unary())
+            if node is Implies:
+                return node(lhs, self.parse_formula(level))
+            lhs = node(lhs, self.parse_formula(level + 1))
         return lhs
 
     def parse_unary(self) -> Formula:
@@ -481,14 +455,12 @@ def parse_formula(
     return f
 
 
-_PREC_IFF, _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
-
-
 def render_formula(f: Formula) -> str:
     return _render(f, 0)
 
 
 def _render(f: Formula, parent: int) -> str:
+    """Render f under a parent of binding level `parent` (0: none)."""
     if isinstance(f, Atom):
         if f.pred == "=":
             return f"{f.args[0].name} = {f.args[1].name}"
@@ -498,22 +470,16 @@ def _render(f: Formula, parent: int) -> str:
     if isinstance(f, Not):
         if isinstance(f.body, Atom) and f.body.pred == "=":
             return f"{f.body.args[0].name} != {f.body.args[1].name}"
-        return "!" + _render(f.body, _PREC_UNARY)
+        return "!" + _render(f.body, len(_BINARY) + 1)
     if isinstance(f, (Forall, Exists)):
         word = "forall" if isinstance(f, Forall) else "exists"
         body = _render(f.body, 0)
         text = f"{word} {f.var.name}:{f.var.sort}. {body}"
         return f"({text})" if parent > 0 else text
-    if isinstance(f, And):
-        text = f"{_render(f.lhs, _PREC_AND)} & {_render(f.rhs, _PREC_AND + 1)}"
-        return f"({text})" if parent > _PREC_AND else text
-    if isinstance(f, Or):
-        text = f"{_render(f.lhs, _PREC_OR)} | {_render(f.rhs, _PREC_OR + 1)}"
-        return f"({text})" if parent > _PREC_OR else text
-    if isinstance(f, Implies):
-        text = f"{_render(f.lhs, _PREC_IMPLIES + 1)} -> {_render(f.rhs, _PREC_IMPLIES)}"
-        return f"({text})" if parent > _PREC_IMPLIES else text
-    if isinstance(f, Iff):
-        text = f"{_render(f.lhs, _PREC_IFF)} <-> {_render(f.rhs, _PREC_IFF + 1)}"
-        return f"({text})" if parent > _PREC_IFF else text
-    raise TypeError(f"not a formula: {f!r}")
+    if type(f) not in _BINARY_LEVEL:
+        raise TypeError(f"not a formula: {f!r}")
+    level, op = _BINARY_LEVEL[type(f)]
+    # the side a connective does not group on is bracketed at its own level
+    lhs_level, rhs_level = (level + 1, level) if isinstance(f, Implies) else (level, level + 1)
+    text = f"{_render(f.lhs, lhs_level)} {op} {_render(f.rhs, rhs_level)}"
+    return f"({text})" if parent > level else text

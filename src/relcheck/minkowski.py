@@ -273,12 +273,6 @@ class Segment:
 # --- Poincaré maps -----------------------------------------------------------
 
 
-def _eta_entry(ctx: ScalarContext, i: int, j: int) -> Scalar:
-    if i != j:
-        return ctx.zero
-    return ctx.rat(-1) if i == 0 else ctx.one
-
-
 class PoincareMap:
     """Affine map x -> L x + t with L^T eta L == eta checked exactly."""
 
@@ -292,41 +286,32 @@ class PoincareMap:
     def ctx(self) -> ScalarContext:
         return self.translation.ctx
 
+    def _dot(self, row: Sequence[Scalar], col: Sequence[Scalar]) -> Scalar:
+        """Row times column, summed from this map's zero so it keeps this context."""
+        acc = self.ctx.zero
+        for a, b in zip(row, col):
+            acc = acc + a * b
+        return acc
+
     def apply(self, x: Vec4) -> Vec4:
         return self.apply_direction(x) + self.translation
 
     def apply_direction(self, v: Vec4) -> Vec4:
-        out = []
-        for i in range(4):
-            acc = self.ctx.zero
-            for j in range(4):
-                acc = acc + self.linear[i][j] * v[j]
-            out.append(acc)
-        return Vec4(*out)
+        return Vec4(*(self._dot(row, v) for row in self.linear))
 
     def validate_isometry(self) -> bool:
-        ctx = self.ctx
-        for i in range(4):
-            for j in range(4):
-                acc = ctx.zero
-                for k in range(4):
-                    acc = acc + self.linear[k][i] * _eta_entry(ctx, k, k) * self.linear[k][j]
-                if acc != _eta_entry(ctx, i, j):
-                    return False
-        return True
+        # entry (i, j) of L^T eta L is the Minkowski product of columns i and j
+        cols = [Vec4(*col) for col in zip(*self.linear)]
+        return all(
+            inner(cols[i], cols[j]) == (0 if i != j else -1 if i == 0 else 1)
+            for i in range(4)
+            for j in range(4)
+        )
 
     def compose(self, other: "PoincareMap") -> "PoincareMap":
         """self after other: x -> self(other(x))."""
-        ctx = self.ctx
-        rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                acc = ctx.zero
-                for k in range(4):
-                    acc = acc + self.linear[i][k] * other.linear[k][j]
-                row.append(acc)
-            rows.append(row)
+        cols = list(zip(*other.linear))
+        rows = [[self._dot(row, col) for col in cols] for row in self.linear]
         return PoincareMap(rows, self.apply(other.translation))
 
     @staticmethod

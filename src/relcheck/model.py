@@ -666,6 +666,4 @@ GEOMETRIC_PREDICATES = {
     # tau_geo gives None when its preconditions fail, and None equals no line
     "Tau": lambda args: tau_geo(args[1], args[2], args[3]) == args[0],
     "TauFTL": lambda args: tau_geo(args[1], args[2], args[3]) == args[0],
-    "T": lambda args: transmits(args[0], args[1]),
-    "R": lambda args: receives(args[0], args[1]),
 }

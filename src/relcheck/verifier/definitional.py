@@ -56,6 +56,7 @@ from relcheck.model import (
     null_links,
     optical_plane,
     rho,
+    rho_witness,
     witness_zero_and_two,
 )
 from relcheck.scalar import Scalar, ScalarContext
@@ -494,8 +495,6 @@ def tau_def(c: Line, b: Line, e1: Segment, e2: Segment, kind: ModelKind,
 def rho_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
     """exists g (TR(a,g) & TR(b,g)): four endpoint placements, each a
     null-pair existence question between two lines."""
-    from relcheck.model import rho, rho_witness  # conic machinery
-
     if rho(a, b):
         w = rho_witness(a, b)
         assert w is not None

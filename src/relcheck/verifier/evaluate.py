@@ -25,6 +25,8 @@ from relcheck.fol import (
     Not,
     Or,
     Var,
+    children,
+    expand_defined,
 )
 from relcheck.minkowski import IntervalClass, Line, Segment, Vec4, lam, lines_intersect
 from relcheck.model import (
@@ -34,10 +36,12 @@ from relcheck.model import (
     UnsupportedPredicate,
     event,
     null_links,
+    receives,
     tau_geo,
+    transmits,
 )
 from relcheck.scalar import CapacityError, ScalarContext
-from relcheck.verifier.report import Budget, Verdict
+from relcheck.verifier.report import FALSE, TRUE, Budget, Verdict
 
 CLASS_PREDICATES = ("STL", "FTL", "Lightspeed")
 
@@ -96,31 +100,22 @@ def _eval(f: Formula, model: EvalModel, env: dict, budget: Budget) -> Verdict:
         return _eval_defined(f, model, env, budget)
     if isinstance(f, Not):
         return _eval(f.body, model, env, budget).negate()
-    if isinstance(f, And):
-        lhs = _eval(f.lhs, model, env, budget)
-        if lhs.is_false():
-            return lhs
-        rhs = _eval(f.rhs, model, env, budget)
-        if rhs.is_false():
-            return rhs
-        if lhs.is_unknown() or rhs.is_unknown():
-            return Verdict.unknown((lhs.reason or rhs.reason) or "conjunct unknown")
-        return Verdict.true()
-    if isinstance(f, Or):
-        lhs = _eval(f.lhs, model, env, budget)
-        if lhs.is_true():
-            return lhs
-        rhs = _eval(f.rhs, model, env, budget)
-        if rhs.is_true():
-            return rhs
-        if lhs.is_unknown() or rhs.is_unknown():
-            return Verdict.unknown((lhs.reason or rhs.reason) or "disjunct unknown")
-        return Verdict.false()
+    if isinstance(f, (And, Or)):
+        # a FALSE conjunct or a TRUE disjunct decides; else any UNKNOWN side does
+        stop, idle = (FALSE, "conjunct unknown") if isinstance(f, And) else (TRUE, "disjunct unknown")
+        sides = []
+        for side in children(f):
+            got = _eval(side, model, env, budget)
+            if got.status == stop:
+                return got
+            sides.append(got)
+        if any(got.is_unknown() for got in sides):
+            return Verdict.unknown(next(filter(None, (got.reason for got in sides)), idle))
+        return Verdict(stop).negate()
     if isinstance(f, Implies):
         return _eval(Or(Not(f.lhs), f.rhs), model, env, budget)
     if isinstance(f, Iff):
-        lhs = _eval(f.lhs, model, env, budget)
-        rhs = _eval(f.rhs, model, env, budget)
+        lhs, rhs = (_eval(c, model, env, budget) for c in children(f))
         if lhs.is_unknown() or rhs.is_unknown():
             return Verdict.unknown((lhs.reason or rhs.reason) or "iff side unknown")
         return Verdict.true() if lhs.status == rhs.status else Verdict.false()
@@ -134,9 +129,9 @@ def _eval(f: Formula, model: EvalModel, env: dict, budget: Budget) -> Verdict:
 def _eval_atom(f: Atom, model: EvalModel, env: dict) -> Verdict:
     args = [_lookup(v, env) for v in f.args]
     if f.pred == "T":
-        return _bool(args[0].contains(args[1].beg))
+        return _bool(transmits(args[0], args[1]))
     if f.pred == "R":
-        return _bool(args[0].contains(args[1].end))
+        return _bool(receives(args[0], args[1]))
     if f.pred == "=":
         return _bool(args[0] == args[1])
     raise ValueError(f.pred)
@@ -164,8 +159,6 @@ def _eval_defined(f: DefinedAtom, model: EvalModel, env: dict, budget: Budget) -
         return Verdict.unknown(f"unsupported: {err}")
     # no evaluator: expand one definition layer and recurse
     if model.table and f.name in model.table:
-        from relcheck.fol import expand_defined
-
         flat = expand_defined(f, model.table, depth=1)
         return _eval(flat, model, env, budget)
     return Verdict.unknown(f"no evaluator for predicate {f.name}")

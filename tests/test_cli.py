@@ -181,3 +181,20 @@ def test_ftl_observer_slope_below_one():
 def test_corpus_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("RELCHECK_CORPUS", str(tmp_path))
     assert corpus_dir() == str(tmp_path)
+
+
+def test_diagram_with_irrational_coordinates_is_deterministic(tmp_path, capsys):
+    path = tmp_path / "roots.json"
+    path.write_text(json.dumps({
+        "kind": "ftl",
+        "observers": {
+            "a": {"base": ["0", "sqrt(2)", "0", "0"], "dir": ["1", "0", "0", "0"]},
+            "f": {"base": ["0", "0", "0", "0"], "dir": ["1", "sqrt(1 + sqrt(2))", "0", "0"]},
+        },
+        "signals": {"ray": {"beg": ["0", "0", "0", "0"], "end": ["sqrt(2)", "sqrt(2)", "0", "0"]}},
+    }))
+    outs = [tmp_path / "a.svg", tmp_path / "b.svg"]
+    for out in outs:
+        assert main(["diagram", "--scenario", str(path), "--out", str(out)]) == EXIT_PASS
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert "<svg" in outs[0].read_text()

@@ -1,6 +1,8 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcheck.corpus import (
     SYSTEM_SIMPLEREL,
@@ -21,6 +23,7 @@ from relcheck.fol import (
     Iff,
     Implies,
     Not,
+    Or,
     Var,
     atoms_used,
     expand_defined,
@@ -99,6 +102,38 @@ def test_render_parse_identity_on_manual_formulas():
     for t in texts:
         f = parse_formula(t)
         assert parse_formula(render_formula(f)) == f
+
+
+_A, _B, _S, _U = Var("a", "Ob"), Var("b", "Ob"), Var("s", "Si"), Var("u", "Si")
+_LEAVES = [
+    Atom("T", (_A, _S)),
+    Atom("R", (_B, _U)),
+    Atom("=", (_A, _B)),
+    Not(Atom("=", (_S, _U))),  # rendered "s != u"
+    DefinedAtom("Ev", (_U,)),
+]
+
+
+@st.composite
+def _formulas(draw, depth):
+    """A formula with one path `depth` nodes deep; its other branches are shallower."""
+    if depth == 0:
+        return draw(st.sampled_from(_LEAVES))
+    deep = draw(_formulas(depth - 1))
+    kind = draw(st.sampled_from([Not, Forall, Exists, And, Or, Implies, Iff]))
+    if kind is Not:
+        return Not(deep)
+    if kind in (Forall, Exists):
+        return kind(draw(st.sampled_from([_A, _B, _S, _U])), deep)
+    other = draw(_formulas(draw(st.integers(0, depth - 1))))
+    return kind(deep, other) if draw(st.booleans()) else kind(other, deep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(4, 7).flatmap(_formulas))
+def test_render_parse_identity_on_generated_formulas(f):
+    free = {v.name: v.sort for v in (_A, _B, _S, _U)}
+    assert parse_formula(render_formula(f), {"Ev": ("Si",)}, free) == f
 
 
 # --- corpus ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -387,3 +388,34 @@ def test_level0_with_level1_uses_the_tower(fq, fx, fy, rad):
         got = s / q
         assert got.a.as_fraction() == fx / fq and got.b.as_fraction() == fy / fq
     assert (q / s) * s == q
+
+
+def _decimal(x: Scalar):
+    """x through Decimal square roots, independent of Scalar.approx."""
+    if x.level == 0:
+        return Decimal(x.a.numerator) / Decimal(x.a.denominator)
+    radicand = _decimal(x.ctx.radicands[x.level - 1])
+    return _decimal(x.a) + _decimal(x.b) * radicand.sqrt()
+
+
+def test_approx_within_eps_above_level_0():
+    ctx = ScalarContext()
+    root2 = ctx.sqrt(ctx.rat(2))
+    nested = ctx.sqrt(ctx.one + root2)  # sqrt(1 + sqrt 2) is level 2
+    rng = random.Random(0)
+
+    def rat():
+        k = rng.choice([1, 1000, 10**6])
+        return ctx.rat(Fraction(rng.choice([-1, 1]) * rng.randint(1, k), rng.randint(1, 9)))
+
+    with localcontext() as dc:
+        dc.prec = 80
+        for _ in range(60):
+            level1 = rat() + rat() * root2
+            level2 = level1 + (rat() + rat() * root2) * nested
+            assert level1.level == 1 and level2.level == 2
+            for x in (level1, level2):
+                for eps in (Fraction(1, 10**3), Fraction(1, 10**12), Fraction(1, 10**30)):
+                    got = x.approx(eps)
+                    err = abs(Decimal(got.numerator) / Decimal(got.denominator) - _decimal(x))
+                    assert err <= Decimal(eps.numerator) / Decimal(eps.denominator), (x, eps)

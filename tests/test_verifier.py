@@ -1,6 +1,7 @@
 import functools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -736,6 +737,46 @@ def test_unsupported_atom_combines_with_decided_siblings(table):
     assert got.is_unknown() and got.reason.startswith("unsupported:")
     f = parse_formula("Sim(f,e,e) & Prec(e,e)", table.signatures(), names)
     assert evaluate_bounded(f, model, env).is_false()
+
+
+FTL_SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "ftl.json"
+
+
+@pytest.fixture(scope="module")
+def ftl_eval(table):
+    """Evaluate formula text over demos/scenarios/ftl.json.
+
+    There Sim(ftl,ray,ray) is UNKNOWN (Sim needs a slower-than-light
+    observer), T(stl,ray) is TRUE and R(stl,ray) is FALSE.
+    """
+    scen = Scenario.load(str(FTL_SCENARIO))
+    model = EvalModel.from_scenario(scen, table)
+    env = {**scen.observers, **scen.signals}
+    names = {"stl": "Ob", "ftl": "Ob", "ray": "Si"}
+    return lambda text: evaluate_bounded(parse_formula(text, table.signatures(), names), model, env)
+
+
+def test_connectives_three_valued(ftl_eval):
+    unknown, true, false = "Sim(ftl,ray,ray)", "T(stl,ray)", "R(stl,ray)"
+    reason = ftl_eval(unknown).reason
+    assert ftl_eval(unknown).is_unknown() and reason.startswith("unsupported:")
+    assert ftl_eval(true).is_true() and ftl_eval(false).is_false()
+    assert ftl_eval(f"{unknown} | {true}").is_true()
+    got = ftl_eval(f"{unknown} | {false}")
+    assert got.is_unknown() and got.reason == reason
+    assert ftl_eval(f"{false} & {unknown}").is_false()
+    assert ftl_eval(f"{true} & {true}").is_true() and ftl_eval(f"{false} | {false}").is_false()
+    got = ftl_eval(f"{unknown} & {true}")
+    assert got.is_unknown() and got.reason == reason
+    for other in (true, false):
+        got = ftl_eval(f"{unknown} <-> {other}")
+        assert got.is_unknown() and got.reason == reason
+    assert ftl_eval(f"{true} <-> {false}").is_false()
+    assert ftl_eval(f"{false} <-> {false}").is_true()
+    for a in (unknown, true, false):
+        for b in (unknown, true, false):
+            implies, spelled = ftl_eval(f"{a} -> {b}"), ftl_eval(f"!{a} | {b}")
+            assert (implies.status, implies.reason) == (spelled.status, spelled.reason), (a, b)
 
 
 def test_two_point_observer_rule(table):
