@@ -15,6 +15,16 @@ that catch it, and they make it UNKNOWN with a reason starting
 from ``model.UnsupportedPredicate`` by the case driver and by the
 evaluator's atom step.
 
+Above level 0 a value is a tuple of Python ints over one positive int
+denominator, reduced by one gcd.  The ints are coordinates over the
+monomials of the scaled roots s'_k = D_k*sqrt(r_k), where D_k is the
+denominator of r_k in this form, so every s'_k**2 has int coordinates and
+``+``, ``-``, ``*``, ``inverse`` and ``sign`` are small recursive functions
+on int vectors (``_vmul``, ``_vsign``, ``_vinv``) that split a vector into
+the halves without and with the top root.  ``Scalar._parts`` gives the
+(lo, hi) view in the unscaled root for rendering, approximation and
+square roots.
+
 Level 0 is a plain ``Fraction`` and most arithmetic stays there, so the
 operators have a level-0 fast path: when both operands are level-0
 Scalars, ``+``, ``-``, ``*``, ``/`` and unary ``-`` apply the Fraction
@@ -32,7 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 RatLike = Union[int, Fraction]
 
@@ -79,37 +89,133 @@ def _square_free_split(n: int) -> tuple[int, int]:
     return s, m
 
 
+def _vmul(v: Sequence[int], w: Sequence[int], squares: list) -> list:
+    """Coordinates of v*w, for coordinate vectors of lengths 2**k and 2**j.
+
+    ``squares[k - 1]`` is s'_k**2 as coordinates of its own level.  The
+    shorter vector has no root above its level, so it multiplies each block
+    of the longer one on its own.
+    """
+    if len(v) < len(w):
+        v, w = w, v
+    n, m = len(v), len(w)
+    if m == 1:
+        c = w[0]
+        return [c * x for x in v]
+    if m < n:
+        out: list = []
+        for i in range(0, n, m):
+            out += _vmul(v[i : i + m], w, squares)
+        return out
+    if n == 2:
+        (a0, a1), (b0, b1) = v, w
+        return [a0 * b0 + a1 * b1 * squares[0][0], a0 * b1 + a1 * b0]
+    # (v0 + v1 s)(w0 + w1 s) = v0 w0 + v1 w1 s^2 + (v0 w1 + v1 w0) s
+    h = n // 2
+    v0, v1, w0, w1 = v[:h], v[h:], w[:h], w[h:]
+    hh = _vmul(_vmul(v1, w1, squares), squares[h.bit_length() - 1], squares)
+    lo = [x + y for x, y in zip(_vmul(v0, w0, squares), hh)]
+    return lo + [x + y for x, y in zip(_vmul(v0, w1, squares), _vmul(v1, w0, squares))]
+
+
+def _vnorm(lo: Sequence[int], hi: Sequence[int], squares: list) -> list:
+    """Coordinates of lo**2 - hi**2 * s'**2, the norm of lo + hi*s' one level down."""
+    s2 = squares[len(lo).bit_length() - 1]
+    return [x - y for x, y in zip(_vmul(lo, lo, squares), _vmul(_vmul(hi, hi, squares), s2, squares))]
+
+
+def _vsign(v: Sequence[int], squares: list) -> int:
+    """Sign of the value with coordinates v over any positive denominator."""
+    h = len(v) // 2
+    if h == 0:
+        return (v[0] > 0) - (v[0] < 0)
+    lo, hi = v[:h], v[h:]
+    sb = _vsign(hi, squares)
+    if sb == 0:
+        return _vsign(lo, squares)
+    sa = _vsign(lo, squares)
+    if sa == 0 or sa == sb:
+        return sb
+    # opposite signs: the half with the larger square wins
+    t = _vsign(_vnorm(lo, hi, squares), squares)
+    assert t != 0, "radicand was a perfect square; chain invariant broken"
+    return -sb * t
+
+
+def _vinv(v: Sequence[int], squares: list) -> tuple[list, int]:
+    """(w, c) with v*w == c, a nonzero int, for the coordinates v of a nonzero value.
+
+    w may be shorter than v when v's high halves are zero."""
+    h = len(v) // 2
+    if h == 0:
+        return [1], v[0]
+    lo, hi = v[:h], v[h:]
+    if not any(hi):
+        return _vinv(lo, squares)
+    # 1/(lo + hi s) = (lo - hi s) / norm, and norm*u == c one level down
+    u, c = _vinv(_vnorm(lo, hi, squares), squares)
+    return _vmul(lo, u, squares) + [-x for x in _vmul(hi, u, squares)], c
+
+
+def _reduced(ctx: "ScalarContext", v: Sequence[int], den: int) -> "Scalar":
+    """The Scalar with coordinates v over den != 0, at its own level, in lowest terms."""
+    n = len(v)
+    while n > 1 and not any(v[n // 2 : n]):
+        n //= 2
+    if n == 1:
+        return Scalar(ctx, 0, Fraction(v[0], den), None)
+    v = v[:n]
+    g = math.gcd(den, *v)
+    if den < 0:
+        g = -g
+    if g != 1:
+        v = [x // g for x in v]
+        den //= g
+    return Scalar(ctx, n.bit_length() - 1, tuple(v), den)
+
+
 class Scalar:
     """Element of the context's current extension chain.
 
-    ``level == 0`` wraps a plain Fraction.  ``level == k > 0`` stores the
-    pair (a, b), both of level < k with b != 0, meaning a + b*sqrt(r_k).
+    ``level == 0`` wraps a plain Fraction ``a`` (``den`` is None).  At
+    ``level == k > 0``, ``a`` is a tuple of 2**k ints over the positive int
+    ``den``: coordinates over the monomial basis of the scaled roots
+    s'_j = D_j*sqrt(r_j), j = 1..k, where coordinate i multiplies the product
+    of the s'_j whose bit j - 1 is set in i.  D_j is the denominator of r_j
+    in this form, so s'_j**2 = D_j**2 * r_j has int coordinates and sums,
+    products, norms and signs need no Fraction.  The high half of ``a`` (the
+    s'_k half) is not all zero, and gcd(den, *a) == 1.  The basis is
+    linearly independent because no r_j is a square one level down, so the
+    coordinates are unique, and the reduction makes the ints unique too:
+    equality of values is equality of representations.  ``_parts`` gives
+    the (lo, hi) view a = lo + hi*sqrt(r_k) in the unscaled root.
     """
 
-    __slots__ = ("ctx", "level", "a", "b", "_hash")
+    __slots__ = ("ctx", "level", "a", "den", "_hash")
 
-    def __init__(self, ctx: "ScalarContext", level: int, a, b) -> None:
+    def __init__(self, ctx: "ScalarContext", level: int, a, den) -> None:
         self.ctx = ctx
         self.level = level
         self.a = a
-        self.b = b
+        self.den = den
         self._hash: Optional[int] = None
 
     # -- construction -------------------------------------------------
 
-    @staticmethod
-    def _make(ctx: "ScalarContext", level: int, a: "Scalar", b: "Scalar") -> "Scalar":
-        """Level > 0 value a + b*sqrt(r_level), or just a when b is zero."""
-        assert level > 0 and isinstance(a, Scalar) and isinstance(b, Scalar)
-        if b.is_zero():
-            return a
-        return Scalar(ctx, level, a, b)
+    def _coords(self) -> tuple[tuple, int]:
+        """(coordinates, denominator) at self's own level."""
+        if self.level == 0:
+            return (self.a.numerator,), self.a.denominator
+        return self.a, self.den
 
     def _parts(self, level: int) -> tuple["Scalar", "Scalar"]:
-        """View of self as (lo, hi) relative to `level` >= self.level."""
-        if self.level == level:
-            return self.a, self.b
-        return self, self.ctx.zero
+        """View of self as lo + hi*sqrt(r_level) relative to `level` >= self.level."""
+        if self.level != level:
+            return self, self.ctx.zero
+        v, d = self.a, self.den
+        h = len(v) // 2
+        scale = self.ctx.radicands[level - 1]._coords()[1]
+        return _reduced(self.ctx, v[:h], d), _reduced(self.ctx, [scale * x for x in v[h:]], d)
 
     def _coerce(self, other) -> Optional["Scalar"]:
         if isinstance(other, Scalar):
@@ -125,7 +231,7 @@ class Scalar:
     def is_zero(self) -> bool:
         if self.level == 0:
             return self.a == 0
-        return False  # normalized: b != 0 means irrational part present
+        return False  # normalized: the s'_k half is nonzero
 
     def as_fraction(self) -> Fraction:
         if self.level != 0:
@@ -136,16 +242,7 @@ class Scalar:
         if self.level == 0:
             f = self.a
             return 0 if f == 0 else (1 if f > 0 else -1)
-        sa = self.a.sign()
-        sb = self.b.sign()
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        r = self.ctx.radicands[self.level - 1]
-        t = (self.a * self.a - self.b * self.b * r).sign()
-        assert t != 0, "radicand was a perfect square; chain invariant broken"
-        return sa if t > 0 else sb
+        return _vsign(self.a, self.ctx._squares)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -160,16 +257,26 @@ class Scalar:
             return Scalar(self.ctx, 0, self.a + o.a, None)
         # a level > 0 result lives in the context that owns its radicand
         ctx = self.ctx if self.level == lvl else o.ctx
-        xa, xb = self._parts(lvl)
-        ya, yb = o._parts(lvl)
-        return Scalar._make(ctx, lvl, xa + ya, xb + yb)
+        (v, d), (w, e) = self._coords(), o._coords()
+        if len(v) < len(w):
+            v, d, w, e = w, e, v, d
+        if d == e:
+            out = list(v)
+            for i, y in enumerate(w):
+                out[i] += y
+        else:
+            out = [x * e for x in v]
+            for i, y in enumerate(w):
+                out[i] += y * d
+            d *= e
+        return _reduced(ctx, out, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
         if self.level == 0:
             return Scalar(self.ctx, 0, -self.a, None)
-        return Scalar(self.ctx, self.level, -self.a, -self.b)
+        return Scalar(self.ctx, self.level, tuple([-x for x in self.a]), self.den)
 
     def __sub__(self, other) -> "Scalar":
         if self.level == 0 and isinstance(other, Scalar) and other.level == 0:
@@ -195,10 +302,8 @@ class Scalar:
         if lvl == 0:
             return Scalar(self.ctx, 0, self.a * o.a, None)
         ctx = self.ctx if self.level == lvl else o.ctx
-        xa, xb = self._parts(lvl)
-        ya, yb = o._parts(lvl)
-        r = ctx.radicands[lvl - 1]
-        return Scalar._make(ctx, lvl, xa * ya + xb * yb * r, xa * yb + xb * ya)
+        (v, d), (w, e) = self._coords(), o._coords()
+        return _reduced(ctx, _vmul(v, w, ctx._squares), d * e)
 
     __rmul__ = __mul__
 
@@ -207,11 +312,9 @@ class Scalar:
             if self.a == 0:
                 raise DomainError("division by zero")
             return Scalar(self.ctx, 0, 1 / self.a, None)
-        r = self.ctx.radicands[self.level - 1]
-        den = self.a * self.a - self.b * self.b * r
-        assert not den.is_zero(), "radicand was a perfect square; chain invariant broken"
-        inv_den = den.inverse()
-        return Scalar._make(self.ctx, self.level, self.a * inv_den, -(self.b * inv_den))
+        w, c = _vinv(self.a, self.ctx._squares)
+        assert c != 0, "radicand was a perfect square; chain invariant broken"
+        return _reduced(self.ctx, [self.den * x for x in w], c)
 
     def __truediv__(self, other) -> "Scalar":
         if self.level == 0 and isinstance(other, Scalar) and other.level == 0:
@@ -245,7 +348,7 @@ class Scalar:
             self.ctx.radicands[: self.level] != other.ctx.radicands[: self.level]
         ):
             return False
-        return self.a == other.a and self.b == other.b
+        return self.a == other.a and self.den == other.den
 
     def __ne__(self, other) -> bool:
         r = self.__eq__(other)
@@ -280,7 +383,7 @@ class Scalar:
             if self.level == 0:
                 self._hash = hash(self.a)
             else:
-                self._hash = hash((self.level, self.a, self.b))
+                self._hash = hash((self.level, self.a, self.den))
         return self._hash
 
     # -- rendering -------------------------------------------------------
@@ -289,8 +392,8 @@ class Scalar:
         if self.level == 0:
             return str(self.a)
         rad = self.ctx.radicands[self.level - 1].render()
-        lo = self.a.render()
-        b = self.b
+        a, b = self._parts(self.level)
+        lo = a.render()
         if b.level == 0:
             if b.a < 0:
                 return f"{lo} - {-b.a}*sqrt({rad})"
@@ -312,7 +415,8 @@ class Scalar:
         sub_eps = eps / 8
         r = self.ctx.radicands[self.level - 1].approx(sub_eps)
         root = _approx_sqrt(max(r, Fraction(0)), sub_eps)
-        return self.a.approx(sub_eps) + self.b.approx(sub_eps) * root
+        a, b = self._parts(self.level)
+        return a.approx(sub_eps) + b.approx(sub_eps) * root
 
     def __float__(self) -> float:
         return float(self.approx(Fraction(1, 10**15)))
@@ -337,6 +441,8 @@ class ScalarContext:
     def __init__(self, depth_cap: int = 4) -> None:
         self.depth_cap = depth_cap
         self.radicands: list[Scalar] = []
+        # s'_k**2 = D_k**2 * r_k as int coordinates of its own level, per level k
+        self._squares: list[tuple[int, ...]] = []
         self.zero = Scalar(self, 0, Fraction(0), None)
         self.one = Scalar(self, 0, Fraction(1), None)
 
@@ -372,9 +478,15 @@ class ScalarContext:
                 root = found if found.sign() >= 0 else -found
                 return coeff * root
         self.radicands.append(rad)
-        lvl = len(self.radicands)
-        root = Scalar(self, lvl, self.zero, self.one)
-        return coeff * root
+        v, d = rad._coords()
+        self._squares.append(tuple(d * x for x in v))
+        return coeff * self._root(len(self.radicands))
+
+    def _root(self, k: int) -> Scalar:
+        """sqrt(r_k): the basis root s'_k over D_k."""
+        half = 1 << (k - 1)
+        coords = (0,) * half + (1,) + (0,) * (half - 1)
+        return Scalar(self, k, coords, self.radicands[k - 1]._coords()[1])
 
     def _canonical_radicand(self, a: Scalar) -> tuple[Scalar, Scalar]:
         """Split a = coeff^2 * rad with rad integral square-free when rational."""
@@ -398,7 +510,7 @@ class ScalarContext:
                 return self.rat(Fraction(rn, rd))
             return None
         r = self.radicands[k - 1]
-        a0, a1 = a._parts(k) if a.level == k else (a, self.zero)
+        a0, a1 = a._parts(k)
         if a1.is_zero():
             sub = self._sqrt_in_chain(a0, k - 1)
             if sub is not None:
@@ -406,7 +518,7 @@ class ScalarContext:
             # s = y*sqrt(r) with y*y == a0/r
             y = self._sqrt_in_chain(a0 / r, k - 1)
             if y is not None:
-                return Scalar._make(self, k, self.zero, y)
+                return y * self._root(k)
             return None
         # s = x + y*sqrt(r): needs sqrt(a0^2 - a1^2 r) in the subfield
         d = self._sqrt_in_chain(a0 * a0 - a1 * a1 * r, k - 1)
@@ -417,7 +529,7 @@ class ScalarContext:
             x = self._sqrt_in_chain(x2, k - 1)
             if x is not None and not x.is_zero():
                 y = a1 / (x * 2)
-                cand = Scalar._make(self, k, x, y)
+                cand = x + y * self._root(k)
                 if cand * cand == a:
                     return cand
         return None

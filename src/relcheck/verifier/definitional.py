@@ -667,11 +667,24 @@ def _dual_branch(x: Line, y: Line, u: Line, v: Line, decide: Callable, names: tu
                  kind: ModelKind) -> Verdict:
     """exists x2, u2 (Dual(x2,x,y) & Dual(u2,u,v) & decide(x2,u2)) over the
     dual candidates: TRUE at the first pair that decides TRUE, else UNKNOWN
-    if some pair was undecided, else FALSE."""
+    if some pair was undecided, else FALSE.
+
+    Each side's candidates and each Dual check are computed once, in the
+    x2-major order of the pairs: Dual(u2, u, v) is checked only once some
+    x2 passes, so a CapacityError can arise only where the pairs reach it."""
+    xs = dual_candidates(x, y)
+    us = dual_candidates(u, v) if xs else []
+    if not us:
+        return Verdict.false()
+    u_dual: list[bool] = []  # Dual(u2, u, v) for the first len(u_dual) candidates
     undecided = None
-    for x2 in dual_candidates(x, y):
-        for u2 in dual_candidates(u, v):
-            if not (dual_def(x2, x, y, kind).is_true() and dual_def(u2, u, v, kind).is_true()):
+    for x2 in xs:
+        if not dual_def(x2, x, y, kind).is_true():
+            continue
+        for i, u2 in enumerate(us):
+            if i == len(u_dual):
+                u_dual.append(dual_def(u2, u, v, kind).is_true())
+            if not u_dual[i]:
                 continue
             got = decide(x2, u2)
             if got.is_true():

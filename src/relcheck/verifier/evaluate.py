@@ -284,7 +284,7 @@ def _endpoint_domains(var: Var, parts: list[Formula], model: EvalModel, env: dic
     beg: list = []
     end: list = []
     for p in parts:
-        if isinstance(p, Atom) and p.args and p.args[-1].name == var.name:
+        if isinstance(p, Atom) and p.pred in ("T", "R") and p.args[-1].name == var.name:
             host = p.args[0]
             if host.name in env:
                 (beg if p.pred == "T" else end).append(("line", env[host.name]))

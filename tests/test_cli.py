@@ -88,6 +88,22 @@ def test_eval_stl_on_ftl_scenario(tmp_path, capsys):
     assert code == EXIT_FAIL
 
 
+@pytest.mark.parametrize(
+    "formula, atom",
+    [
+        ("exists q:Si. (T(stl,q) & ray = q)", "T(stl,ray)"),
+        ("exists q:Si. (R(stl,q) & ray = q)", "R(stl,ray)"),
+    ],
+)
+def test_eval_equality_with_quantified_signal(formula, atom, capsys):
+    # an "=" atom naming the quantified signal is no T/R constraint on its
+    # endpoints; q = ray makes the formula the plain atom, or UNKNOWN
+    scenario = os.path.join(os.path.dirname(__file__), "..", "demos", "scenarios", "ftl.json")
+    want = main(["eval", "--scenario", scenario, "--formula", atom])
+    assert want in (EXIT_PASS, EXIT_FAIL)
+    assert main(["eval", "--scenario", scenario, "--formula", formula]) in (want, EXIT_UNKNOWN)
+
+
 def test_eval_bad_scenario_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"kind": "stl", "observers": {"x": {"base": ["0","0","0","0"], "dir": ["1","1","0","0"]}}}')

@@ -49,8 +49,9 @@ def interval_enclosure(s: Scalar, steps: int = 80) -> tuple[Fraction, Fraction]:
         return f, f
     rad_lo, rad_hi = interval_enclosure(s.ctx.radicands[s.level - 1], steps)
     root_lo, root_hi = _interval_sqrt(rad_lo, rad_hi, steps)
-    a_lo, a_hi = interval_enclosure(s.a, steps)
-    b_lo, b_hi = interval_enclosure(s.b, steps)
+    a, b = s._parts(s.level)
+    a_lo, a_hi = interval_enclosure(a, steps)
+    b_lo, b_hi = interval_enclosure(b, steps)
     candidates = [
         b_lo * root_lo,
         b_lo * root_hi,
@@ -382,11 +383,11 @@ def test_level0_with_level1_uses_the_tower(fq, fx, fy, rad):
         if hi == 0:
             assert got.level == 0 and got.as_fraction() == lo
         else:
-            assert got.level == 1 and got.a.as_fraction() == lo and got.b.as_fraction() == hi
+            assert got.level == 1 and [p.as_fraction() for p in got._parts(1)] == [lo, hi]
             assert got.ctx is c1
     if fq != 0:
         got = s / q
-        assert got.a.as_fraction() == fx / fq and got.b.as_fraction() == fy / fq
+        assert [p.as_fraction() for p in got._parts(1)] == [fx / fq, fy / fq]
     assert (q / s) * s == q
 
 
@@ -395,7 +396,8 @@ def _decimal(x: Scalar):
     if x.level == 0:
         return Decimal(x.a.numerator) / Decimal(x.a.denominator)
     radicand = _decimal(x.ctx.radicands[x.level - 1])
-    return _decimal(x.a) + _decimal(x.b) * radicand.sqrt()
+    a, b = x._parts(x.level)
+    return _decimal(a) + _decimal(b) * radicand.sqrt()
 
 
 def test_approx_within_eps_above_level_0():
@@ -419,3 +421,151 @@ def test_approx_within_eps_above_level_0():
                     got = x.approx(eps)
                     err = abs(Decimal(got.numerator) / Decimal(got.denominator) - _decimal(x))
                     assert err <= Decimal(eps.numerator) / Decimal(eps.denominator), (x, eps)
+
+
+# --- the integer kernel against the pair representation ---------------------
+#
+# The reference is the tower's pair representation, with Fraction leaves:
+# a level-k value is a Fraction (k = 0) or a triple (k, a, b)
+# meaning a + b*sqrt(r_k), with a and b of lower level and b != 0, so equal
+# values are equal triples.  Scalars reach it only through _parts.
+
+
+class _PairTower:
+    def __init__(self, ctx: ScalarContext) -> None:
+        self.rads = [self.of(r) for r in ctx.radicands]
+
+    def of(self, s: Scalar):
+        if s.level == 0:
+            return s.as_fraction()
+        a, b = s._parts(s.level)
+        return (s.level, self.of(a), self.of(b))
+
+    @staticmethod
+    def level(x) -> int:
+        return x[0] if isinstance(x, tuple) else 0
+
+    def parts(self, x, k: int):
+        return (x[1], x[2]) if self.level(x) == k else (x, Fraction(0))
+
+    @staticmethod
+    def make(k: int, a, b):
+        return a if b == 0 else (k, a, b)
+
+    def neg(self, x):
+        return -x if self.level(x) == 0 else (x[0], self.neg(x[1]), self.neg(x[2]))
+
+    def add(self, x, y):
+        k = max(self.level(x), self.level(y))
+        if k == 0:
+            return x + y
+        (xa, xb), (ya, yb) = self.parts(x, k), self.parts(y, k)
+        return self.make(k, self.add(xa, ya), self.add(xb, yb))
+
+    def mul(self, x, y):
+        k = max(self.level(x), self.level(y))
+        if k == 0:
+            return x * y
+        (xa, xb), (ya, yb) = self.parts(x, k), self.parts(y, k)
+        lo = self.add(self.mul(xa, ya), self.mul(self.mul(xb, yb), self.rads[k - 1]))
+        return self.make(k, lo, self.add(self.mul(xa, yb), self.mul(xb, ya)))
+
+    def norm(self, x):
+        """a^2 - b^2 r_k, one level down."""
+        k, a, b = x
+        return self.add(self.mul(a, a), self.neg(self.mul(self.mul(b, b), self.rads[k - 1])))
+
+    def inverse(self, x):
+        if self.level(x) == 0:
+            return 1 / x
+        inv = self.inverse(self.norm(x))
+        return self.make(x[0], self.mul(x[1], inv), self.neg(self.mul(x[2], inv)))
+
+    def sign(self, x) -> int:
+        if self.level(x) == 0:
+            return (x > 0) - (x < 0)
+        sa, sb = self.sign(x[1]), self.sign(x[2])
+        if sa == 0 or sa == sb:
+            return sb
+        return sa if self.sign(self.norm(x)) > 0 else sb
+
+    def render(self, x) -> str:
+        if self.level(x) == 0:
+            return str(x)
+        k, a, b = x
+        rad = self.render(self.rads[k - 1])
+        if self.level(b) == 0:
+            if b < 0:
+                return f"{self.render(a)} - {-b}*sqrt({rad})"
+            return f"{self.render(a)} + {b}*sqrt({rad})"
+        return f"{self.render(a)} + ({self.render(b)})*sqrt({rad})"
+
+
+def _q(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+def _random_tower(rng: random.Random, depth: int):
+    """A chain of `depth` roots whose radicands may nest the previous root,
+    like the suites' discriminants; returns (ctx, [(radicand, root)])."""
+    ctx = ScalarContext()
+    adjoined = []
+    while ctx.depth < depth:
+        radicand = ctx.rat(Fraction(rng.randint(2, 60), rng.randint(1, 9)))
+        if adjoined and rng.random() < 0.7:
+            radicand = radicand + ctx.rat(rng.randint(1, 3)) * adjoined[-1][1]
+        before = ctx.depth
+        root = ctx.sqrt(radicand)
+        if ctx.depth > before:
+            adjoined.append((radicand, root))
+    return ctx, adjoined
+
+
+def _tower_element(rng: random.Random, ctx: ScalarContext, roots: list) -> Scalar:
+    x = ctx.rat(_q(rng))
+    for r in rng.sample(roots, rng.randint(1, len(roots))):
+        c = ctx.rat(_q(rng)) + ctx.rat(_q(rng)) * r
+        x = x * c if rng.random() < 0.5 else x + c * r
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.randoms(use_true_random=False))
+def test_tower_kernel_matches_pair_reference(depth, rng):
+    ctx, adjoined = _random_tower(rng, depth)
+    other = ScalarContext()
+    other.sqrt(other.rat(7))  # the second context's own chain must not be read
+    ref = _PairTower(ctx)
+    roots = [root for _, root in adjoined]
+    for radicand, root in adjoined:
+        assert ref.mul(ref.of(root), ref.of(root)) == ref.of(radicand)
+    values = [_tower_element(rng, ctx, roots) for _ in range(3)] + [other.rat(_q(rng))]
+    for x in values:
+        X = ref.of(x)
+        assert x.sign() == ref.sign(X)
+        assert x.render() == ref.render(X)
+        if X != 0:
+            assert ref.of(x.inverse()) == ref.inverse(X)
+        for y in values:
+            Y = ref.of(y)
+            results = [(x + y, ref.add(X, Y)), (x - y, ref.add(X, ref.neg(Y))), (x * y, ref.mul(X, Y))]
+            if Y != 0:
+                results.append((x / y, ref.mul(X, ref.inverse(Y))))
+            else:
+                with pytest.raises(DomainError):
+                    _ = x / y
+            for got, want in results:
+                assert ref.of(got) == want
+                assert got.sign() == ref.sign(want)
+                assert got.render() == ref.render(want)
+                if got.level > 0:
+                    assert got.ctx is ctx
+                elif x.level == y.level == 0:
+                    assert got.ctx is x.ctx
+            assert (x == y) == (X == Y)
+            if x == y:
+                assert hash(x) == hash(y)
+            # a value reached two ways has one representation
+            again = [(x + y) - y] + ([(x * y) / y] if Y != 0 else [])
+            for z in again:
+                assert z == x and hash(z) == hash(x)
