@@ -78,7 +78,6 @@ def load_definitions() -> DefinitionTable:
 @dataclass(frozen=True)
 class AxiomEntry:
     name: str
-    file: str
     formula: Formula
 
 
@@ -100,6 +99,6 @@ def load_axioms(system: str, table: Optional[DefinitionTable] = None) -> list[Ax
             raise FolError(f"{entry['file']}: {err}") from err
         if free_vars(formula):
             raise FolError(f"{entry['file']}: axiom is not a sentence")
-        out.append(AxiomEntry(entry["name"], entry["file"], formula))
+        out.append(AxiomEntry(entry["name"], formula))
     return out
 

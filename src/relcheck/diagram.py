@@ -149,7 +149,6 @@ def _clip_line(line, axis: int, x_lo, x_hi, y_lo, y_hi) -> Optional[tuple]:
     if dx == 0 and dy == 0:
         return None  # projects to a point
     # Liang–Barsky style parameter clipping with exact rationals
-    t_lo, t_hi = None, None
     bounds = [(-dx, base[0] - x_lo), (dx, x_hi - base[0]), (-dy, base[1] - y_lo), (dy, y_hi - base[1])]
     t_min, t_max = Fraction(-10**9), Fraction(10**9)
     for p, q in bounds:

@@ -441,12 +441,12 @@ def eq_rho(a: Line, b: Line, c: Line, d: Line) -> bool:
 
 def sim_ftl(c: Line, e1: Segment, e2: Segment) -> bool:
     """Simultaneity for any observer class: orthogonality plus the
-    witness-pair realizability condition."""
+    witness-pair realizability condition, or e1 = e2 (any signal)."""
+    if e1 == e2:
+        return True
     if not (is_event(e1) and is_event(e2)):
         return False
     u = e2.beg - e1.beg
-    if u.is_zero():
-        return True
     if not inner(u, c.dir).is_zero():
         return False
     cls = c.interval_class

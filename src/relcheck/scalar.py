@@ -25,6 +25,10 @@ the halves without and with the top root.  ``Scalar._parts`` gives the
 (lo, hi) view in the unscaled root for rendering, approximation and
 square roots.
 
+``ScalarContext.sqrt`` makes a rational radicand square-free first, a =
+coeff**2 * rad, then searches the chain once, for sqrt(rad), and adjoins a
+root only when that search fails.
+
 Level 0 is a plain ``Fraction`` and most arithmetic stays there, so the
 operators have a level-0 fast path: when both operands are level-0
 Scalars, ``+``, ``-``, ``*``, ``/`` and unary ``-`` apply the Fraction
@@ -463,20 +467,21 @@ class ScalarContext:
             raise DomainError("sqrt of a negative element")
         if s == 0:
             return self.zero
-        found = self._sqrt_in_chain(a, len(self.radicands))
+        # a rational a = coeff^2 * rad with rad an integral square-free; as
+        # coeff is a positive rational, sqrt(a) is in a field iff sqrt(rad) is
+        coeff, rad = self.one, a
+        if a.level == 0:
+            f = a.as_fraction()
+            sq, m = _square_free_split(f.numerator * f.denominator)
+            coeff, rad = self.rat(Fraction(sq, f.denominator)), self.rat(m)
+        found = self._sqrt_in_chain(rad, len(self.radicands))
         if found is not None:
-            return found if found.sign() >= 0 else -found
+            return coeff * (found if found.sign() >= 0 else -found)
         if len(self.radicands) >= self.depth_cap:
             raise CapacityError(
                 f"extension chain depth cap {self.depth_cap} reached; "
                 f"cannot adjoin sqrt({a.render()})"
             )
-        rad, coeff = self._canonical_radicand(a)
-        if rad is not a:
-            found = self._sqrt_in_chain(rad, len(self.radicands))
-            if found is not None:
-                root = found if found.sign() >= 0 else -found
-                return coeff * root
         self.radicands.append(rad)
         v, d = rad._coords()
         self._squares.append(tuple(d * x for x in v))
@@ -487,14 +492,6 @@ class ScalarContext:
         half = 1 << (k - 1)
         coords = (0,) * half + (1,) + (0,) * (half - 1)
         return Scalar(self, k, coords, self.radicands[k - 1]._coords()[1])
-
-    def _canonical_radicand(self, a: Scalar) -> tuple[Scalar, Scalar]:
-        """Split a = coeff^2 * rad with rad integral square-free when rational."""
-        if a.level != 0:
-            return a, self.one
-        f = a.as_fraction()
-        s, m = _square_free_split(f.numerator * f.denominator)
-        return self.rat(m), self.rat(Fraction(s, f.denominator))
 
     def _sqrt_in_chain(self, a: Scalar, k: int) -> Optional[Scalar]:
         """Find s with s*s == a inside the level-k subfield, or None."""
@@ -509,19 +506,20 @@ class ScalarContext:
             if rn * rn == f.numerator and rd * rd == f.denominator:
                 return self.rat(Fraction(rn, rd))
             return None
-        r = self.radicands[k - 1]
         a0, a1 = a._parts(k)
         if a1.is_zero():
             sub = self._sqrt_in_chain(a0, k - 1)
             if sub is not None:
                 return sub
             # s = y*sqrt(r) with y*y == a0/r
-            y = self._sqrt_in_chain(a0 / r, k - 1)
+            y = self._sqrt_in_chain(a0 / self.radicands[k - 1], k - 1)
             if y is not None:
                 return y * self._root(k)
             return None
-        # s = x + y*sqrt(r): needs sqrt(a0^2 - a1^2 r) in the subfield
-        d = self._sqrt_in_chain(a0 * a0 - a1 * a1 * r, k - 1)
+        # s = x + y*sqrt(r): needs sqrt(a0^2 - a1^2 r), a's norm, in the subfield
+        h = len(a.a) // 2
+        norm = _reduced(self, _vnorm(a.a[:h], a.a[h:], self._squares), a.den * a.den)
+        d = self._sqrt_in_chain(norm, k - 1)
         if d is None:
             return None
         for root in (d, -d):

@@ -76,6 +76,15 @@ def test_eval_unknown_gives_exit_3(tau_scenario, capsys):
     assert "forall a:Ob" in out
 
 
+@pytest.mark.parametrize("observer", ["stl", "ftl"])
+def test_eval_simftl_of_a_signal_with_itself(observer, capsys):
+    scenario = os.path.join(os.path.dirname(__file__), "..", "demos", "scenarios", "ftl.json")
+    code = main(["eval", "--scenario", scenario, "--predicate", "SimFTL",
+                 "--args", f"{observer},ray,ray"])
+    assert code == EXIT_PASS
+    assert "verdict: true" in capsys.readouterr().out
+
+
 def test_eval_stl_on_ftl_scenario(tmp_path, capsys):
     data = {
         "kind": "ftl",

@@ -267,6 +267,12 @@ def test_segment_validation():
         Segment(v(ctx, 1, 1, 0, 0), v(ctx, 0, 0, 0, 0))
 
 
+def test_line_rejects_zero_direction():
+    ctx = ScalarContext()
+    with pytest.raises(ValueError):
+        Line(v(ctx, 1, 2, 3, 4), v(ctx, 0, 0, 0, 0))
+
+
 # --- Poincaré maps ----------------------------------------------------------
 
 

@@ -452,6 +452,21 @@ def test_sim_ftl_spacelike_realizability():
     assert sim_ftl(c, event(v(ctx, 1, 2, 3, 0)), event(v(ctx, 1, 2, 3, 0)))
 
 
+def test_sim_ftl_of_a_signal_with_itself():
+    # def_simftl.fol ends "| b1 = b2": SimFTL(c, s, s) holds for every
+    # signal s, not only for events, on both routes and both observer classes
+    gen = ConfigGen(3)
+    checked = 0
+    while checked < 20:
+        s = gen.signal()
+        if s.is_degenerate():
+            continue
+        for c in (gen.timelike_line(), gen.spacelike_line()):
+            assert sim_ftl(c, s, s)
+            assert de.simftl_def(c, s, s, ModelKind.FTL).is_true()
+        checked += 1
+
+
 def test_delta_ftl_spacelike():
     ctx = ScalarContext()
     a = Line(v(ctx, 0, 0, 0, 0), v(ctx, 0, 1, 0, 0))

@@ -13,6 +13,7 @@ from relcheck.scalar import (
     Scalar,
     ScalarContext,
     ScalarParseError,
+    _square_free_split,
 )
 
 
@@ -569,3 +570,122 @@ def test_tower_kernel_matches_pair_reference(depth, rng):
             again = [(x + y) - y] + ([(x * y) / y] if Y != 0 else [])
             for z in again:
                 assert z == x and hash(z) == hash(x)
+
+
+# --- the square root against the two-search reference -----------------------
+#
+# The reference is ScalarContext.sqrt with two chain searches: one for a
+# itself and, for a rational a, one more for its square-free part; its norm
+# step a0^2 - a1^2 r uses Scalar operators on the (lo, hi) view.  It adjoins
+# to the context it is given.
+
+
+def _ref_sqrt_in_chain(ctx: ScalarContext, a: Scalar, k: int):
+    if k == 0:
+        if a.level != 0 or a.as_fraction() < 0:
+            return None
+        f = a.as_fraction()
+        rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
+        if rn * rn == f.numerator and rd * rd == f.denominator:
+            return ctx.rat(Fraction(rn, rd))
+        return None
+    r = ctx.radicands[k - 1]
+    a0, a1 = a._parts(k)
+    if a1.is_zero():
+        sub = _ref_sqrt_in_chain(ctx, a0, k - 1)
+        if sub is not None:
+            return sub
+        y = _ref_sqrt_in_chain(ctx, a0 / r, k - 1)
+        return None if y is None else y * ctx._root(k)
+    d = _ref_sqrt_in_chain(ctx, a0 * a0 - a1 * a1 * r, k - 1)
+    if d is None:
+        return None
+    for root in (d, -d):
+        x = _ref_sqrt_in_chain(ctx, (a0 + root) / 2, k - 1)
+        if x is not None and not x.is_zero():
+            cand = x + a1 / (x * 2) * ctx._root(k)
+            if cand * cand == a:
+                return cand
+    return None
+
+
+def _ref_sqrt(ctx: ScalarContext, a: Scalar) -> Scalar:
+    s = a.sign()
+    if s < 0:
+        raise DomainError("sqrt of a negative element")
+    if s == 0:
+        return ctx.zero
+    found = _ref_sqrt_in_chain(ctx, a, ctx.depth)
+    if found is not None:
+        return found if found.sign() >= 0 else -found
+    if ctx.depth >= ctx.depth_cap:
+        raise CapacityError("depth cap reached")
+    rad, coeff = a, ctx.one
+    if a.level == 0:
+        f = a.as_fraction()
+        sq, m = _square_free_split(f.numerator * f.denominator)
+        rad, coeff = ctx.rat(m), ctx.rat(Fraction(sq, f.denominator))
+        found = _ref_sqrt_in_chain(ctx, rad, ctx.depth)
+        if found is not None:
+            return coeff * (found if found.sign() >= 0 else -found)
+    ctx.radicands.append(rad)
+    v, d = rad._coords()
+    ctx._squares.append(tuple(d * x for x in v))
+    return coeff * ctx._root(ctx.depth)
+
+
+def _recipe(rng: random.Random, n_roots: int):
+    """A tower element as data, so that two contexts can build the same one."""
+    terms = [
+        (rng.randrange(n_roots), _q(rng), _q(rng), rng.random() < 0.5)
+        for _ in range(rng.randint(1, n_roots) if n_roots else 0)
+    ]
+    return _q(rng), terms
+
+
+def _build(ctx: ScalarContext, roots: list, recipe) -> Scalar:
+    first, terms = recipe
+    x = ctx.rat(first)
+    for i, p, q, mul in terms:
+        c = ctx.rat(p) + ctx.rat(q) * roots[i]
+        x = x * c if mul else x + c * roots[i]
+    return x
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2), st.randoms(use_true_random=False))
+def test_sqrt_matches_two_search_reference(depth, rng):
+    ctx, ref = ScalarContext(depth_cap=3), ScalarContext(depth_cap=3)
+    roots: list = []
+    ref_roots: list = []
+
+    def both(build):
+        """sqrt of the same value in both contexts: same outcome, same chain."""
+        outcome = []
+        for c, rs, sqrt in ((ctx, roots, ctx.sqrt), (ref, ref_roots, lambda a: _ref_sqrt(ref, a))):
+            try:
+                got = sqrt(build(c, rs))
+                outcome.append((got.level, got.render()))
+            except (DomainError, CapacityError) as err:
+                outcome.append(type(err).__name__)
+        assert outcome[0] == outcome[1]
+        assert [r.render() for r in ctx.radicands] == [r.render() for r in ref.radicands]
+        return outcome[0]
+
+    while ctx.depth < depth:
+        rad = Fraction(rng.randint(2, 60), rng.randint(1, 9))
+        k = rng.randint(1, 3) if roots and rng.random() < 0.7 else 0
+        before = ctx.depth
+        both(lambda c, rs: c.rat(rad) + c.rat(k) * rs[-1] if k else c.rat(rad))
+        if ctx.depth > before:
+            roots.append(ctx._root(ctx.depth))
+            ref_roots.append(ref._root(ref.depth))
+    for _ in range(4):
+        recipe = _recipe(rng, len(roots))
+        f = _q(rng)
+        # x*x is in the chain: above level 0 its top half is non-zero, so
+        # the search takes the norm step
+        both(lambda c, rs: _build(c, rs, recipe) * _build(c, rs, recipe))
+        both(lambda c, rs: _build(c, rs, recipe) * _build(c, rs, recipe) * c.rat(f))
+        both(lambda c, rs: _build(c, rs, recipe))
+        both(lambda c, rs: c.rat(f))

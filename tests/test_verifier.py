@@ -400,6 +400,13 @@ def test_op_def_polarities():
     got = de.op_def(vertical(ctx, 0), vertical(ctx, 1), STL)
     assert got.is_false()  # a timelike transversal refutes the universal
     assert got.witness["c"].interval_class.value == "timelike"
+    # a == b: the refuting line passes through a.base and misses a.base + a.dir,
+    # which for a vertical a needs the second direction of _separating_line
+    a = vertical(ctx, 2)
+    got = de.op_def(a, a, STL)
+    c = got.witness["c"]
+    assert got.is_false() and c.interval_class is IntervalClass.TIMELIKE
+    assert c.contains(a.base) and not c.contains(a.base + a.dir)
 
 
 # --- suites -------------------------------------------------------------------
@@ -425,6 +432,16 @@ def test_equivalence_zero_disagreements_smoke():
         assert rep.total_failed == 0
         for item in rep.items:
             assert item.unknown * 10 <= item.cases, (item.name, item.unknown)
+
+
+def test_bwrho_and_eqrho_cross_checked():
+    # both have a generator and a definitional route but are not in the
+    # equivalence suite's default list, which fixes the benchmark's cases
+    for kind, seed in ((STL, 0), (FTL, 1)):
+        rep = run_equivalence_suite(kind, Budget(seed=seed), cases=100,
+                                    predicates=["BwRho", "EqRho"])
+        assert [(i.name, i.cases) for i in rep.items] == [("BwRho", 100), ("EqRho", 100)]
+        assert rep.total_failed == 0, [(i.name, i.failed) for i in rep.items]
 
 
 def test_printed_axftl2_counterexample_documented():
