@@ -52,12 +52,6 @@ class ModelKind(enum.Enum):
         return False
 
 
-class ObserverClass(enum.Enum):
-    STL = "stl"
-    LIGHTSPEED = "lightspeed"
-    FTL = "ftl"
-
-
 def event(p: Vec4) -> Segment:
     return Segment(p, p)
 
@@ -74,15 +68,6 @@ def receives(a: Line, s: Segment) -> bool:
     return a.contains(s.end)
 
 
-def observer_class(a: Line) -> ObserverClass:
-    cls = a.interval_class
-    if cls is IntervalClass.TIMELIKE:
-        return ObserverClass.STL
-    if cls is IntervalClass.LIGHTLIKE:
-        return ObserverClass.LIGHTSPEED
-    return ObserverClass.FTL
-
-
 # --- elementary relations between observers ----------------------------------
 
 
@@ -92,8 +77,8 @@ def meets(a: Line, b: Line) -> bool:
 
 def parallel(a: Line, b: Line) -> bool:
     """Identical, or coplanar and disjoint; for lines this is equal canonical
-    direction."""
-    return a == b or a.dir == b.dir
+    direction, which equal lines have too."""
+    return a.dir == b.dir
 
 
 def coplanar(a: Line, b: Line) -> bool:
@@ -237,18 +222,29 @@ def bw_geo(a: Line, b: Line, c: Line) -> bool:
     return tarski_bw_f(a.base, b.base, c.base)
 
 
-def eq_geo(a: Line, b: Line, c: Line, d: Line) -> bool:
+def _equal_norms(a: Line, b: Line, c: Line, d: Line) -> Optional[tuple[Vec4, Scalar]]:
+    """The one comparison that decides Eq, EqRho and EqFTL: the four lines
+    share a direction dd, a == b exactly when c == d, and q(b - a) = q(d - c)
+    in the quotient by dd.  Gives (dd, q(b - a)) when it holds, else None."""
     dd = _parallel_family([a, b, c, d])
-    if dd is None or classify(dd) is not IntervalClass.TIMELIKE:
-        return False
-    return quotient_norm(b.base - a.base, dd) == quotient_norm(d.base - c.base, dd)
+    if dd is None or (a == b) != (c == d):
+        return None
+    q = quotient_norm(b.base - a.base, dd)
+    return (dd, q) if q == quotient_norm(d.base - c.base, dd) else None
+
+
+def eq_geo(a: Line, b: Line, c: Line, d: Line) -> bool:
+    """`_equal_norms` on a timelike parallel class (false otherwise).  The
+    quotient form is positive definite there, so q = 0 only for equal lines
+    and equal norms already give a == b exactly when c == d."""
+    return a.interval_class is IntervalClass.TIMELIKE and _equal_norms(a, b, c, d) is not None
 
 
 # --- simultaneity and frame time ----------------------------------------------
 
 
 def sim_geo(c: Line, e1: Segment, e2: Segment) -> bool:
-    if observer_class(c) is not ObserverClass.STL:
+    if c.interval_class is not IntervalClass.TIMELIKE:
         raise UnsupportedPredicate("Sim requires a slower-than-light observer")
     if not (is_event(e1) and is_event(e2)):
         return False
@@ -256,7 +252,7 @@ def sim_geo(c: Line, e1: Segment, e2: Segment) -> bool:
 
 
 def delta_geo(a: Line, a0: Segment, a1: Segment, b0: Segment, b1: Segment) -> bool:
-    if observer_class(a) is not ObserverClass.STL:
+    if a.interval_class is not IntervalClass.TIMELIKE:
         raise UnsupportedPredicate("Delta requires a slower-than-light observer")
     if not all(is_event(x) for x in (a0, a1, b0, b1)):
         return False
@@ -266,7 +262,7 @@ def delta_geo(a: Line, a0: Segment, a1: Segment, b0: Segment, b1: Segment) -> bo
 
 
 def sim_project(a: Line, e: Segment) -> Vec4:
-    """The unique point x on a with <e - x, dir> == 0 (timelike a)."""
+    """The unique point x on a with <e - x, dir> == 0 (a not lightlike)."""
     d = a.dir
     t = inner(e.beg - a.base, d) / lam(d)
     return a.at(t)
@@ -280,7 +276,7 @@ def tau_geo(b: Line, e1: Segment, e2: Segment) -> Optional[Line]:
     if not chron_precedes(e1, e2):
         return None
     a = Line.through(e1.beg, e2.beg)
-    if observer_class(a) is not ObserverClass.STL:
+    if a.interval_class is not IntervalClass.TIMELIKE:
         return None
     if not parallel(b, a) or b == a:
         return None
@@ -297,47 +293,41 @@ def tau_geo(b: Line, e1: Segment, e2: Segment) -> Optional[Line]:
 # --- relatability, optical planes, and the rho-generalized relations ----------
 
 
-def _conic_coefficients(a: Line, b: Line):
+def _null_conic(a: Line, b: Line):
+    """(A, B, D, l2, lin, const) for the null conic of a and b, or None when
+    no null segment connects them.
+
+    With u = b - a, f(s,t) = lam(u + t b.dir - s a.dir) = A s^2 + B s t +
+    C t^2 + D s + E t + F, and A != 0 for observers.  A zero exists iff the
+    s-discriminant l2 t^2 + lin t + const is somewhere >= 0.
+    """
     u = b.base - a.base
-    return (
-        lam(a.dir),
-        -(inner(a.dir, b.dir) * 2),
-        lam(b.dir),
-        -(inner(u, a.dir) * 2),
-        inner(u, b.dir) * 2,
-        lam(u),
-    )
-
-
-def rho(a: Line, b: Line) -> bool:
-    """Some null segment connects a point of a with a point of b."""
-    A, B, C, D, E, F = _conic_coefficients(a, b)
-    # f(s,t) = A s^2 + B s t + C t^2 + D s + E t + F; A != 0 for observers.
-    # Zero exists iff the s-discriminant (a quadratic in t) is somewhere >= 0.
+    A, B, C = lam(a.dir), -(inner(a.dir, b.dir) * 2), lam(b.dir)
+    D, E, F = -(inner(u, a.dir) * 2), inner(u, b.dir) * 2, lam(u)
     l2 = B * B - A * C * 4
     lin = B * D * 2 - A * E * 4
     const = D * D - A * F * 4
     sl = l2.sign()
-    if sl > 0:
-        return True
     if sl == 0:
-        if not lin.is_zero():
-            return True
-        return const.sign() >= 0
-    # downward parabola: maximum value at the vertex
-    vmax = const - lin * lin / (l2 * 4)
-    return vmax.sign() >= 0
+        found = not lin.is_zero() or const.sign() >= 0
+    else:
+        # a downward parabola has its maximum value at the vertex
+        found = sl > 0 or (const - lin * lin / (l2 * 4)).sign() >= 0
+    return (A, B, D, l2, lin, const) if found else None
+
+
+def rho(a: Line, b: Line) -> bool:
+    """Some null segment connects a point of a with a point of b."""
+    return _null_conic(a, b) is not None
 
 
 def rho_witness(a: Line, b: Line) -> Optional[tuple[Vec4, Vec4]]:
     """A null-connected point pair (p on a, q on b), constructed exactly."""
-    if not rho(a, b):
+    conic = _null_conic(a, b)
+    if conic is None:
         return None
+    A, B, D, l2, lin, const = conic
     ctx = a.ctx
-    A, B, C, D, E, F = _conic_coefficients(a, b)
-    l2 = B * B - A * C * 4
-    lin = B * D * 2 - A * E * 4
-    const = D * D - A * F * 4
 
     def disc_at(t: Scalar) -> Scalar:
         return l2 * t * t + lin * t + const
@@ -374,26 +364,16 @@ def rho_witness(a: Line, b: Line) -> Optional[tuple[Vec4, Vec4]]:
     return p, q
 
 
-def strict_rho_parallel(a: Line, b: Line) -> bool:
-    """Parallel pair with two distinct null connections from each event
-    (discriminant strictly positive)."""
-    if not parallel(a, b) or a == b:
-        return False
-    d = a.dir
-    q = quotient_norm(b.base - a.base, d)
-    return (-(lam(d)) * q).sign() > 0
-
-
 def optical_plane(a: Line, b: Line) -> bool:
+    """Distinct parallel lines of a spacelike class with q(b - a) = 0.  Their
+    offset's lift is never zero: b - a = k*d would give k = 0 at the pivot
+    coordinate, where canonical bases are 0 and d is 1, so a == b."""
     if not parallel(a, b) or a == b:
         return False
     d = a.dir
     if classify(d) is not IntervalClass.SPACELIKE:
         return False
-    u = b.base - a.base
-    if quotient_lift(u, d).is_zero():
-        return False
-    return quotient_norm(u, d).is_zero()
+    return quotient_norm(b.base - a.base, d).is_zero()
 
 
 def null_gap_params(u: Vec4, d: Vec4) -> list[Scalar]:
@@ -427,16 +407,13 @@ def bw_rho(a: Line, b: Line, c: Line) -> bool:
 
 
 def eq_rho(a: Line, b: Line, c: Line, d: Line) -> bool:
-    dd = _parallel_family([a, b, c, d])
-    if dd is None:
-        return False
-    if a == b and c == d:
-        return True
-    if optical_plane(a, b) and optical_plane(c, d):
-        return True
-    if strict_rho_parallel(a, b) and strict_rho_parallel(c, d):
-        return quotient_norm(b.base - a.base, dd) == quotient_norm(d.base - c.base, dd)
-    return False
+    """`_equal_norms` and lam(dd)*q <= 0, the sign test of `bw_rho`.  The
+    printed cases are a = b & c = d (q = 0 on both pairs); OP(a,b) & OP(c,d),
+    which is q = 0 for distinct lines of a spacelike class; and strict
+    relatability of both pairs, lam(dd)*q < 0, with equal norms.  On a
+    timelike class q = 0 only for equal lines, so q = 0 with a != b is OP."""
+    got = _equal_norms(a, b, c, d)
+    return got is not None and (lam(got[0]) * got[1]).sign() <= 0
 
 
 def sim_ftl(c: Line, e1: Segment, e2: Segment) -> bool:
@@ -457,15 +434,31 @@ def sim_ftl(c: Line, e1: Segment, e2: Segment) -> bool:
     return lam(u).sign() < 0
 
 
+def _simftl_partner(a: Line, s: Segment) -> Optional[Segment]:
+    """The one signal p that a transmits with SimFTL(a, s, p), or None.  For
+    an event s it is the event of a at `sim_project`, when `sim_ftl` holds;
+    a signal that is not an event is SimFTL-related to itself alone."""
+    if not is_event(s):
+        return s if transmits(a, s) else None
+    p = event(sim_project(a, s))
+    return p if sim_ftl(a, s, p) else None
+
+
 def delta_ftl(a: Line, a0: Segment, a1: Segment, b0: Segment, b1: Segment) -> bool:
-    if not all(is_event(x) for x in (a0, a1, b0, b1)):
-        return False
-    if observer_class(a) is ObserverClass.STL:
-        return delta_geo(a, a0, a1, b0, b1)
+    """The DeltaFTL definition with each primed signal fixed to the one
+    `_simftl_partner` of its argument.  Lsym holds only between events, so
+    with an argument that is not an event only the first disjunct, a0p = a1p
+    & b0p = b1p, can hold.  Four events need equal squared frame times, and
+    a partner each, which they always have on a timelike a."""
+    args = (a0, a1, b0, b1)
+    if not all(is_event(x) for x in args):
+        p0, p1, q0, q1 = (_simftl_partner(a, x) for x in args)
+        return p0 is not None and q0 is not None and p0 == p1 and q0 == q1
+    if a.interval_class is IntervalClass.TIMELIKE:
+        return delta_geo(a, *args)
     # spacelike a: each event needs a realizable SimFTL projection onto a
-    for e in (a0, a1, b0, b1):
-        x = sim_project(a, e)
-        u = e.beg - x
+    for e in args:
+        u = e.beg - sim_project(a, e)
         if not (u.is_zero() or lam(u).sign() < 0):
             return False
     ga = inner(a1.beg - a0.beg, a.dir)
@@ -540,14 +533,10 @@ def eq_ftl(a: Line, b: Line, c: Line, d: Line) -> bool:
     a and d2 of d w.r.t. c.  Decided without building a dual: every dual b2
     has q(b2 - a) = -q(b - a) < 0, so the second disjunct can hold only in
     eq_rho's strict-rho case, and it holds iff q(b - a) = q(d - c) > 0 on one
-    common spacelike class, whichever family members are taken."""
-    if eq_rho(a, b, c, d):
-        return True
-    dd = _parallel_family([a, b, c, d])
-    if dd is None or classify(dd) is not IntervalClass.SPACELIKE:
-        return False
-    q = quotient_norm(b.base - a.base, dd)
-    return q.sign() > 0 and q == quotient_norm(d.base - c.base, dd)
+    common spacelike class, whichever family members are taken.  eq_rho
+    covers q <= 0 there and every q on a timelike class (lam < 0 <= q), so
+    the union is `_equal_norms` alone."""
+    return _equal_norms(a, b, c, d) is not None
 
 
 # --- scenarios -----------------------------------------------------------------
@@ -650,9 +639,9 @@ GEOMETRIC_PREDICATES = {
     "Sim": lambda args: sim_geo(args[0], args[1], args[2]),
     "Delta": lambda args: delta_geo(*args),
     "Prec": lambda args: chron_precedes(args[0], args[1]),
-    "STL": lambda args: observer_class(args[0]) is ObserverClass.STL,
-    "Lightspeed": lambda args: observer_class(args[0]) is ObserverClass.LIGHTSPEED,
-    "FTL": lambda args: observer_class(args[0]) is ObserverClass.FTL,
+    "STL": lambda args: args[0].interval_class is IntervalClass.TIMELIKE,
+    "Lightspeed": lambda args: args[0].interval_class is IntervalClass.LIGHTLIKE,
+    "FTL": lambda args: args[0].interval_class is IntervalClass.SPACELIKE,
     "TR": lambda args: transmits(args[0], args[1]) or receives(args[0], args[1]),
     "Rho": lambda args: rho(args[0], args[1]),
     "OP": lambda args: optical_plane(args[0], args[1]),

@@ -287,13 +287,18 @@ def simftl_def(c: Line, b1: Segment, b2: Segment, kind: ModelKind) -> Verdict:
 # --- frame time --------------------------------------------------------------
 
 
-def _sim_projection(a: Line, e: Vec4, undirected: bool, kind: ModelKind) -> Optional[Vec4]:
-    """Unique candidate x on a with Sim(-ish)(a, e, x); None if unrealizable."""
-    t = inner(e - a.base, a.dir) / lam(a.dir)
-    x = a.at(t)
+def _sim_partner(a: Line, s: Segment, undirected: bool, kind: ModelKind) -> Optional[Segment]:
+    """The one signal p with T(a, p) and Sim(a, s, p) (SimFTL when undirected),
+    or None.  For an event s the only candidate is the event of a at the
+    foot x with <s - x, a.dir> = 0.  Sim and SimFTL's diamond need events, so
+    a signal that is not an event is SimFTL-related to itself alone, by
+    def_simftl's `| b1 = b2`, and Sim-related to nothing."""
+    if not ev_def(s, kind).is_true():
+        return s if undirected and a.contains(s.beg) else None
+    t = inner(s.beg - a.base, a.dir) / lam(a.dir)
+    x = event(a.at(t))
     check = simftl_def if undirected else sim_def
-    got = check(a, event(e), event(x), kind)
-    return x if got.is_true() else None
+    return x if check(a, s, x, kind).is_true() else None
 
 
 def _double_diamond(b_dir: Vec4, p: Vec4, q: Vec4, r: Vec4, s: Vec4):
@@ -343,16 +348,18 @@ def delta_def(
     a: Line, a0: Segment, a1: Segment, b0: Segment, b1: Segment,
     kind: ModelKind, undirected: bool = False,
 ) -> Verdict:
-    if not all(ev_def(x, kind).is_true() for x in (a0, a1, b0, b1)):
+    args = (a0, a1, b0, b1)
+    partners = [_sim_partner(a, x, undirected, kind) for x in args]
+    if any(p is None for p in partners):
         return Verdict.false()
-    projections = [_sim_projection(a, e.beg, undirected, kind) for e in (a0, a1, b0, b1)]
-    if any(p is None for p in projections):
-        return Verdict.false()
-    p0, p1, q0, q1 = projections
-    if (p1 - p0).is_zero() and (q1 - q0).is_zero():
+    a0p, a1p, b0p, b1p = partners
+    if a0p == a1p and b0p == b1p:
         return Verdict.true({"b": Line(a.base, a.dir)})
-    if (p1 - p0).is_zero() or (q1 - q0).is_zero():
+    # the second disjunct needs a0p != a1p, b0p != b1p and Lsym, which holds
+    # only between events
+    if a0p == a1p or b0p == b1p or not all(ev_def(x, kind).is_true() for x in args):
         return Verdict.false()
+    p0, p1, q0, q1 = (p.beg for p in partners)
     got = _double_diamond(a.dir, p0, p1, q0, q1)
     if got is None:
         return Verdict.false()

@@ -21,6 +21,7 @@ from relcheck.corpus import (
     load_axioms,
 )
 from relcheck.minkowski import (
+    IntervalClass,
     Line,
     PoincareMap,
     Segment,
@@ -35,7 +36,6 @@ from relcheck.minkowski import (
 from relcheck.model import (
     GEOMETRIC_PREDICATES,
     ModelKind,
-    ObserverClass,
     UnsupportedPredicate,
     bw_ftl,
     bw_geo,
@@ -53,7 +53,6 @@ from relcheck.model import (
     light_between,
     meets,
     null_links,
-    observer_class,
     parallel,
     receives,
     sim_ftl,
@@ -541,12 +540,12 @@ def check_cont_rays(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
 
 def check_axstl(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     witness = gen.timelike_line()
-    if observer_class(witness) is not ObserverClass.STL:
+    if witness.interval_class is not IntervalClass.TIMELIKE:
         return Verdict.false()
     a = gen.observer(kind)
     b = Line(gen.point(), a.dir)
-    if observer_class(a) is ObserverClass.STL and parallel(b, a):
-        if observer_class(b) is not ObserverClass.STL:
+    if a.interval_class is IntervalClass.TIMELIKE and parallel(b, a):
+        if b.interval_class is not IntervalClass.TIMELIKE:
             return Verdict.false({"a": a, "b": b})
     return Verdict.true()
 
@@ -571,7 +570,7 @@ def check_axtime(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     a = gen.observer(kind)
     x = gen.event_on(a)
     y = gen.event_on(a) if gen.rng.random() < 0.8 else event(a.at(x.beg.ctx.zero))
-    if observer_class(a) is ObserverClass.STL:
+    if a.interval_class is IntervalClass.TIMELIKE:
         cases = [
             (x == y, not chron_precedes(x, y), not chron_precedes(y, x)),
             (chron_precedes(x, y), x != y, not chron_precedes(y, x)),
@@ -616,7 +615,7 @@ def _iso_witnesses(a: Line, e: Segment):
 
 def check_axiso(gen: ConfigGen, kind: ModelKind, ops: Ops, guard_stl: bool = False) -> Verdict:
     a = gen.observer(kind)
-    if guard_stl and observer_class(a) is not ObserverClass.STL:
+    if guard_stl and a.interval_class is not IntervalClass.TIMELIKE:
         return Verdict.true()
     e = event(gen.point())
     got = _iso_witnesses(a, e)
@@ -729,7 +728,7 @@ def check_axunob(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
 def check_axunsi(gen: ConfigGen, kind: ModelKind, ops: Ops, guard_stl: bool = False) -> Verdict:
     frame = ClassFrame(gen)
     a = frame.random_line()
-    if guard_stl and observer_class(a) is not ObserverClass.STL:
+    if guard_stl and a.interval_class is not IntervalClass.TIMELIKE:
         return Verdict.true()
     cc = frame.random_line()
     r = Fraction(gen.rng.randint(0, 8), 8)
@@ -798,8 +797,7 @@ def check_axlim(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
 
 def check_axftl1(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     a = gen.observer(kind)
-    cls = observer_class(a)
-    return _verdict(cls in (ObserverClass.STL, ObserverClass.FTL), {"a": a})
+    return _verdict(a.interval_class is not IntervalClass.LIGHTLIKE, {"a": a})
 
 
 def check_axftl2(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
@@ -860,7 +858,7 @@ def check_axftl3(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
 
 def check_axftl4(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
     a = gen.observer(kind)
-    if observer_class(a) is not ObserverClass.FTL:
+    if a.interval_class is not IntervalClass.SPACELIKE:
         return Verdict.true()
     x1 = gen.event_on(a)
     x2 = event(a.at(a.param_of(x1.beg) + gen.ctx.one))

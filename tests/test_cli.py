@@ -85,6 +85,17 @@ def test_eval_simftl_of_a_signal_with_itself(observer, capsys):
     assert "verdict: true" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("observer", ["stl", "ftl"])
+def test_eval_deltaftl_of_a_signal_with_itself(observer, capsys):
+    # DeltaFTL's first disjunct holds with every primed signal = ray, since
+    # SimFTL relates ray to itself and both observers transmit it
+    scenario = os.path.join(os.path.dirname(__file__), "..", "demos", "scenarios", "ftl.json")
+    code = main(["eval", "--scenario", scenario, "--predicate", "DeltaFTL",
+                 "--args", f"{observer},ray,ray,ray,ray"])
+    assert code == EXIT_PASS
+    assert "verdict: true" in capsys.readouterr().out
+
+
 def test_eval_stl_on_ftl_scenario(tmp_path, capsys):
     data = {
         "kind": "ftl",

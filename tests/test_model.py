@@ -6,11 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcheck import model
-from relcheck.minkowski import IntervalClass, Line, Segment, Vec4, inner, lam
+from relcheck.minkowski import (
+    IntervalClass,
+    Line,
+    Segment,
+    Vec4,
+    classify,
+    inner,
+    lam,
+    quotient_lift,
+    quotient_norm,
+)
 from relcheck.model import (
+    GEOMETRIC_PREDICATES,
     ModelError,
     ModelKind,
-    ObserverClass,
     Scenario,
     UnsupportedPredicate,
     bw_ftl,
@@ -34,7 +44,6 @@ from relcheck.model import (
     meets,
     null_gap_params,
     null_links,
-    observer_class,
     optical_plane,
     parallel,
     receives,
@@ -46,9 +55,8 @@ from relcheck.model import (
     tau_geo,
     transmits,
     witness_zero_and_two,
-    _conic_coefficients,
 )
-from relcheck.scalar import ScalarContext
+from relcheck.scalar import DomainError, ScalarContext
 from relcheck.verifier import definitional as de
 from relcheck.verifier.generators import ConfigGen
 
@@ -224,9 +232,10 @@ def test_chron_precedes_known_cases_and_two_hop_witness():
 
 def test_observer_class_known_cases():
     ctx = ScalarContext()
-    assert observer_class(Line(v(ctx, 0, 0, 0, 0), v(ctx, 1, 0, 0, 0))) is ObserverClass.STL
-    assert observer_class(Line(v(ctx, 0, 0, 0, 0), v(ctx, 1, 1, 0, 0))) is ObserverClass.LIGHTSPEED
-    assert observer_class(Line(v(ctx, 0, 0, 0, 0), v(ctx, 1, 2, 0, 0))) is ObserverClass.FTL
+    for dx, cls in ((0, "STL"), (1, "Lightspeed"), (2, "FTL")):
+        line = Line(v(ctx, 0, 0, 0, 0), v(ctx, 1, dx, 0, 0))
+        got = {name for name in ("STL", "Lightspeed", "FTL") if GEOMETRIC_PREDICATES[name]([line])}
+        assert got == {cls}
 
 
 def test_stl_counting_and_witnesses():
@@ -338,9 +347,8 @@ def test_rho_witness_beyond_the_probed_parameters():
             continue
         p, q = rho_witness(a, b)
         assert a.contains(p) and b.contains(q) and lam(q - p).is_zero()
-        A, B, C = _conic_coefficients(a, b)[:3]
         if abs(b.param_of(q).approx()) > 39:
-            far[(B * B - A * C * 4).sign()] += 1
+            far[model._null_conic(a, b)[3].sign()] += 1
     assert far[1] >= 1 and far[0] >= 1
 
 
@@ -605,6 +613,155 @@ def test_eq_ftl_dual_branch_matches_the_candidate_loop(monkeypatch):
 
     monkeypatch.setattr(model, "dual_candidates", no_duals)
     assert [eq_ftl(*args) for args in cases] == expected
+
+
+# --- the Eq family against the three-way reference -----------------------------
+#
+# The reference is the Eq family as it was before one comparison of quotient
+# norms decided it: eq_rho tried its printed cases in turn, through
+# strict_rho_parallel and an optical_plane that also tested the offset's lift,
+# eq_ftl added a spacelike q > 0 branch, and parallel also tested a == b.
+
+
+def _ref_parallel(a, b):
+    return a == b or a.dir == b.dir
+
+
+def _ref_strict_rho_parallel(a, b):
+    if not _ref_parallel(a, b) or a == b:
+        return False
+    d = a.dir
+    q = quotient_norm(b.base - a.base, d)
+    return (-(lam(d)) * q).sign() > 0
+
+
+def _ref_optical_plane(a, b):
+    if not _ref_parallel(a, b) or a == b:
+        return False
+    d = a.dir
+    if classify(d) is not IntervalClass.SPACELIKE:
+        return False
+    u = b.base - a.base
+    if quotient_lift(u, d).is_zero():
+        return False
+    return quotient_norm(u, d).is_zero()
+
+
+def _ref_eq_geo(a, b, c, d):
+    dd = model._parallel_family([a, b, c, d])
+    if dd is None or classify(dd) is not IntervalClass.TIMELIKE:
+        return False
+    return quotient_norm(b.base - a.base, dd) == quotient_norm(d.base - c.base, dd)
+
+
+def _ref_eq_rho(a, b, c, d):
+    dd = model._parallel_family([a, b, c, d])
+    if dd is None:
+        return False
+    if a == b and c == d:
+        return True
+    if _ref_optical_plane(a, b) and _ref_optical_plane(c, d):
+        return True
+    if _ref_strict_rho_parallel(a, b) and _ref_strict_rho_parallel(c, d):
+        return quotient_norm(b.base - a.base, dd) == quotient_norm(d.base - c.base, dd)
+    return False
+
+
+def _ref_eq_ftl(a, b, c, d):
+    if _ref_eq_rho(a, b, c, d):
+        return True
+    dd = model._parallel_family([a, b, c, d])
+    if dd is None or classify(dd) is not IntervalClass.SPACELIKE:
+        return False
+    q = quotient_norm(b.base - a.base, dd)
+    return q.sign() > 0 and q == quotient_norm(d.base - c.base, dd)
+
+
+def _optical_direction(gen):
+    """A null vector n and a spacelike direction d with <n, d> = 0, so that
+    q(n) = 0 in the quotient by d while n is no multiple of d."""
+    n = gen.null_dir()
+    e0 = v(gen.ctx, 1, 0, 0, 0)
+    while True:
+        r = gen.point()
+        d = r - e0.scale(inner(r, n) / inner(e0, n))
+        if classify(d) is IntervalClass.SPACELIKE:
+            return n, d
+
+
+def _eq_quadruples(shape, gen):
+    """The direction class and the quadruples of one seeded draw of `shape`."""
+    cls = "spacelike" if gen.rng.random() < 0.5 else "timelike"
+    d = gen.spacelike_dir() if cls == "spacelike" else gen.timelike_dir()
+    if shape == "lightlike":
+        cls, d = "lightlike", gen.null_dir()
+    line = lambda: Line(gen.point(), d)
+    a, b, c, dl = line(), line(), line(), line()
+    translate = lambda w: (Line(a.base + w, d), Line(b.base + w, d))
+    reflect = lambda p: (Line(p, d), Line(p - (b.base - a.base), d))
+    if shape == "translate":
+        return cls, [(a, b, *translate(gen.point()))]
+    if shape == "reflection":  # equal norms, but not a translate
+        return cls, [(a, b, *reflect(gen.point())), (a, b, *reflect(a.base))]
+    if shape in ("equal lines", "lightlike"):
+        quads = [(a, a, c, c), (a, a, c, dl), (a, b, c, c), (a, b, a, b), (a, b, b, a)]
+        return cls, quads + [(a, b, *translate(gen.point())), (a, b, *reflect(gen.point()))]
+    if shape == "optical":  # q = 0 from a lifted null vector, on a spacelike class
+        n, d = _optical_direction(gen)
+        a, c, other = Line(gen.point(), d), Line(gen.point(), d), Line(gen.point(), d)
+        b = Line(a.base + n.scale(gen.rat()), d)
+        dl = Line(c.base + n.scale(gen.rat()) + d.scale(gen.rat()), d)
+        return "spacelike", [(a, b, c, dl), (a, b, c, other), (a, b, c, c)]
+    if shape == "unequal norms":
+        return cls, [(a, b, c, Line(c.base + (b.base - a.base).scale(gen.ctx.rat(2)), d)),
+                     (a, b, c, dl)]
+    if shape == "mixed classes":
+        d2 = gen.timelike_dir() if cls == "spacelike" else gen.spacelike_dir()
+        return "mixed", [(a, b, Line(gen.point(), d2), Line(gen.point(), d2))]
+    assert shape == "not parallel"
+    return "mixed", [tuple(gen.observer(ModelKind.FTL) for _ in range(4)),
+                     (a, b, a, gen.observer(ModelKind.FTL))]
+
+
+def _outcome(f, args):
+    try:
+        return f(*args)
+    except DomainError:
+        return DomainError
+
+
+@pytest.mark.parametrize("shape", ["translate", "reflection", "equal lines", "optical",
+                                   "unequal norms", "mixed classes", "not parallel", "lightlike"])
+def test_eq_family_matches_the_three_way_reference(shape):
+    # Lightlike classes, which no structure admits, are the one place the two
+    # differ: the reference raised DomainError for a != b & c == d (now FALSE)
+    # and was TRUE for a == b & c == d, where q(0) now raises.
+    pairs = (("Eq", eq_geo, _ref_eq_geo), ("EqRho", eq_rho, _ref_eq_rho),
+             ("EqFTL", eq_ftl, _ref_eq_ftl))
+    seen = set()
+    for seed in range(40):
+        cls, quads = _eq_quadruples(shape, ConfigGen(seed))
+        for a, b, c, d in quads:
+            for args in ((a, b, c, d), (c, d, a, b), (b, a, d, c)):
+                for name, new, ref in pairs:
+                    got, want = _outcome(new, args), _outcome(ref, args)
+                    seen.add((name, cls, want))
+                    if got == want:
+                        continue
+                    p, q, r, s = args
+                    assert cls == "lightlike" and name != "Eq", (shape, seed, name, args)
+                    assert (want, got) == ((True, DomainError) if p == q and r == s
+                                           else (DomainError, False)), (shape, seed, name, args)
+    # equal norms on a spacelike class: EqRho only for q < 0, EqFTL for both signs
+    expect = {
+        "translate": {("Eq", "timelike", True), ("EqRho", "spacelike", True),
+                      ("EqRho", "spacelike", False), ("EqFTL", "spacelike", True)},
+        "equal lines": {("Eq", "timelike", True), ("Eq", "timelike", False),
+                        ("EqRho", "spacelike", True), ("EqFTL", "spacelike", False)},
+        "optical": {("EqRho", "spacelike", True), ("EqRho", "spacelike", False)},
+    }
+    expect["reflection"] = expect["translate"]
+    assert expect.get(shape, set()) <= seen
 
 
 def test_scenario_from_dict_and_diagnostics():

@@ -35,7 +35,7 @@ from relcheck.verifier import definitional as de
 from relcheck.verifier import suites
 from relcheck.verifier.evaluate import EvalModel, evaluate_bounded
 from relcheck.verifier.generators import ConfigGen, GenerationError
-from relcheck.verifier.report import Budget, SuiteReport, Verdict, sub_seed
+from relcheck.verifier.report import FALSE, TRUE, Budget, SuiteReport, Verdict, sub_seed
 from relcheck.verifier.suites import (
     AXIOM_CHECKERS,
     CRITERION6_PREDICATES,
@@ -279,6 +279,61 @@ def test_delta_def_double_diamond():
     assert de.delta_def(
         a, ev(0, 7, 0, 0), ev(3, 9, 0, 0), ev(0, 0, 0, 0), ev(3, 0, 0, 0), STL
     ).is_true()
+
+
+def _deltaftl_pair(kind, gen, a, ray):
+    """Two arguments of DeltaFTL: `ray` (a signal that a transmits) twice, a
+    signal twice that a almost surely does not transmit, two events whose
+    SimFTL partner on a is a.base, or `ray` and an event."""
+    if kind == "sent":
+        return ray, ray
+    if kind == "stray":
+        p = gen.point()
+        s = Segment(p, p + gen.null_dir())
+        return s, s
+    if kind == "sim":  # w is orthogonal to a.dir; realizable on a spacelike a if timelike
+        e1, e2 = gen.sim_pair(a)
+        w = e2.beg - e1.beg
+        return event(a.base + w), event(a.base - w)
+    return ray, event(a.base)
+
+
+def test_deltaftl_with_signals_follows_the_definition():
+    # A signal that is not an event is SimFTL-related to itself alone, so
+    # DeltaFTL with such an argument holds by the definition's first
+    # disjunct a0p = a1p & b0p = b1p.  Both routes are compared with each
+    # other on every case, and with the definition's body where the bounded
+    # evaluator decides it (it finds TRUE witnesses, and cannot refute).
+    table = load_definitions()
+    definition = table["DeltaFTL"]
+    names = [p.name for p in definition.params]
+    kinds = ("sent", "stray", "sim", "mixed")
+    combos = [(k1, k2) for k1 in kinds for k2 in kinds if (k1, k2) != ("sim", "sim")]
+    seen, decided = set(), set()
+    for seed in range(4 * len(combos)):
+        gen = ConfigGen(seed)
+        a = gen.observer(FTL)
+        ray = Segment(a.base, a.base + gen.null_dir())
+        k1, k2 = combos[seed % len(combos)]
+        args = [*_deltaftl_pair(k1, gen, a, ray), *_deltaftl_pair(k2, gen, a, ray)]
+        geo = GEOMETRIC_PREDICATES["DeltaFTL"]([a, *args])
+        assert de.delta_def(a, *args, FTL, undirected=True).status == (TRUE if geo else FALSE), seed
+        assert de.delta_def(a, *args, FTL).is_false()  # Sim relates events only
+        seen.add((k1, k2, geo))
+        if seed >= len(combos):
+            continue
+        # seven candidates per quantifier reach the witnesses (the six the
+        # evaluator builds on a, then a0) and keep a search that cannot
+        # decide to 7^4 bodies
+        scenario = Scenario(FTL, gen.ctx, {"a": a}, {})
+        got = evaluate_bounded(definition.body, EvalModel.from_scenario(scenario, table),
+                               dict(zip(names, [a, *args])), Budget(max_witness_candidates=7))
+        if not got.is_unknown():
+            assert got.is_true() == geo, seed
+            decided.add((k1, k2, got.status))
+    assert {("sent", "sent", True), ("sent", "sim", True), ("sim", "sent", False)} <= seen
+    assert ("sent", "sent", TRUE) in decided
+    assert not any(geo for k1, k2, geo in seen if "stray" in (k1, k2) or "mixed" in (k1, k2))
 
 
 def test_stl_def_counting():
