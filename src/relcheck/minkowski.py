@@ -12,7 +12,7 @@ import enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from relcheck.scalar import Scalar, ScalarContext
+from relcheck.scalar import Scalar, ScalarContext, _rat
 
 
 class IntervalClass(enum.Enum):
@@ -42,21 +42,15 @@ class Vec4:
         return iter(self.c)
 
     def __add__(self, other: "Vec4") -> "Vec4":
-        if _rational(self.c + other.c):
-            return Vec4(*(Scalar(a.ctx, 0, a.a + b.a, None) for a, b in zip(self.c, other.c)))
         return Vec4(*(a + b for a, b in zip(self.c, other.c)))
 
     def __sub__(self, other: "Vec4") -> "Vec4":
-        if _rational(self.c + other.c):
-            return Vec4(*(Scalar(a.ctx, 0, a.a - b.a, None) for a, b in zip(self.c, other.c)))
         return Vec4(*(a - b for a, b in zip(self.c, other.c)))
 
     def __neg__(self) -> "Vec4":
         return Vec4(*(-a for a in self.c))
 
     def scale(self, k: Scalar) -> "Vec4":
-        if isinstance(k, Scalar) and _rational(self.c + (k,)):
-            return Vec4(*(Scalar(a.ctx, 0, a.a * k.a, None) for a in self.c))
         return Vec4(*(a * k for a in self.c))
 
     def is_zero(self) -> bool:
@@ -80,21 +74,24 @@ class Vec4:
     def of(ctx: ScalarContext, *vals) -> "Vec4":
         out = []
         for v in vals:
-            out.append(v if isinstance(v, Scalar) else ctx.rat(Fraction(v)))
+            out.append(v if isinstance(v, Scalar) else ctx.rat(v))
         assert len(out) == 4
         return Vec4(*out)
 
 
-def _rational(coords: tuple) -> bool:
-    """True when every scalar in `coords` is at level 0 (a plain Fraction)."""
-    return not any(a.level for a in coords)
-
-
 def inner(x: Vec4, y: Vec4) -> Scalar:
     """Minkowski inner product -x0*y0 + x1*y1 + x2*y2 + x3*y3."""
-    if _rational(x.c + y.c):
-        (x0, x1, x2, x3), (y0, y1, y2, y3) = x.c, y.c
-        return Scalar(x0.ctx, 0, x1.a * y1.a + x2.a * y2.a + x3.a * y3.a - x0.a * y0.a, None)
+    if not any(a.level for a in x.c + y.c):
+        # sum the four products n/d on ints, adding a denominator only when it differs
+        num, den, sgn = 0, 1, -1
+        for a, b in zip(x.c, y.c):
+            n, d = sgn * a.a[0] * b.a[0], a.den * b.den
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+            sgn = 1
+        return _rat(x.ctx, num, den)
     return -(x[0] * y[0]) + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
 
 
@@ -327,11 +324,12 @@ class PoincareMap:
     def boost(ctx: ScalarContext, t: Fraction, axis: int = 1) -> "PoincareMap":
         """Exact rational boost along a space axis; velocity v = 2t/(1+t^2)."""
         assert axis in (1, 2, 3)
-        den = 1 - t * t
-        if den == 0:
+        s = ctx.rat(t)
+        den = 1 - s * s
+        if den.is_zero():
             raise ValueError("boost parameter t must satisfy t^2 != 1")
-        g = ctx.rat((1 + t * t) / den)
-        gv = ctx.rat(2 * t / den)
+        g = (1 + s * s) / den
+        gv = (s + s) / den
         m = PoincareMap.identity(ctx)
         rows = [list(r) for r in m.linear]
         rows[0][0] = g
@@ -347,8 +345,8 @@ class PoincareMap:
         den = m * m + n * n
         if den == 0:
             raise ValueError("rotation parameters must not both be zero")
-        c = ctx.rat(Fraction(m * m - n * n, den))
-        s = ctx.rat(Fraction(2 * m * n, den))
+        c = ctx.rat(m * m - n * n, den)
+        s = ctx.rat(2 * m * n, den)
         pm = PoincareMap.identity(ctx)
         rows = [list(r) for r in pm.linear]
         rows[ax1][ax1] = c

@@ -399,11 +399,16 @@ def bw_rho(a: Line, b: Line, c: Line) -> bool:
     null vectors, hence parallel, and the time signs give v_ab = t*v_ac with
     0 <= t <= 1.  Canonical bases (pivot coordinate 0) differ by a multiple of
     d only when equal: the bases are between, and c.base - a.base + F*d is null.
+    With u = c.base - a.base, that holds when lam(d)*quotient_norm(u, d) <= 0,
+    and lam(d)*quotient_norm(u, d) = lam(d)*lam(u) - inner(u, d)**2, which
+    needs no division.
     """
     d = _parallel_family([a, b, c])
     if d is None or not tarski_bw_f(a.base, b.base, c.base):
         return False
-    return (lam(d) * quotient_norm(c.base - a.base, d)).sign() <= 0
+    u = c.base - a.base
+    ud = inner(u, d)
+    return (lam(d) * lam(u) - ud * ud).sign() <= 0
 
 
 def eq_rho(a: Line, b: Line, c: Line, d: Line) -> bool:

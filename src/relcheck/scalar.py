@@ -15,7 +15,7 @@ that catch it, and they make it UNKNOWN with a reason starting
 from ``model.UnsupportedPredicate`` by the case driver and by the
 evaluator's atom step.
 
-Above level 0 a value is a tuple of Python ints over one positive int
+At level k a value is a tuple of 2**k Python ints over one positive int
 denominator, reduced by one gcd.  The ints are coordinates over the
 monomials of the scaled roots s'_k = D_k*sqrt(r_k), where D_k is the
 denominator of r_k in this form, so every s'_k**2 has int coordinates and
@@ -29,13 +29,17 @@ square roots.
 coeff**2 * rad, then searches the chain once, for sqrt(rad), and adjoins a
 root only when that search fails.
 
-Level 0 is a plain ``Fraction`` and most arithmetic stays there, so the
-operators have a level-0 fast path: when both operands are level-0
-Scalars, ``+``, ``-``, ``*``, ``/`` and unary ``-`` apply the Fraction
-operation and wrap the result once, in the left operand's context.
-``minkowski.Vec4`` does the same coordinate by coordinate.  Mixing two
-contexts is refused only when both operands are above level 0; a result
-above level 0 lives in the context that owns its radicand.
+A rational is the k = 0 case: one int numerator over a positive int
+denominator, in lowest terms.  Most arithmetic stays at level 0, so ``+``,
+``-``, ``*`` and ``/`` keep one branch for two rationals that works on the
+same two fields (n*e +- m*d over d*e, then one gcd) without the general
+path's lists and level bookkeeping.  ``Fraction`` appears only at the
+edges: ``ScalarContext.rat`` input, ``as_fraction``, ``render``, ``approx``
+and ``__hash__``, which equals the hash of the equal ``Fraction`` because a
+rational Scalar compares equal to it.  Mixing two contexts is refused only
+when both operands are above level 0; a level-0 result lives in the left
+operand's context, and a result above level 0 in the context that owns its
+radicand.
 
 Scalars are immutable values and safe to share; a context's radicand
 chain is append-only, so create one context per worker rather than
@@ -161,13 +165,22 @@ def _vinv(v: Sequence[int], squares: list) -> tuple[list, int]:
     return _vmul(lo, u, squares) + [-x for x in _vmul(hi, u, squares)], c
 
 
+def _rat(ctx: "ScalarContext", n: int, d: int) -> "Scalar":
+    """The level-0 Scalar n/d for d != 0, in lowest terms."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n //= g
+        d //= g
+    return Scalar(ctx, 0, (n,), d)
+
+
 def _reduced(ctx: "ScalarContext", v: Sequence[int], den: int) -> "Scalar":
     """The Scalar with coordinates v over den != 0, at its own level, in lowest terms."""
     n = len(v)
     while n > 1 and not any(v[n // 2 : n]):
         n //= 2
-    if n == 1:
-        return Scalar(ctx, 0, Fraction(v[0], den), None)
     v = v[:n]
     g = math.gcd(den, *v)
     if den < 0:
@@ -181,18 +194,19 @@ def _reduced(ctx: "ScalarContext", v: Sequence[int], den: int) -> "Scalar":
 class Scalar:
     """Element of the context's current extension chain.
 
-    ``level == 0`` wraps a plain Fraction ``a`` (``den`` is None).  At
-    ``level == k > 0``, ``a`` is a tuple of 2**k ints over the positive int
+    At ``level == k``, ``a`` is a tuple of 2**k ints over the positive int
     ``den``: coordinates over the monomial basis of the scaled roots
     s'_j = D_j*sqrt(r_j), j = 1..k, where coordinate i multiplies the product
     of the s'_j whose bit j - 1 is set in i.  D_j is the denominator of r_j
     in this form, so s'_j**2 = D_j**2 * r_j has int coordinates and sums,
-    products, norms and signs need no Fraction.  The high half of ``a`` (the
-    s'_k half) is not all zero, and gcd(den, *a) == 1.  The basis is
-    linearly independent because no r_j is a square one level down, so the
-    coordinates are unique, and the reduction makes the ints unique too:
-    equality of values is equality of representations.  ``_parts`` gives
-    the (lo, hi) view a = lo + hi*sqrt(r_k) in the unscaled root.
+    products, norms and signs need no Fraction.  Above level 0 the high half
+    of ``a`` (the s'_k half) is not all zero; at every level gcd(den, *a) ==
+    1, so a rational n/d is ``a == (n,)`` over ``den == d`` and zero is
+    ``(0,)`` over 1.  The basis is linearly independent because no r_j is a
+    square one level down, so the coordinates are unique, and the reduction
+    makes the ints unique too: equality of values is equality of
+    representations.  ``_parts`` gives the (lo, hi) view a = lo + hi*sqrt(r_k)
+    in the unscaled root.
     """
 
     __slots__ = ("ctx", "level", "a", "den", "_hash")
@@ -206,19 +220,13 @@ class Scalar:
 
     # -- construction -------------------------------------------------
 
-    def _coords(self) -> tuple[tuple, int]:
-        """(coordinates, denominator) at self's own level."""
-        if self.level == 0:
-            return (self.a.numerator,), self.a.denominator
-        return self.a, self.den
-
     def _parts(self, level: int) -> tuple["Scalar", "Scalar"]:
         """View of self as lo + hi*sqrt(r_level) relative to `level` >= self.level."""
         if self.level != level:
             return self, self.ctx.zero
         v, d = self.a, self.den
         h = len(v) // 2
-        scale = self.ctx.radicands[level - 1]._coords()[1]
+        scale = self.ctx.radicands[level - 1].den
         return _reduced(self.ctx, v[:h], d), _reduced(self.ctx, [scale * x for x in v[h:]], d)
 
     def _coerce(self, other) -> Optional["Scalar"]:
@@ -233,35 +241,28 @@ class Scalar:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.level == 0:
-            return self.a == 0
-        return False  # normalized: the s'_k half is nonzero
+        # normalized: above level 0 the s'_k half is nonzero
+        return self.level == 0 and self.a[0] == 0
 
     def as_fraction(self) -> Fraction:
         if self.level != 0:
             raise ScalarError("scalar is not rational")
-        return self.a
+        return Fraction(self.a[0], self.den)
 
     def sign(self) -> int:
-        if self.level == 0:
-            f = self.a
-            return 0 if f == 0 else (1 if f > 0 else -1)
         return _vsign(self.a, self.ctx._squares)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
         if self.level == 0 and isinstance(other, Scalar) and other.level == 0:
-            return Scalar(self.ctx, 0, self.a + other.a, None)
+            return _rat(self.ctx, self.a[0] * other.den + other.a[0] * self.den, self.den * other.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        lvl = max(self.level, o.level)
-        if lvl == 0:
-            return Scalar(self.ctx, 0, self.a + o.a, None)
         # a level > 0 result lives in the context that owns its radicand
-        ctx = self.ctx if self.level == lvl else o.ctx
-        (v, d), (w, e) = self._coords(), o._coords()
+        ctx = self.ctx if self.level >= o.level else o.ctx
+        v, d, w, e = self.a, self.den, o.a, o.den
         if len(v) < len(w):
             v, d, w, e = w, e, v, d
         if d == e:
@@ -278,13 +279,11 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        if self.level == 0:
-            return Scalar(self.ctx, 0, -self.a, None)
         return Scalar(self.ctx, self.level, tuple([-x for x in self.a]), self.den)
 
     def __sub__(self, other) -> "Scalar":
         if self.level == 0 and isinstance(other, Scalar) and other.level == 0:
-            return Scalar(self.ctx, 0, self.a - other.a, None)
+            return _rat(self.ctx, self.a[0] * other.den - other.a[0] * self.den, self.den * other.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -298,33 +297,27 @@ class Scalar:
 
     def __mul__(self, other) -> "Scalar":
         if self.level == 0 and isinstance(other, Scalar) and other.level == 0:
-            return Scalar(self.ctx, 0, self.a * other.a, None)
+            return _rat(self.ctx, self.a[0] * other.a[0], self.den * other.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        lvl = max(self.level, o.level)
-        if lvl == 0:
-            return Scalar(self.ctx, 0, self.a * o.a, None)
-        ctx = self.ctx if self.level == lvl else o.ctx
-        (v, d), (w, e) = self._coords(), o._coords()
-        return _reduced(ctx, _vmul(v, w, ctx._squares), d * e)
+        ctx = self.ctx if self.level >= o.level else o.ctx
+        return _reduced(ctx, _vmul(self.a, o.a, ctx._squares), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if self.level == 0:
-            if self.a == 0:
-                raise DomainError("division by zero")
-            return Scalar(self.ctx, 0, 1 / self.a, None)
+            return self.ctx.one / self
         w, c = _vinv(self.a, self.ctx._squares)
         assert c != 0, "radicand was a perfect square; chain invariant broken"
         return _reduced(self.ctx, [self.den * x for x in w], c)
 
     def __truediv__(self, other) -> "Scalar":
         if self.level == 0 and isinstance(other, Scalar) and other.level == 0:
-            if other.a == 0:
+            if other.a[0] == 0:
                 raise DomainError("division by zero")
-            return Scalar(self.ctx, 0, self.a / other.a, None)
+            return _rat(self.ctx, self.a[0] * other.den, self.den * other.a[0])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -339,14 +332,13 @@ class Scalar:
     # -- order ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.level == 0 and self.a == other
         if not isinstance(other, Scalar):
+            if isinstance(other, (int, Fraction)):
+                num, den = other.numerator, other.denominator
+                return self.level == 0 and self.a[0] == num and self.den == den
             return NotImplemented
         if self.level != other.level:
             return False
-        if self.level == 0:
-            return self.a == other.a
         # coordinates compare only over the same radicands
         if other.ctx is not self.ctx and (
             self.ctx.radicands[: self.level] != other.ctx.radicands[: self.level]
@@ -385,7 +377,7 @@ class Scalar:
     def __hash__(self) -> int:
         if self._hash is None:
             if self.level == 0:
-                self._hash = hash(self.a)
+                self._hash = hash(self.as_fraction())
             else:
                 self._hash = hash((self.level, self.a, self.den))
         return self._hash
@@ -394,14 +386,14 @@ class Scalar:
 
     def render(self) -> str:
         if self.level == 0:
-            return str(self.a)
+            return str(self.as_fraction())
         rad = self.ctx.radicands[self.level - 1].render()
         a, b = self._parts(self.level)
         lo = a.render()
         if b.level == 0:
-            if b.a < 0:
-                return f"{lo} - {-b.a}*sqrt({rad})"
-            return f"{lo} + {b.a}*sqrt({rad})"
+            if b.sign() < 0:
+                return f"{lo} - {(-b).render()}*sqrt({rad})"
+            return f"{lo} + {b.render()}*sqrt({rad})"
         return f"{lo} + ({b.render()})*sqrt({rad})"
 
     def __str__(self) -> str:
@@ -415,7 +407,7 @@ class Scalar:
     def approx(self, eps: Fraction = Fraction(1, 10**12)) -> Fraction:
         """Rational approximation within eps (for rendering, never for logic)."""
         if self.level == 0:
-            return self.a
+            return self.as_fraction()
         sub_eps = eps / 8
         r = self.ctx.radicands[self.level - 1].approx(sub_eps)
         root = _approx_sqrt(max(r, Fraction(0)), sub_eps)
@@ -447,13 +439,14 @@ class ScalarContext:
         self.radicands: list[Scalar] = []
         # s'_k**2 = D_k**2 * r_k as int coordinates of its own level, per level k
         self._squares: list[tuple[int, ...]] = []
-        self.zero = Scalar(self, 0, Fraction(0), None)
-        self.one = Scalar(self, 0, Fraction(1), None)
+        self.zero = Scalar(self, 0, (0,), 1)
+        self.one = Scalar(self, 0, (1,), 1)
 
     def rat(self, num: RatLike, den: Optional[int] = None) -> Scalar:
-        if den is not None:
-            return Scalar(self, 0, Fraction(num, den), None)
-        return Scalar(self, 0, Fraction(num), None)
+        if den is None and type(num) is int:
+            return Scalar(self, 0, (num,), 1)
+        f = Fraction(num) if den is None else Fraction(num, den)
+        return Scalar(self, 0, (f.numerator,), f.denominator)
 
     @property
     def depth(self) -> int:
@@ -471,9 +464,8 @@ class ScalarContext:
         # coeff is a positive rational, sqrt(a) is in a field iff sqrt(rad) is
         coeff, rad = self.one, a
         if a.level == 0:
-            f = a.as_fraction()
-            sq, m = _square_free_split(f.numerator * f.denominator)
-            coeff, rad = self.rat(Fraction(sq, f.denominator)), self.rat(m)
+            sq, m = _square_free_split(a.a[0] * a.den)
+            coeff, rad = _rat(self, sq, a.den), Scalar(self, 0, (m,), 1)
         found = self._sqrt_in_chain(rad, len(self.radicands))
         if found is not None:
             return coeff * (found if found.sign() >= 0 else -found)
@@ -483,28 +475,23 @@ class ScalarContext:
                 f"cannot adjoin sqrt({a.render()})"
             )
         self.radicands.append(rad)
-        v, d = rad._coords()
-        self._squares.append(tuple(d * x for x in v))
+        self._squares.append(tuple(rad.den * x for x in rad.a))
         return coeff * self._root(len(self.radicands))
 
     def _root(self, k: int) -> Scalar:
         """sqrt(r_k): the basis root s'_k over D_k."""
         half = 1 << (k - 1)
         coords = (0,) * half + (1,) + (0,) * (half - 1)
-        return Scalar(self, k, coords, self.radicands[k - 1]._coords()[1])
+        return Scalar(self, k, coords, self.radicands[k - 1].den)
 
     def _sqrt_in_chain(self, a: Scalar, k: int) -> Optional[Scalar]:
         """Find s with s*s == a inside the level-k subfield, or None."""
         if k == 0:
-            if a.level != 0:
+            if a.level != 0 or a.a[0] < 0:
                 return None
-            f = a.as_fraction()
-            if f < 0:
-                return None
-            rn = math.isqrt(f.numerator)
-            rd = math.isqrt(f.denominator)
-            if rn * rn == f.numerator and rd * rd == f.denominator:
-                return self.rat(Fraction(rn, rd))
+            rn, rd = math.isqrt(a.a[0]), math.isqrt(a.den)
+            if rn * rn == a.a[0] and rd * rd == a.den:
+                return Scalar(self, 0, (rn,), rd)
             return None
         a0, a1 = a._parts(k)
         if a1.is_zero():

@@ -1,12 +1,18 @@
+import fractions
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relcheck import minkowski, scalar
+from relcheck.corpus import SYSTEM_SIMPLERELFTL
+from relcheck.model import ModelKind
 from relcheck.scalar import (
     CapacityError,
     DomainError,
@@ -15,6 +21,8 @@ from relcheck.scalar import (
     ScalarParseError,
     _square_free_split,
 )
+from relcheck.verifier.report import Budget
+from relcheck.verifier.suites import run_axiom_suite
 
 
 # --- independent oracles -------------------------------------------------
@@ -346,6 +354,12 @@ def test_cross_context_equality_compares_radicands():
 _fractions = st.fractions(min_value=-40, max_value=40, max_denominator=60)
 
 
+def _assert_level0_form(x: Scalar) -> None:
+    """One int numerator over a positive int denominator, in lowest terms."""
+    (n,) = x.a
+    assert x.level == 0 and x.den > 0 and math.gcd(n, x.den) == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(_fractions, _fractions, st.booleans())
 def test_level0_ops_are_fraction_ops(fa, fb, two_contexts):
@@ -353,14 +367,22 @@ def test_level0_ops_are_fraction_ops(fa, fb, two_contexts):
     c2 = ScalarContext() if two_contexts else c1
     a, b = c1.rat(fa), c2.rat(fb)
     results = [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (-a, -fa)]
+    if fa != 0:
+        results.append((a.inverse(), 1 / fa))
     if fb != 0:
         results.append((a / b, fa / fb))
     else:
-        with pytest.raises(DomainError):
-            _ = a / b
+        for zero in (b, ScalarContext().zero):  # also a zero of another context
+            with pytest.raises(DomainError):
+                _ = a / zero
     for got, want in results:
         assert got.level == 0 and got.as_fraction() == want
         assert got.ctx is c1  # the left operand's context
+    for got in [a, b] + [r for r, _ in results]:
+        _assert_level0_form(got)
+    # rat input is an edge: equal to, and hashing as, the Fraction or int it was given
+    for f in (fa, fb, fa.numerator, fb.denominator):
+        assert c1.rat(f) == f and hash(c1.rat(f)) == hash(f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -382,20 +404,46 @@ def test_level0_with_level1_uses_the_tower(fq, fx, fy, rad):
         (s * q, fx * fq, fy * fq),
     ]:
         if hi == 0:
-            assert got.level == 0 and got.as_fraction() == lo
+            _assert_level0_form(got)
+            assert got.as_fraction() == lo
         else:
             assert got.level == 1 and [p.as_fraction() for p in got._parts(1)] == [lo, hi]
             assert got.ctx is c1
     if fq != 0:
         got = s / q
         assert [p.as_fraction() for p in got._parts(1)] == [fx / fq, fy / fq]
-    assert (q / s) * s == q
+    back = (q / s) * s
+    _assert_level0_form(back)
+    assert back == q
+
+
+# Fraction is for input, output and the hash only; arithmetic never calls it
+_FRACTION_EDGES = {"rat", "as_fraction", "render", "approx", "__hash__"}
+
+
+def test_fraction_only_at_the_edges():
+    ours = {scalar.__file__, minkowski.__file__}
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            caller = frame.f_back.f_code
+            if caller.co_filename in ours and caller.co_name not in _FRACTION_EDGES:
+                seen.add(f"{Path(caller.co_filename).name}:{caller.co_name} -> {frame.f_code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        run_axiom_suite(SYSTEM_SIMPLERELFTL, ModelKind.FTL, Budget(seed=0), cases=2)
+    finally:
+        sys.setprofile(None)
+    assert not seen, sorted(seen)
 
 
 def _decimal(x: Scalar):
     """x through Decimal square roots, independent of Scalar.approx."""
     if x.level == 0:
-        return Decimal(x.a.numerator) / Decimal(x.a.denominator)
+        f = x.as_fraction()
+        return Decimal(f.numerator) / Decimal(f.denominator)
     radicand = _decimal(x.ctx.radicands[x.level - 1])
     a, b = x._parts(x.level)
     return _decimal(a) + _decimal(b) * radicand.sqrt()
@@ -629,7 +677,7 @@ def _ref_sqrt(ctx: ScalarContext, a: Scalar) -> Scalar:
         if found is not None:
             return coeff * (found if found.sign() >= 0 else -found)
     ctx.radicands.append(rad)
-    v, d = rad._coords()
+    v, d = rad.a, rad.den
     ctx._squares.append(tuple(d * x for x in v))
     return coeff * ctx._root(ctx.depth)
 
