@@ -38,6 +38,6 @@ seg = Segment(o, v(1, 1, 0, 0))
 moved = Segment(boost.apply(seg.beg), boost.apply(seg.end))
 print("null stays null after the boost:", classify(moved.end - moved.beg).value)
 
-# Tarski's betweenness on rest-frame space
-p3 = lambda *c: tuple(ctx.rat(Fraction(x)) for x in c)
+# Tarski's betweenness on rest-frame space, as points with time coordinate 0
+p3 = lambda *c: v(0, *c)
 print("Bw((0,0,0),(1,1,0),(2,2,0)):", tarski_bw_f(p3(0, 0, 0), p3(1, 1, 0), p3(2, 2, 0)))

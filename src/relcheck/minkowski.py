@@ -4,15 +4,30 @@ Points, lines, null segments, and affine isometries over a
 :class:`~relcheck.scalar.ScalarContext`.  Everything here is a pure value:
 lines are kept in a canonical parametrization so set equality of lines is
 representation equality.
+
+A :class:`Vec4` is one value in one context, stored as a ``Scalar`` is: at
+level k its four coordinates' 2**k ints, one after the other, over one
+positive int denominator, reduced by one gcd.  ``+``, ``-``, ``scale``,
+``inner`` and the canonical form of a ``Line`` keep one branch on those
+ints at level 0 and run on the tower's int kernels (``_vmul``, ``_vinv``,
+``_reduced``) above it; ``==`` and ``is_zero`` read the fields, and
+``tarski_bw_f`` cross-multiplies the ints at every level.
+``Line.contains``, ``lines_intersect`` and ``along`` read the coordinates,
+which are built as Scalars only when read.  The context rule is that of
+``Scalar``: a vector lives in the context of its highest-level coordinate,
+or of x0 when all are rational, and coordinates or operands above level 0
+from two contexts raise ``ScalarError``.  ``PoincareMap`` keeps its rows
+as Scalars.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from relcheck.scalar import Scalar, ScalarContext, _rat
+from relcheck.scalar import Scalar, ScalarContext, ScalarError, _rat, _reduced, _vinv, _vmul, _vsign
 
 
 class IntervalClass(enum.Enum):
@@ -21,48 +36,131 @@ class IntervalClass(enum.Enum):
     SPACELIKE = "spacelike"
 
 
+def _ctx_of(*vals) -> ScalarContext:
+    """The context of a value computed from `vals` (Vec4s or Scalars): that
+    of the highest-level one, the first on a tie.  Two contexts above level
+    0 do not mix."""
+    top = max(vals, key=lambda v: v.level)
+    if any(v.level and v.ctx is not top.ctx for v in vals):
+        raise ScalarError("mixing values from different contexts")
+    return top.ctx
+
+
+def _widen(a: Sequence[int], level: int, to: int) -> list:
+    """Coordinates `a` of a vector at `level`, each padded to level `to`."""
+    m, pad = 1 << level, (0,) * ((1 << to) - (1 << level))
+    return [x for i in range(0, 4 * m, m) for x in (*a[i : i + m], *pad)]
+
+
+def _vec4(ctx: ScalarContext, level: int, a: tuple, den: int) -> "Vec4":
+    """The Vec4 with fields (ctx, level, a, den), which must be reduced."""
+    v = object.__new__(Vec4)
+    v.ctx, v.level, v.a, v.den = ctx, level, a, den
+    return v
+
+
+def _vreduced(ctx: ScalarContext, a: Sequence[int], den: int) -> "Vec4":
+    """The Vec4 with coordinates `a` (4 * 2**k ints) over den != 0, trimmed
+    to its own level, in lowest terms."""
+    m = len(a) // 4
+    while m > 1 and not any(any(a[i + m // 2 : i + m]) for i in range(0, 4 * m, m)):
+        a = [x for i in range(0, 4 * m, m) for x in a[i : i + m // 2]]
+        m //= 2
+    g = math.gcd(den, *a)
+    if den < 0:
+        g = -g
+    if g != 1:
+        a = [x // g for x in a]
+        den //= g
+    return _vec4(ctx, m.bit_length() - 1, tuple(a), den)
+
+
 class Vec4:
-    __slots__ = ("c",)
+    """A vector of F^4 as one value in one context, stored as a Scalar is.
+
+    At ``level == k``, ``a`` holds the four coordinates' 2**k ints one after
+    the other (four plain ints at level 0), over one positive int ``den``,
+    with gcd(den, *a) == 1; above level 0 some coordinate's s'_k half is not
+    zero.  So equal vectors have equal fields.  The module docstring gives
+    the context rule.
+    """
+
+    __slots__ = ("ctx", "level", "a", "den")
 
     def __init__(self, x0: Scalar, x1: Scalar, x2: Scalar, x3: Scalar) -> None:
-        self.c = (x0, x1, x2, x3)
+        # over the lcm of reduced coordinates, gcd(den, *a) is already 1
+        self.den = den = math.lcm(x0.den, x1.den, x2.den, x3.den)
+        self.ctx = _ctx_of(x0, x1, x2, x3)
+        self.level = level = max(x0.level, x1.level, x2.level, x3.level)
+        a: list = []
+        for x in (x0, x1, x2, x3):
+            a += [c * (den // x.den) for c in x.a]
+            a += [0] * ((1 << level) - len(x.a))
+        self.a = tuple(a)
 
     @property
-    def ctx(self) -> ScalarContext:
-        return self.c[0].ctx
+    def c(self) -> tuple[Scalar, ...]:
+        return tuple([self[i] for i in range(4)])
 
     @property
     def x0(self) -> Scalar:
-        return self.c[0]
+        return self[0]
 
     def __getitem__(self, i: int) -> Scalar:
-        return self.c[i]
+        if self.level == 0:
+            return _rat(self.ctx, self.a[i], self.den)
+        m, i = 1 << self.level, range(4)[i]
+        return _reduced(self.ctx, self.a[i * m : i * m + m], self.den)
 
     def __iter__(self):
         return iter(self.c)
 
+    def _sum(self, other: "Vec4", sgn: int) -> "Vec4":
+        """self + sgn*other."""
+        v, d, w, e = self.a, self.den, other.a, other.den
+        if self.level == 0 == other.level:
+            return _vreduced(self.ctx, [x * e + sgn * y * d for x, y in zip(v, w)], d * e)
+        ctx = _ctx_of(self, other)
+        level = max(self.level, other.level)
+        v, w = _widen(v, self.level, level), _widen(w, other.level, level)
+        return _vreduced(ctx, [x * e + sgn * y * d for x, y in zip(v, w)], d * e)
+
     def __add__(self, other: "Vec4") -> "Vec4":
-        return Vec4(*(a + b for a, b in zip(self.c, other.c)))
+        return self._sum(other, 1)
 
     def __sub__(self, other: "Vec4") -> "Vec4":
-        return Vec4(*(a - b for a, b in zip(self.c, other.c)))
+        return self._sum(other, -1)
 
     def __neg__(self) -> "Vec4":
-        return Vec4(*(-a for a in self.c))
+        return _vec4(self.ctx, self.level, tuple([-x for x in self.a]), self.den)
 
     def scale(self, k: Scalar) -> "Vec4":
-        return Vec4(*(a * k for a in self.c))
+        if self.level == 0 == k.level:
+            c = k.a[0]
+            return _vreduced(self.ctx, [x * c for x in self.a], self.den * k.den)
+        ctx = _ctx_of(self, k)
+        # each coordinate, padded to k's level, is a block of _vmul's longer operand
+        a = _widen(self.a, self.level, max(self.level, k.level))
+        return _vreduced(ctx, _vmul(a, k.a, ctx._squares), self.den * k.den)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.c)
+        # reduced: above level 0 some coordinate is not zero
+        return self.level == 0 and not any(self.a)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vec4):
             return NotImplemented
-        return self.c == other.c
+        if self.level != other.level:
+            return False
+        # coordinates compare only over the same radicands
+        if other.ctx is not self.ctx and (
+            self.ctx.radicands[: self.level] != other.ctx.radicands[: self.level]
+        ):
+            return False
+        return self.a == other.a and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.c)
+        return hash((self.level, self.a, self.den))
 
     def render(self) -> str:
         return "(" + ", ".join(a.render() for a in self.c) + ")"
@@ -72,27 +170,21 @@ class Vec4:
 
     @staticmethod
     def of(ctx: ScalarContext, *vals) -> "Vec4":
-        out = []
-        for v in vals:
-            out.append(v if isinstance(v, Scalar) else ctx.rat(v))
-        assert len(out) == 4
-        return Vec4(*out)
+        return Vec4(*(v if isinstance(v, Scalar) else ctx.rat(v) for v in vals))
 
 
 def inner(x: Vec4, y: Vec4) -> Scalar:
     """Minkowski inner product -x0*y0 + x1*y1 + x2*y2 + x3*y3."""
-    if not any(a.level for a in x.c + y.c):
-        # sum the four products n/d on ints, adding a denominator only when it differs
-        num, den, sgn = 0, 1, -1
-        for a, b in zip(x.c, y.c):
-            n, d = sgn * a.a[0] * b.a[0], a.den * b.den
-            if d == den:
-                num += n
-            else:
-                num, den = num * d + n * den, den * d
-            sgn = 1
-        return _rat(x.ctx, num, den)
-    return -(x[0] * y[0]) + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
+    v, w = x.a, y.a
+    if x.level == 0 == y.level:
+        return _rat(x.ctx, v[1] * w[1] + v[2] * w[2] + v[3] * w[3] - v[0] * w[0], x.den * y.den)
+    ctx = _ctx_of(x, y)
+    m, n = 1 << x.level, 1 << y.level
+    out = [-p for p in _vmul(v[:m], w[:n], ctx._squares)]
+    for i in range(1, 4):
+        for j, p in enumerate(_vmul(v[i * m : i * m + m], w[i * n : i * n + n], ctx._squares)):
+            out[j] += p
+    return _reduced(ctx, out, x.den * y.den)
 
 
 def lam(v: Vec4) -> Scalar:
@@ -131,23 +223,33 @@ def quotient_lift(u: Vec4, d: Vec4) -> Vec4:
     return u - d.scale(inner(u, d) / lam(d))
 
 
-# --- Tarski relations on rest-frame space F^3 ------------------------------
+# --- Tarski relations: affine betweenness in F^4 ---------------------------
 
 
-def tarski_bw_f(a: Sequence[Scalar], b: Sequence[Scalar], c: Sequence[Scalar]) -> bool:
-    """Affine betweenness: b - a = t*(c - a) for some 0 <= t <= 1."""
-    ab = [bb - aa for aa, bb in zip(a, b)]
-    ac = [cc - aa for aa, cc in zip(a, c)]
-    t: Optional[Scalar] = None
-    for num, den in zip(ab, ac):
-        if not den.is_zero():
-            t = num / den
-            break
-    if t is None:  # a == c
-        return all(x.is_zero() for x in ab)
-    if t.sign() < 0 or (t - 1).sign() > 0:
-        return False
-    return all((num - t * den).is_zero() for num, den in zip(ab, ac))
+def tarski_bw_f(a: Vec4, b: Vec4, c: Vec4) -> bool:
+    """Affine betweenness: b - a = t*(c - a) for some 0 <= t <= 1.
+
+    Over the positive denominator a.den*b.den*c.den, b - a and c - a have
+    coordinates u and w.  If w is zero, a == c and b must equal a.  Else at
+    the first p with w_p != 0, t = u_p/w_p; so u = t*w iff u_i*w_p ==
+    u_p*w_i for every i, and 0 <= t <= 1 iff 0 <= u_p*w_p <= w_p*w_p.  No
+    division and no Scalar.
+    """
+    da, db, dc = a.den, b.den, c.den
+    sq = _ctx_of(a, b, c)._squares
+    level = max(a.level, b.level, c.level)
+    m = 1 << level
+    va, vb, vc = (_widen(v.a, v.level, level) for v in (a, b, c))
+    u = [(y * da - x * db) * dc for x, y in zip(va, vb)]
+    w = [(z * da - x * dc) * db for x, z in zip(va, vc)]
+    us, ws = [u[i : i + m] for i in range(0, 4 * m, m)], [w[i : i + m] for i in range(0, 4 * m, m)]
+    for up, wp in zip(us, ws):
+        if any(wp):
+            uw = _vmul(up, wp, sq)
+            if _vsign(uw, sq) < 0 or _vsign([y - x for x, y in zip(uw, _vmul(wp, wp, sq))], sq) < 0:
+                return False
+            return all(_vmul(x, wp, sq) == _vmul(up, y, sq) for x, y in zip(us, ws))
+    return not any(u)
 
 
 # --- lines and segments -----------------------------------------------------
@@ -166,9 +268,22 @@ class Line:
     def __init__(self, base: Vec4, direction: Vec4) -> None:
         if direction.is_zero():
             raise ValueError("line direction must be non-zero")
-        pivot = next(i for i in range(4) if not direction[i].is_zero())
-        d = direction.scale(direction[pivot].inverse())
-        b = base - d.scale(base[pivot])
+        a, ctx = direction.a, direction.ctx
+        if direction.level == 0 == base.level:
+            pivot = 0 if a[0] else 1 if a[1] else 2 if a[2] else 3
+            p = a[pivot]
+            # dir = a/a[pivot], so d.a[pivot] == d.den once reduced
+            d = _vreduced(ctx, a if p > 0 else [-x for x in a], abs(p))
+            # base - dir*base[pivot] = (base.a*D - d.a*base.a[pivot]) / (base.den*D), D = d.den
+            bp, dd = base.a[pivot], d.den
+            b = _vreduced(base.ctx, [x * dd - y * bp for x, y in zip(base.a, d.a)], base.den * dd)
+        else:
+            m = 1 << direction.level
+            pivot = next(i for i in range(4) if any(a[i * m : i * m + m]))
+            # a[pivot]*w == k, an int, so dir = a*w/k
+            w, k = _vinv(a[pivot * m : pivot * m + m], ctx._squares)
+            d = _vreduced(ctx, _vmul(a, w, ctx._squares), k)
+            b = base - d.scale(base[pivot])
         self.base = b
         self.dir = d
         self.pivot = pivot
@@ -294,7 +409,8 @@ class PoincareMap:
         return self.apply_direction(x) + self.translation
 
     def apply_direction(self, v: Vec4) -> Vec4:
-        return Vec4(*(self._dot(row, v) for row in self.linear))
+        col = v.c
+        return Vec4(*(self._dot(row, col) for row in self.linear))
 
     def validate_isometry(self) -> bool:
         # entry (i, j) of L^T eta L is the Minkowski product of columns i and j

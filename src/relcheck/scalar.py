@@ -33,10 +33,13 @@ A rational is the k = 0 case: one int numerator over a positive int
 denominator, in lowest terms.  Most arithmetic stays at level 0, so ``+``,
 ``-``, ``*`` and ``/`` keep one branch for two rationals that works on the
 same two fields (n*e +- m*d over d*e, then one gcd) without the general
-path's lists and level bookkeeping.  ``Fraction`` appears only at the
-edges: ``ScalarContext.rat`` input, ``as_fraction``, ``render``, ``approx``
-and ``__hash__``, which equals the hash of the equal ``Fraction`` because a
-rational Scalar compares equal to it.  Mixing two contexts is refused only
+path's lists and level bookkeeping.  ``minkowski.Vec4`` stores a vector the
+same way, the four coordinates' ints over one denominator, and keeps the
+same one level-0 branch.  ``Fraction`` appears only at the edges:
+``ScalarContext.rat`` input (read from its fields; two ints go through
+``_rat``), ``as_fraction``, ``render``, ``approx`` and ``__hash__``, which
+equals the hash of the equal ``Fraction`` because a rational Scalar
+compares equal to it.  Mixing two contexts is refused only
 when both operands are above level 0; a level-0 result lives in the left
 operand's context, and a result above level 0 in the context that owns its
 radicand.
@@ -443,9 +446,15 @@ class ScalarContext:
         self.one = Scalar(self, 0, (1,), 1)
 
     def rat(self, num: RatLike, den: Optional[int] = None) -> Scalar:
-        if den is None and type(num) is int:
+        if den is not None:
+            if den == 0:
+                raise ZeroDivisionError(f"rat({num}, 0)")
+            if type(num) is int and type(den) is int:
+                return _rat(self, num, den)
+            num = Fraction(num, den)
+        elif type(num) is int:
             return Scalar(self, 0, (num,), 1)
-        f = Fraction(num) if den is None else Fraction(num, den)
+        f = num if isinstance(num, Fraction) else Fraction(num)
         return Scalar(self, 0, (f.numerator,), f.denominator)
 
     @property

@@ -525,7 +525,7 @@ def op_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
     if lam(d).sign() < 0:
 
         def attempt_timelike(k: int) -> Optional[Line]:
-            v = b.at(ctx.rat(Fraction(k))) - a.base
+            v = b.at(ctx.rat(k)) - a.base
             return Line(a.base, v) if classify(v) is IntervalClass.TIMELIKE else None
 
         cand = _grow_until(attempt_timelike)
@@ -535,7 +535,7 @@ def op_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
         ulift = quotient_lift(u, d)
 
         def attempt_mixed(k: int) -> Optional[Line]:
-            probe = ulift + d.scale(ctx.rat(Fraction(1, k)))
+            probe = ulift + d.scale(ctx.rat(1, k))
             if classify(probe) is IntervalClass.TIMELIKE:
                 return Line(a.base, probe)
             return None

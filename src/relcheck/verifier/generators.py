@@ -43,7 +43,7 @@ class ConfigGen:
         return Fraction(self.rng.randint(-self.bound, self.bound), self.rng.randint(1, 4))
 
     def rat(self) -> Scalar:
-        return self.ctx.rat(self.rat_fraction())
+        return self.ctx.rat(self.rng.randint(-self.bound, self.bound), self.rng.randint(1, 4))
 
     def point(self) -> Vec4:
         return Vec4(*(self.rat() for _ in range(4)))
@@ -57,9 +57,9 @@ class ConfigGen:
         while True:
             v = Vec4(
                 self.ctx.one,
-                self.ctx.rat(Fraction(self.rng.randint(-3, 3), 5)),
-                self.ctx.rat(Fraction(self.rng.randint(-3, 3), 5)),
-                self.ctx.rat(Fraction(self.rng.randint(-2, 2), 5)),
+                self.ctx.rat(self.rng.randint(-3, 3), 5),
+                self.ctx.rat(self.rng.randint(-3, 3), 5),
+                self.ctx.rat(self.rng.randint(-2, 2), 5),
             )
             if classify(v) is IntervalClass.TIMELIKE:
                 return v
@@ -67,7 +67,7 @@ class ConfigGen:
     def spacelike_dir(self) -> Vec4:
         while True:
             v = Vec4(
-                self.ctx.rat(Fraction(self.rng.randint(-3, 3), 5)),
+                self.ctx.rat(self.rng.randint(-3, 3), 5),
                 self.ctx.rat(self.rng.randint(-3, 3)),
                 self.ctx.rat(self.rng.randint(-3, 3)),
                 self.ctx.rat(self.rng.randint(-2, 2)),
@@ -138,21 +138,21 @@ class ConfigGen:
 
     def null_connected_pair(self) -> tuple[Segment, Segment]:
         p = self.point()
-        t = self.ctx.rat(Fraction(self.rng.randint(0, 2 * self.bound), 4))
+        t = self.ctx.rat(self.rng.randint(0, 2 * self.bound), 4)
         q = p + self.null_dir().scale(t)
         assert lam(q - p).is_zero()
         return event(p), event(q)
 
     def chron_pair(self) -> tuple[Segment, Segment]:
         p = self.point()
-        dt = self.ctx.rat(Fraction(self.rng.randint(1, 2 * self.bound), 2))
+        dt = self.ctx.rat(self.rng.randint(1, 2 * self.bound), 2)
         q = p + self.timelike_dir().scale(dt)
         assert lam(q - p).sign() < 0 and (q - p).x0.sign() > 0
         return event(p), event(q)
 
     def signal(self) -> Segment:
         p = self.point()
-        t = self.ctx.rat(Fraction(self.rng.randint(0, 2 * self.bound), 4))
+        t = self.ctx.rat(self.rng.randint(0, 2 * self.bound), 4)
         return Segment(p, p + self.null_dir().scale(t))
 
     def sim_pair(self, c: Line) -> tuple[Segment, Segment]:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from relcheck.minkowski import (
     tarski_bw_f,
 )
 from relcheck.scalar import ScalarContext, ScalarError
+from test_scalar import _q, _random_tower, _tower_element
 
 
 def v(ctx, *vals):
@@ -66,7 +68,8 @@ def test_inner_symmetric_bilinear_random():
 
 
 def p3(ctx, *vals):
-    return tuple(ctx.rat(Fraction(x)) for x in vals)
+    # a point of rest-frame space F^3, with a zero time coordinate
+    return Vec4.of(ctx, 0, *vals)
 
 
 def test_bw_known_triples():
@@ -86,6 +89,7 @@ def test_bw_degenerate_cases():
 
 def _printed_first_coordinate_bw(a, b, c) -> bool:
     # 3x3 determinant of the absolute coordinates, ordering by first coords
+    a, b, c = (tuple(p)[1:] for p in (a, b, c))
     det = (
         a[0] * (b[1] * c[2] - b[2] * c[1])
         - a[1] * (b[0] * c[2] - b[2] * c[0])
@@ -122,12 +126,12 @@ def test_tarski_axiom1_and_pasch_random():
         x, u_, z = coords(), coords(), coords()
         r = Fraction(rng.randint(0, 4), 4)
         s = Fraction(rng.randint(0, 4), 4)
-        t = tuple(xx + ctx.rat(r) * (uu - xx) for xx, uu in zip(x, u_))
+        t = x + (u_ - x).scale(ctx.rat(r))
         y = coords()
         # u between y and z: pick z so that u_ = y + s*(z-y) with s in (0,1]
         if s == 0:
             continue
-        zz = tuple(yy + (uu - yy) / ctx.rat(s) for yy, uu in zip(y, u_))
+        zz = y + (u_ - y).scale(1 / ctx.rat(s))
         assert tarski_bw_f(x, t, u_)
         assert tarski_bw_f(y, u_, zz)
         # Pasch witness: v = y + r*s*(z - y) ... derived via the affine map
@@ -142,20 +146,17 @@ def test_tarski_axiom1_and_pasch_random():
 
 def _segment_meet(ctx, p1, p2, q1, q2):
     # meet of lines p1p2 and q1q2 inside a shared plane, or None
-    d1 = tuple(b - a for a, b in zip(p1, p2))
-    d2 = tuple(b - a for a, b in zip(q1, q2))
-    rhs = tuple(b - a for a, b in zip(p1, q1))
-    for i in range(3):
-        for j in range(3):
+    d1, d2, rhs = p2 - p1, q2 - q1, q1 - p1
+    for i in range(1, 4):
+        for j in range(1, 4):
             if i == j:
                 continue
             det = d1[i] * (-d2[j]) - (-d2[i]) * d1[j]
             if not det.is_zero():
                 s = (rhs[i] * (-d2[j]) - (-d2[i]) * rhs[j]) / det
                 t = (d1[i] * rhs[j] - rhs[i] * d1[j]) / det
-                v_ = tuple(a + s * d for a, d in zip(p1, d1))
-                w_ = tuple(a + t * d for a, d in zip(q1, d2))
-                if all((x - y).is_zero() for x, y in zip(v_, w_)):
+                v_ = p1 + d1.scale(s)
+                if v_ == q1 + d2.scale(t):
                     return v_
                 return None
     return None
@@ -349,8 +350,8 @@ _coords = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(_coords, _coords, st.fractions(min_value=-5, max_value=5), st.lists(st.booleans(), min_size=9, max_size=9))
 def test_rational_vec4_ops_are_fraction_formulas(fx, fy, fk, pick):
-    # each coordinate comes from one of two contexts; a result coordinate
-    # lives in its left operand's context, coordinate by coordinate
+    # each coordinate comes from one of two contexts; a rational vector
+    # lives in its x0's context, and a rational result in its left operand's
     ctxs = (ScalarContext(), ScalarContext())
     x = Vec4(*(ctxs[p].rat(f) for p, f in zip(pick[:4], fx)))
     y = Vec4(*(ctxs[p].rat(f) for p, f in zip(pick[4:8], fy)))
@@ -385,3 +386,187 @@ def test_vec4_with_a_level1_coordinate_takes_the_tower_path():
         _ = x + z
     with pytest.raises(ScalarError):
         inner(x, z)
+
+
+def test_vec4_context_rule():
+    ctx, other = ScalarContext(), ScalarContext()
+    r2, r3 = ctx.sqrt(ctx.rat(2)), other.sqrt(other.rat(3))
+    # coordinates above level 0 from two contexts are refused when built
+    with pytest.raises(ScalarError):
+        Vec4(ctx.rat(1), r2, r3, ctx.zero)
+    # the vector takes its highest-level coordinate's context
+    x = Vec4(other.rat(1), r2, other.rat(2), ctx.rat(Fraction(1, 3)))
+    assert x.ctx is ctx and all(c.ctx is ctx for c in x)
+    # a rational vector takes x0's context, and its coordinates read back in it
+    y = Vec4(other.rat(Fraction(1, 2)), ctx.rat(3), ctx.zero, ctx.rat(-4))
+    assert y.ctx is other
+    assert [c.ctx for c in y] == [other] * 4 and y.x0.ctx is other and y[3].ctx is other
+    assert [c.as_fraction() for c in y] == [Fraction(1, 2), 3, 0, -4]
+
+
+# --- the shared-denominator Vec4 against the per-coordinate reference ---------
+#
+# The reference is Vec4 as it was before it shared one denominator: a tuple
+# of four Scalars, with every operation made coordinate by coordinate from
+# Scalar operators, and betweenness by the division t = u_p / w_p.
+
+
+class _RefVec4:
+    def __init__(self, *c) -> None:
+        self.c = tuple(c)
+
+    def __add__(self, other):
+        return _RefVec4(*(a + b for a, b in zip(self.c, other.c)))
+
+    def __sub__(self, other):
+        return _RefVec4(*(a - b for a, b in zip(self.c, other.c)))
+
+    def __neg__(self):
+        return _RefVec4(*(-a for a in self.c))
+
+    def scale(self, k):
+        return _RefVec4(*(a * k for a in self.c))
+
+    def is_zero(self):
+        return all(a.is_zero() for a in self.c)
+
+    def __eq__(self, other):
+        return self.c == other.c
+
+
+def _ref_inner(x, y):
+    return -(x.c[0] * y.c[0]) + x.c[1] * y.c[1] + x.c[2] * y.c[2] + x.c[3] * y.c[3]
+
+
+def _ref_tarski_bw_f(a, b, c):
+    ab = [bb - aa for aa, bb in zip(a.c, b.c)]
+    ac = [cc - aa for aa, cc in zip(a.c, c.c)]
+    t = None
+    for num, den in zip(ab, ac):
+        if not den.is_zero():
+            t = num / den
+            break
+    if t is None:
+        return all(x.is_zero() for x in ab)
+    if t.sign() < 0 or (t - 1).sign() > 0:
+        return False
+    return all((num - t * den).is_zero() for num, den in zip(ab, ac))
+
+
+def _ref_line(base, direction):
+    """(pivot, base, dir) of the canonical form."""
+    pivot = next(i for i in range(4) if not direction.c[i].is_zero())
+    d = direction.scale(direction.c[pivot].inverse())
+    return pivot, base - d.scale(base.c[pivot]), d
+
+
+def _ref_lines_intersect(a, b):
+    (pa, ba, da), (pb, bb, db) = a, b
+    if ba == bb and da == db:
+        return ba
+    if da == db:
+        return None
+    diff = bb - ba
+    for i in range(3):
+        for j in range(i + 1, 4):
+            det = da.c[i] * db.c[j] - da.c[j] * db.c[i]
+            if not det.is_zero():
+                p = ba + da.scale((diff.c[i] * db.c[j] - diff.c[j] * db.c[i]) / det)
+                off = p - (bb + db.scale(p.c[pb]))
+                return p if off.is_zero() else None
+    raise AssertionError("non-parallel directions have a non-zero minor")
+
+
+def _ref_along(u, d):
+    for ui, di in zip(u.c, d.c):
+        if not di.is_zero():
+            t = ui / di
+            return t if (u - d.scale(t)).is_zero() else None
+    return None
+
+
+def _assert_vec4_form(x: Vec4) -> None:
+    # one positive denominator, in lowest terms, at the vector's own level
+    m = 1 << x.level
+    assert len(x.a) == 4 * m and x.den > 0 and math.gcd(x.den, *x.a) == 1
+    if x.level:
+        assert any(any(x.a[i + m // 2 : i + m]) for i in range(0, 4 * m, m))
+
+
+def _same(x: Vec4, ref: _RefVec4) -> bool:
+    _assert_vec4_form(x)
+    return tuple(x) == ref.c
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2), st.randoms(use_true_random=False))
+def test_vec4_matches_per_coordinate_reference(depth, rng):
+    ctx, adjoined = _random_tower(rng, depth)
+    roots = [root for _, root in adjoined]
+    other = ScalarContext()
+
+    def scalar():
+        pick = rng.random()
+        if pick < 0.2:
+            return ctx.zero
+        if pick < 0.5 or not roots:
+            return ctx.rat(_q(rng))
+        return _tower_element(rng, ctx, roots)
+
+    def pair(coords):
+        return Vec4(*coords), _RefVec4(*coords)
+
+    vecs = [pair([scalar() for _ in range(4)]) for _ in range(3)]
+    vecs.append(pair([other.rat(_q(rng)) for _ in range(4)]))  # rational, second context
+    vecs.append(pair([ctx.zero] * 4))
+    ks = [scalar(), ctx.zero, ctx.one]
+    for x, rx in vecs:
+        assert _same(x, rx) and x.x0 == rx.c[0] and x[2] == rx.c[2]
+        assert x.is_zero() == rx.is_zero()
+        assert _same(-x, -rx)
+        assert lam(x) == _ref_inner(rx, rx)
+        for k in ks:
+            assert _same(x.scale(k), rx.scale(k))
+        for y, ry in vecs:
+            for got, want in [(x + y, rx + ry), (x - y, rx - ry)]:
+                assert _same(got, want)
+                if got.level:
+                    assert got.ctx is ctx
+            assert inner(x, y) == _ref_inner(rx, ry)
+            assert (x == y) == (rx == ry)
+            if x == y:
+                assert hash(x) == hash(y)
+            # a vector reached two ways has one representation
+            z = (x + y) - y
+            assert z == x and hash(z) == hash(x)
+
+            # along: on the span of y, and off it
+            for u, ru in [(y.scale(ks[0]), ry.scale(ks[0])), (x, rx)]:
+                assert along(u, y) == _ref_along(ru, ry)
+
+            # betweenness of x, x + t(y - x) and y, for t below, inside and above [0, 1]
+            for t in [ctx.rat(-1, 2), ctx.zero, ctx.rat(1, 3), ctx.one, ctx.rat(3, 2), ks[0]]:
+                b, rb = x + (y - x).scale(t), rx + (ry - rx).scale(t)
+                assert tarski_bw_f(x, b, y) == _ref_tarski_bw_f(rx, rb, ry)
+                assert tarski_bw_f(b, x, y) == _ref_tarski_bw_f(rb, rx, ry)
+            assert tarski_bw_f(x, y, vecs[0][0]) == _ref_tarski_bw_f(rx, ry, vecs[0][1])
+
+    # lines: canonical fields, and meets of lines through one point or not
+    lines = []
+    for (p, rp), (d, rd) in zip(vecs, vecs[1:] + vecs[:1]):
+        if d.is_zero():
+            continue
+        for base, rbase in [(p, rp), (p + d.scale(ks[0]), rp + rd.scale(ks[0]))]:
+            line, ref = Line(base, d), _ref_line(rbase, rd)
+            assert line.pivot == ref[0] and _same(line.base, ref[1]) and _same(line.dir, ref[2])
+            lines.append((line, ref))
+        through = vecs[0]
+        line, ref = Line(through[0], d), _ref_line(through[1], rd)
+        assert line.pivot == ref[0] and _same(line.base, ref[1]) and _same(line.dir, ref[2])
+        lines.append((line, ref))
+    for a, ra in lines:
+        for b, rb in lines:
+            got, want = lines_intersect(a, b), _ref_lines_intersect(ra, rb)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert _same(got, want)

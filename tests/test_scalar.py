@@ -383,6 +383,14 @@ def test_level0_ops_are_fraction_ops(fa, fb, two_contexts):
     # rat input is an edge: equal to, and hashing as, the Fraction or int it was given
     for f in (fa, fb, fa.numerator, fb.denominator):
         assert c1.rat(f) == f and hash(c1.rat(f)) == hash(f)
+    # two ints n, d are n/d, also for a negative d, in lowest terms; d = 0 raises
+    for n, d in ((fa.numerator, fb.numerator), (fb.numerator * 6, -fa.denominator * 4)):
+        if d == 0:
+            with pytest.raises(ZeroDivisionError):
+                c1.rat(n, d)
+        else:
+            assert c1.rat(n, d) == Fraction(n, d)
+            _assert_level0_form(c1.rat(n, d))
 
 
 @settings(max_examples=100, deadline=None)
