@@ -16,8 +16,9 @@ ints at level 0 and run on the tower's int kernels (``_vmul``, ``_vinv``,
 which are built as Scalars only when read.  The context rule is that of
 ``Scalar``: a vector lives in the context of its highest-level coordinate,
 or of x0 when all are rational, and coordinates or operands above level 0
-from two contexts raise ``ScalarError``.  ``PoincareMap`` keeps its rows
-as Scalars.
+from two contexts raise ``ScalarError``.  A ``PoincareMap`` stores its
+rational linear part the same way, 16 ints over one denominator, so
+``compose``, ``apply`` and ``validate_isometry`` run on ints.
 """
 
 from __future__ import annotations
@@ -385,74 +386,85 @@ class Segment:
 # --- Poincaré maps -----------------------------------------------------------
 
 
-class PoincareMap:
-    """Affine map x -> L x + t with L^T eta L == eta checked exactly."""
+def _lmul(n: Sequence[int], w: Sequence[int], m: int) -> list:
+    """Row-major 4x4 ints `n` times the four blocks of `m` ints in `w`, int by int."""
+    cols = list(zip(w[:m], w[m : 2 * m], w[2 * m : 3 * m], w[3 * m :]))
+    rows = (n[:4], n[4:8], n[8:12], n[12:])
+    return [p * x + q * y + r * z + s * u for p, q, r, s in rows for x, y, z, u in cols]
 
-    __slots__ = ("linear", "translation")
+
+def _pmap(a: Sequence[int], den: int, translation: Vec4) -> "PoincareMap":
+    """The map x -> (a/den) x + translation for 16 ints `a` and den != 0, in lowest terms."""
+    g = math.gcd(den, *a) if den > 0 else -math.gcd(den, *a)
+    m = object.__new__(PoincareMap)
+    m.a, m.den, m.translation = tuple([x // g for x in a]), den // g, translation
+    return m
+
+
+_IDENTITY = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+
+
+class PoincareMap:
+    """Affine map x -> L x + t with L^T eta L == eta checked exactly.  L is stored
+    as a Vec4 is: 16 ints ``a``, row-major, over one positive int ``den``, reduced."""
+
+    __slots__ = ("a", "den", "translation")
 
     def __init__(self, linear: Sequence[Sequence[Scalar]], translation: Vec4) -> None:
-        self.linear = tuple(tuple(row) for row in linear)
+        entries = [x for row in linear for x in row]
+        if any(x.level for x in entries):
+            raise ScalarError("the linear part of a Poincaré map must be rational")
+        # over the lcm of reduced entries, gcd(den, *a) is already 1
+        den = math.lcm(*(x.den for x in entries))
+        self.a, self.den = tuple([x.a[0] * (den // x.den) for x in entries]), den
         self.translation = translation
 
     @property
-    def ctx(self) -> ScalarContext:
-        return self.translation.ctx
-
-    def _dot(self, row: Sequence[Scalar], col: Sequence[Scalar]) -> Scalar:
-        """Row times column, summed from this map's zero so it keeps this context."""
-        acc = self.ctx.zero
-        for a, b in zip(row, col):
-            acc = acc + a * b
-        return acc
+    def linear(self) -> tuple[tuple[Scalar, ...], ...]:
+        a, den, ctx = self.a, self.den, self.translation.ctx
+        return tuple(tuple(_rat(ctx, x, den) for x in a[i : i + 4]) for i in range(0, 16, 4))
 
     def apply(self, x: Vec4) -> Vec4:
         return self.apply_direction(x) + self.translation
 
     def apply_direction(self, v: Vec4) -> Vec4:
-        col = v.c
-        return Vec4(*(self._dot(row, col) for row in self.linear))
+        # a rational v maps into the translation's context, and a v above level 0 keeps its own
+        ctx = v.ctx if v.level else self.translation.ctx
+        return _vreduced(ctx, _lmul(self.a, v.a, 1 << v.level), self.den * v.den)
 
     def validate_isometry(self) -> bool:
-        # entry (i, j) of L^T eta L is the Minkowski product of columns i and j
-        cols = [Vec4(*col) for col in zip(*self.linear)]
-        return all(
-            inner(cols[i], cols[j]) == (0 if i != j else -1 if i == 0 else 1)
-            for i in range(4)
-            for j in range(4)
-        )
+        # L = a/den is an isometry iff a^T (eta a) == den**2 * eta
+        a, d2 = self.a, self.den * self.den
+        eta_a = [-x for x in a[:4]] + list(a[4:])
+        eta = [-d2, 0, 0, 0, 0, d2, 0, 0, 0, 0, d2, 0, 0, 0, 0, d2]
+        return _lmul(a[0::4] + a[1::4] + a[2::4] + a[3::4], eta_a, 4) == eta
 
     def compose(self, other: "PoincareMap") -> "PoincareMap":
         """self after other: x -> self(other(x))."""
-        cols = list(zip(*other.linear))
-        rows = [[self._dot(row, col) for col in cols] for row in self.linear]
-        return PoincareMap(rows, self.apply(other.translation))
+        # other's rows are the four blocks of its ints
+        return _pmap(_lmul(self.a, other.a, 4), self.den * other.den, self.apply(other.translation))
 
     @staticmethod
     def identity(ctx: ScalarContext) -> "PoincareMap":
-        rows = [[ctx.one if i == j else ctx.zero for j in range(4)] for i in range(4)]
-        return PoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0))
+        return _pmap(_IDENTITY, 1, _vec4(ctx, 0, (0, 0, 0, 0), 1))
 
     @staticmethod
     def translation_by(v: Vec4) -> "PoincareMap":
-        return PoincareMap(PoincareMap.identity(v.ctx).linear, v)
+        return _pmap(_IDENTITY, 1, v)
 
     @staticmethod
     def boost(ctx: ScalarContext, t: Fraction, axis: int = 1) -> "PoincareMap":
-        """Exact rational boost along a space axis; velocity v = 2t/(1+t^2)."""
+        """Exact rational boost along a space axis; velocity v = 2t/(1+t^2).  With
+        t = p/q, gamma = (q^2+p^2)/(q^2-p^2) and gamma*v = 2pq/(q^2-p^2)."""
         assert axis in (1, 2, 3)
-        s = ctx.rat(t)
-        den = 1 - s * s
-        if den.is_zero():
+        p, q = t.numerator, t.denominator
+        den = q * q - p * p
+        if den == 0:
             raise ValueError("boost parameter t must satisfy t^2 != 1")
-        g = (1 + s * s) / den
-        gv = (s + s) / den
-        m = PoincareMap.identity(ctx)
-        rows = [list(r) for r in m.linear]
-        rows[0][0] = g
-        rows[0][axis] = gv
-        rows[axis][0] = gv
-        rows[axis][axis] = g
-        return PoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0))
+        a = [den * x for x in _IDENTITY]
+        a[0] = a[5 * axis] = q * q + p * p
+        a[axis] = a[4 * axis] = 2 * p * q
+        return _pmap(a, den, _vec4(ctx, 0, (0, 0, 0, 0), 1))
 
     @staticmethod
     def rotation(ctx: ScalarContext, m: int, n: int, ax1: int = 1, ax2: int = 2) -> "PoincareMap":
@@ -461,12 +473,7 @@ class PoincareMap:
         den = m * m + n * n
         if den == 0:
             raise ValueError("rotation parameters must not both be zero")
-        c = ctx.rat(m * m - n * n, den)
-        s = ctx.rat(2 * m * n, den)
-        pm = PoincareMap.identity(ctx)
-        rows = [list(r) for r in pm.linear]
-        rows[ax1][ax1] = c
-        rows[ax1][ax2] = -s
-        rows[ax2][ax1] = s
-        rows[ax2][ax2] = c
-        return PoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0))
+        a = [den * x for x in _IDENTITY]
+        a[5 * ax1] = a[5 * ax2] = m * m - n * n
+        a[4 * ax1 + ax2], a[4 * ax2 + ax1] = -2 * m * n, 2 * m * n
+        return _pmap(a, den, _vec4(ctx, 0, (0, 0, 0, 0), 1))

@@ -301,6 +301,39 @@ def test_time_scaling_is_not_isometry():
     assert not t.validate_isometry()
 
 
+def test_space_reflection_is_isometry():
+    ctx = ScalarContext()
+    rows = [[ctx.rat((-1 if i == 2 else 1) * (i == j)) for j in range(4)] for i in range(4)]
+    t = PoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0))
+    assert t.validate_isometry()
+    assert t.apply(v(ctx, 1, 2, 3, 4)) == v(ctx, 1, 2, -3, 4)
+
+
+def test_one_perturbed_entry_is_not_isometry():
+    ctx = ScalarContext()
+    rows = [list(r) for r in PoincareMap.boost(ctx, Fraction(1, 3)).linear]
+    rows[1][0] = rows[1][0] + ctx.rat(1, 100)
+    assert not PoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0)).validate_isometry()
+
+
+def test_poincare_linear_part_is_rational():
+    ctx, other = ScalarContext(), ScalarContext()
+    r2, r3 = ctx.sqrt(ctx.rat(2)), other.sqrt(other.rat(3))
+    rows = [[ctx.rat(int(i == j)) for j in range(4)] for i in range(4)]
+    rows[1][2] = r2
+    with pytest.raises(ScalarError):
+        PoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0))
+    # a translation above level 0 puts the map in its context; a vector above
+    # level 0 from another context does not mix with it
+    m = PoincareMap.translation_by(Vec4(ctx.zero, r2, ctx.zero, ctx.zero))
+    x = Vec4(other.zero, other.zero, r3, other.zero)
+    assert m.apply_direction(x) == x and m.apply_direction(x).ctx is other
+    with pytest.raises(ScalarError):
+        m.apply(x)
+    with pytest.raises(ScalarError):
+        m.compose(PoincareMap.translation_by(x))
+
+
 def test_classification_invariant_under_random_isometries():
     rng = random.Random(17)
     ctx = ScalarContext()
@@ -570,3 +603,125 @@ def test_vec4_matches_per_coordinate_reference(depth, rng):
             assert (got is None) == (want is None)
             if got is not None:
                 assert _same(got, want)
+
+
+# --- the int-matrix PoincareMap against the Scalar-row reference ----------------
+#
+# The reference is PoincareMap as it was before its linear part became 16
+# ints over one denominator: four rows of Scalars, with every entry of a
+# product summed from Scalar products, and the isometry check by Minkowski
+# products of the columns.
+
+
+class _RefPoincareMap:
+    def __init__(self, linear, translation) -> None:
+        self.linear = tuple(tuple(row) for row in linear)
+        self.translation = translation
+
+    def _dot(self, row, col):
+        acc = self.translation.ctx.zero
+        for a, b in zip(row, col):
+            acc = acc + a * b
+        return acc
+
+    def apply(self, x):
+        return self.apply_direction(x) + self.translation
+
+    def apply_direction(self, v):
+        col = v.c
+        return Vec4(*(self._dot(row, col) for row in self.linear))
+
+    def validate_isometry(self):
+        cols = [Vec4(*col) for col in zip(*self.linear)]
+        return all(
+            inner(cols[i], cols[j]) == (0 if i != j else -1 if i == 0 else 1)
+            for i in range(4)
+            for j in range(4)
+        )
+
+    def compose(self, other):
+        cols = list(zip(*other.linear))
+        rows = [[self._dot(row, col) for col in cols] for row in self.linear]
+        return _RefPoincareMap(rows, self.apply(other.translation))
+
+    @staticmethod
+    def identity(ctx):
+        rows = [[ctx.one if i == j else ctx.zero for j in range(4)] for i in range(4)]
+        return _RefPoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0))
+
+    @staticmethod
+    def boost(ctx, t, axis):
+        s = ctx.rat(t)
+        den = 1 - s * s
+        g, gv = (1 + s * s) / den, (s + s) / den
+        rows = [list(r) for r in _RefPoincareMap.identity(ctx).linear]
+        rows[0][0] = rows[axis][axis] = g
+        rows[0][axis] = rows[axis][0] = gv
+        return _RefPoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0))
+
+    @staticmethod
+    def rotation(ctx, m, n, ax1, ax2):
+        den = m * m + n * n
+        c, s = ctx.rat(m * m - n * n, den), ctx.rat(2 * m * n, den)
+        rows = [list(r) for r in _RefPoincareMap.identity(ctx).linear]
+        rows[ax1][ax1] = rows[ax2][ax2] = c
+        rows[ax1][ax2], rows[ax2][ax1] = -s, s
+        return _RefPoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0))
+
+
+def _assert_pmap_form(m: PoincareMap) -> None:
+    # 16 ints over one positive denominator, in lowest terms
+    assert len(m.a) == 16 and m.den > 0 and math.gcd(m.den, *m.a) == 1
+
+
+def _same_map(m: PoincareMap, ref: _RefPoincareMap) -> bool:
+    _assert_pmap_form(m)
+    return m.linear == ref.linear and m.translation == ref.translation
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2), st.randoms(use_true_random=False))
+def test_poincare_map_matches_scalar_row_reference(depth, rng):
+    ctx, adjoined = _random_tower(rng, depth)
+    roots = [root for _, root in adjoined]
+    other = ScalarContext()
+
+    def scalar():
+        if rng.random() < 0.4 or not roots:
+            return ctx.rat(_q(rng))
+        return _tower_element(rng, ctx, roots)
+
+    ts = [Fraction(3, 2), Fraction(-5, 2), Fraction(rng.randint(-9, 9), rng.randint(2, 9))]
+    axes = rng.sample([1, 2, 3], 2)
+    maps = [(PoincareMap.identity(ctx), _RefPoincareMap.identity(ctx))]
+    maps += [
+        (PoincareMap.boost(ctx, t, axes[0]), _RefPoincareMap.boost(ctx, t, axes[0]))
+        for t in ts
+        if t * t != 1
+    ]
+    m, n = rng.randint(-4, 4), rng.randint(1, 4)
+    maps.append(
+        (PoincareMap.rotation(ctx, m, n, *axes), _RefPoincareMap.rotation(ctx, m, n, *axes))
+    )
+    shift = Vec4(*(scalar() for _ in range(4)))
+    maps.append((PoincareMap.translation_by(shift), _RefPoincareMap(maps[0][1].linear, shift)))
+    # a map that is not an isometry: one entry of a boost moved
+    rows = [list(r) for r in maps[1][1].linear]
+    rows[axes[0]][0] = rows[axes[0]][0] + ctx.rat(1, 7)
+    maps.append((PoincareMap(rows, shift), _RefPoincareMap(rows, shift)))
+
+    vecs = [Vec4(*(scalar() for _ in range(4))) for _ in range(3)]
+    vecs.append(Vec4(*(other.rat(_q(rng)) for _ in range(4))))  # rational, second context
+    for pm, ref in maps:
+        assert _same_map(pm, ref)
+        assert pm.validate_isometry() == ref.validate_isometry()
+        for x in vecs:
+            pairs = [(pm.apply(x), ref.apply(x)), (pm.apply_direction(x), ref.apply_direction(x))]
+            for got, want in pairs:
+                assert got == want and got.ctx is want.ctx
+                _assert_vec4_form(got)
+        for qm, qref in maps:
+            assert _same_map(pm.compose(qm), ref.compose(qref))
+    # a composite of three maps, in both orders of association
+    (a, ra), (b, rb), (c, rc) = rng.sample(maps, 3)
+    assert _same_map(a.compose(b).compose(c), ra.compose(rb.compose(rc)))

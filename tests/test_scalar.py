@@ -22,7 +22,7 @@ from relcheck.scalar import (
     _square_free_split,
 )
 from relcheck.verifier.report import Budget
-from relcheck.verifier.suites import run_axiom_suite
+from relcheck.verifier.suites import invariance_suite, run_axiom_suite
 
 
 # --- independent oracles -------------------------------------------------
@@ -425,8 +425,9 @@ def test_level0_with_level1_uses_the_tower(fq, fx, fy, rad):
     assert back == q
 
 
-# Fraction is for input, output and the hash only; arithmetic never calls it
-_FRACTION_EDGES = {"rat", "as_fraction", "render", "approx", "__hash__"}
+# Fraction is for input, output and the hash only; arithmetic never calls it.
+# PoincareMap.boost reads its Fraction argument t once, as input.
+_FRACTION_EDGES = {"rat", "as_fraction", "render", "approx", "__hash__", "boost"}
 
 
 def test_fraction_only_at_the_edges():
@@ -442,6 +443,8 @@ def test_fraction_only_at_the_edges():
     sys.setprofile(profile)
     try:
         run_axiom_suite(SYSTEM_SIMPLERELFTL, ModelKind.FTL, Budget(seed=0), cases=2)
+        # the Poincaré maps of the invariance suite
+        invariance_suite(ModelKind.FTL, Budget(seed=0), configs=1)
     finally:
         sys.setprofile(None)
     assert not seen, sorted(seen)
