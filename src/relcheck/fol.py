@@ -13,8 +13,9 @@ predicates ``P(x, y)``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 OB = "Ob"
 SI = "Si"
@@ -246,11 +247,15 @@ def expand_defined(f: Formula, table: DefinitionTable, depth: Optional[int] = No
 # --- concrete syntax ----------------------------------------------------------
 
 
-_SYMBOLS = ["<->", "->", "!=", "(", ")", ",", ":", ".", "=", "!", "&", "|"]
+# One alternative per token class, tried at the current position: a whitespace
+# run (only "\n" starts a line; every other whitespace character is one
+# column), a "#" comment (which, unlike whitespace, advances no column), a
+# symbol (longest first) and a name.  \w is str.isalnum() or "_", a wider
+# class than a name's first character, which is checked apart.
+_TOKEN = re.compile(r"(\s+)|(#[^\n]*)|(<->|->|!=|[(),:.=!&|])|(\w[\w']*)")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "name", "sym", "eof"
     text: str
     line: int
@@ -260,41 +265,25 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
     line, col = 1, 1
-    i = 0
-    n = len(text)
+    i, n = 0, len(text)
+    match = _TOKEN.match
     while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = False
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_" or text[i] == "'"):
-                i += 1
-            toks.append(_Token("name", text[start:i], line, col))
-            col += i - start
-            continue
-        raise FolError(f"unexpected character {ch!r}", line, col)
+        m = match(text, i)
+        group = m.lastindex if m else None
+        if group is None or group == 4 and not (text[i].isalpha() or text[i] == "_"):
+            raise FolError(f"unexpected character {text[i]!r}", line, col)
+        tok = m.group()
+        i = m.end()
+        if group == 1:
+            newline = tok.rfind("\n")
+            if newline < 0:
+                col += len(tok)
+            else:
+                line += tok.count("\n")
+                col = len(tok) - newline
+        elif group != 2:
+            toks.append(_Token("sym" if group == 3 else "name", tok, line, col))
+            col += len(tok)
     toks.append(_Token("eof", "", line, col))
     return toks
 

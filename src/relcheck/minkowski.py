@@ -410,15 +410,6 @@ class PoincareMap:
 
     __slots__ = ("a", "den", "translation")
 
-    def __init__(self, linear: Sequence[Sequence[Scalar]], translation: Vec4) -> None:
-        entries = [x for row in linear for x in row]
-        if any(x.level for x in entries):
-            raise ScalarError("the linear part of a Poincaré map must be rational")
-        # over the lcm of reduced entries, gcd(den, *a) is already 1
-        den = math.lcm(*(x.den for x in entries))
-        self.a, self.den = tuple([x.a[0] * (den // x.den) for x in entries]), den
-        self.translation = translation
-
     @property
     def linear(self) -> tuple[tuple[Scalar, ...], ...]:
         a, den, ctx = self.a, self.den, self.translation.ctx

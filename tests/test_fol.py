@@ -1,4 +1,6 @@
 import os
+import shutil
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from relcheck.corpus import (
     SYSTEM_SIMPLEREL,
     SYSTEM_SIMPLERELFTL,
     corpus_dir,
+    corpus_version,
     load_axioms,
     load_definitions,
 )
@@ -25,12 +28,17 @@ from relcheck.fol import (
     Not,
     Or,
     Var,
+    _Token,
+    _tokenize,
     atoms_used,
     expand_defined,
     free_vars,
     parse_formula,
     render_formula,
 )
+from relcheck.model import ModelKind
+from relcheck.verifier.report import Budget
+from relcheck.verifier.suites import run_axiom_suite
 
 
 def test_parse_simple_quantified():
@@ -134,6 +142,114 @@ def _formulas(draw, depth):
 def test_render_parse_identity_on_generated_formulas(f):
     free = {v.name: v.sort for v in (_A, _B, _S, _U)}
     assert parse_formula(render_formula(f), {"Ev": ("Si",)}, free) == f
+
+
+# --- tokenizer against the character loop ---------------------------------------
+#
+# The reference is the tokenizer as it was before it became one compiled
+# pattern: a loop over the characters, symbols tried longest first.
+
+_REF_SYMBOLS = ["<->", "->", "!=", "(", ")", ",", ":", ".", "=", "!", "&", "|"]
+
+
+def _ref_tokenize(text: str) -> list[_Token]:
+    toks: list[_Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        matched = False
+        for sym in _REF_SYMBOLS:
+            if text.startswith(sym, i):
+                toks.append(_Token("sym", sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                matched = True
+                break
+        if matched:
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_" or text[i] == "'"):
+                i += 1
+            toks.append(_Token("name", text[start:i], line, col))
+            col += i - start
+            continue
+        raise FolError(f"unexpected character {ch!r}", line, col)
+    toks.append(_Token("eof", "", line, col))
+    return toks
+
+
+# every symbol's characters, whitespace that is and is not "\n", comments,
+# name characters, and non-ASCII letters and digits that are not all name
+# starts: "²", "½", "٣" and "Ⅻ" are alphanumeric but not alphabetic
+_TOKEN_CHARS = (
+    "<->!=(),:.&|#'_ \n\t\r\x0b\x0c\x85\xa0\u2028"
+    + string.ascii_letters
+    + string.digits
+    + "é²½٣Ⅻ"
+)
+
+
+# whole tokens, whitespace and comments, so that most texts tokenize to the end
+_TOKEN_PIECES = _REF_SYMBOLS + ["forall", "Ob", "x", "_a'", "b2", "é_½", "# note", "#"]
+_TOKEN_PIECES += [" ", "  ", "\n", "\t", "\x85", "²", "٣", "'"]
+
+
+def _fol_files() -> list[str]:
+    return sorted(f for f in os.listdir(corpus_dir()) if f.endswith(".fol"))
+
+
+@st.composite
+def _mutated_corpus_texts(draw):
+    with open(os.path.join(corpus_dir(), draw(st.sampled_from(_fol_files())))) as fh:
+        text = fh.read()
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(_TOKEN_CHARS))
+        head, tail = text[:i], text[i + 1 :]
+        text = draw(st.sampled_from([head + ch + text[i:], head + tail, head + ch + tail]))
+    return text
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except FolError as err:
+        return str(err), err.line, err.col
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.text(st.sampled_from(_TOKEN_CHARS), max_size=40),
+        st.lists(st.sampled_from(_TOKEN_PIECES), max_size=30).map("".join),
+        _mutated_corpus_texts(),
+    )
+)
+def test_tokenize_matches_character_loop(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_ref_tokenize, text)
+
+
+def test_tokenize_matches_character_loop_on_every_corpus_file():
+    for name in _fol_files():
+        with open(os.path.join(corpus_dir(), name)) as fh:
+            text = fh.read()
+        assert _tokenize(text) == _ref_tokenize(text), name
 
 
 # --- corpus ------------------------------------------------------------------
@@ -246,3 +362,49 @@ def test_defined_atom_renders_name_not_expansion():
     table = load_definitions()
     f = parse_formula("forall s:Si. Ev(s)", table.signatures())
     assert render_formula(f) == "forall s:Si. Ev(s)"
+
+
+# --- the per-process corpus memo ---------------------------------------------------
+
+
+@pytest.fixture
+def corpus_copy(tmp_path, monkeypatch):
+    shutil.copytree(corpus_dir(), tmp_path, dirs_exist_ok=True)
+    monkeypatch.setenv("RELCHECK_CORPUS", str(tmp_path))
+    return tmp_path
+
+
+def test_corpus_edit_is_loaded(corpus_copy):
+    before = {ax.name: ax.formula for ax in load_axioms(SYSTEM_SIMPLEREL)}
+    version = corpus_version()
+    (corpus_copy / "ax_axsim.fol").write_text("forall a:Ob. a = a\n")
+    after = {ax.name: ax.formula for ax in load_axioms(SYSTEM_SIMPLEREL)}
+    assert corpus_version() != version
+    assert after["AxSim"] == parse_formula("forall a:Ob. a = a") != before["AxSim"]
+    assert {n: f for n, f in after.items() if n != "AxSim"} == {
+        n: f for n, f in before.items() if n != "AxSim"
+    }
+
+
+def test_corpus_parse_error_raises_on_every_load(corpus_copy):
+    load_definitions()
+    (corpus_copy / "def_ev.fol").write_text("exists a:Ob. T(a, s) &\n")
+    for _ in range(2):
+        with pytest.raises(FolError, match="def_ev.fol"):
+            load_definitions()
+        with pytest.raises(FolError, match="def_ev.fol"):
+            load_axioms(SYSTEM_SIMPLERELFTL)
+
+
+def test_loaded_axiom_list_is_the_callers(corpus_copy):
+    first = load_axioms(SYSTEM_SIMPLERELFTL)
+    names = [ax.name for ax in first]
+    first.pop()
+    first.reverse()
+    assert [ax.name for ax in load_axioms(SYSTEM_SIMPLERELFTL)] == names
+
+
+def test_cold_and_warm_axiom_suite_reports_are_identical(corpus_copy):
+    cold = run_axiom_suite(SYSTEM_SIMPLEREL, ModelKind.STL_ONLY, Budget(seed=0), cases=3)
+    warm = run_axiom_suite(SYSTEM_SIMPLEREL, ModelKind.STL_ONLY, Budget(seed=0), cases=3)
+    assert cold.to_json() == warm.to_json()

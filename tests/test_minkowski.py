@@ -18,9 +18,10 @@ from relcheck.minkowski import (
     lam,
     lines_intersect,
     quotient_norm,
+    _pmap,
     tarski_bw_f,
 )
-from relcheck.scalar import ScalarContext, ScalarError
+from relcheck.scalar import Scalar, ScalarContext, ScalarError
 from test_scalar import _q, _random_tower, _tower_element
 
 
@@ -294,17 +295,24 @@ def test_boost_rows_exact():
     assert b.validate_isometry()
 
 
+def _int_pmap(rows, translation: Vec4) -> PoincareMap:
+    """The map with rational `rows` (ints, Fractions or level-0 Scalars), built on ints."""
+    entries = [x.as_fraction() if isinstance(x, Scalar) else Fraction(x) for row in rows for x in row]
+    den = math.lcm(*(q.denominator for q in entries))
+    return _pmap([q.numerator * (den // q.denominator) for q in entries], den, translation)
+
+
 def test_time_scaling_is_not_isometry():
     ctx = ScalarContext()
-    rows = [[ctx.rat(2 if i == j == 0 else (1 if i == j else 0)) for j in range(4)] for i in range(4)]
-    t = PoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0))
+    rows = [[2 if i == j == 0 else (1 if i == j else 0) for j in range(4)] for i in range(4)]
+    t = _int_pmap(rows, Vec4.of(ctx, 0, 0, 0, 0))
     assert not t.validate_isometry()
 
 
 def test_space_reflection_is_isometry():
     ctx = ScalarContext()
-    rows = [[ctx.rat((-1 if i == 2 else 1) * (i == j)) for j in range(4)] for i in range(4)]
-    t = PoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0))
+    rows = [[(-1 if i == 2 else 1) * (i == j) for j in range(4)] for i in range(4)]
+    t = _int_pmap(rows, Vec4.of(ctx, 0, 0, 0, 0))
     assert t.validate_isometry()
     assert t.apply(v(ctx, 1, 2, 3, 4)) == v(ctx, 1, 2, -3, 4)
 
@@ -313,16 +321,12 @@ def test_one_perturbed_entry_is_not_isometry():
     ctx = ScalarContext()
     rows = [list(r) for r in PoincareMap.boost(ctx, Fraction(1, 3)).linear]
     rows[1][0] = rows[1][0] + ctx.rat(1, 100)
-    assert not PoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0)).validate_isometry()
+    assert not _int_pmap(rows, Vec4.of(ctx, 0, 0, 0, 0)).validate_isometry()
 
 
-def test_poincare_linear_part_is_rational():
+def test_poincare_translation_above_level_0():
     ctx, other = ScalarContext(), ScalarContext()
     r2, r3 = ctx.sqrt(ctx.rat(2)), other.sqrt(other.rat(3))
-    rows = [[ctx.rat(int(i == j)) for j in range(4)] for i in range(4)]
-    rows[1][2] = r2
-    with pytest.raises(ScalarError):
-        PoincareMap(rows, Vec4.of(ctx, 0, 0, 0, 0))
     # a translation above level 0 puts the map in its context; a vector above
     # level 0 from another context does not mix with it
     m = PoincareMap.translation_by(Vec4(ctx.zero, r2, ctx.zero, ctx.zero))
@@ -708,7 +712,7 @@ def test_poincare_map_matches_scalar_row_reference(depth, rng):
     # a map that is not an isometry: one entry of a boost moved
     rows = [list(r) for r in maps[1][1].linear]
     rows[axes[0]][0] = rows[axes[0]][0] + ctx.rat(1, 7)
-    maps.append((PoincareMap(rows, shift), _RefPoincareMap(rows, shift)))
+    maps.append((_int_pmap(rows, shift), _RefPoincareMap(rows, shift)))
 
     vecs = [Vec4(*(scalar() for _ in range(4))) for _ in range(3)]
     vecs.append(Vec4(*(other.rat(_q(rng)) for _ in range(4))))  # rational, second context
