@@ -6,11 +6,12 @@ three JSON manifests; ``RELCHECK_CORPUS`` overrides its location.
 Each process parses a corpus once.  Every load reads the corpus files' bytes
 and their digest, the one :func:`corpus_version` returns, and parses from
 those bytes only when the directory's memo entry has another digest.  So an
-edited file or another ``RELCHECK_CORPUS`` is never served stale, and the
-``corpus_version`` a report stamps names the corpus its formulas were parsed
-from, unless a file changes while the suite runs.  A parse error is raised on
-every load and never kept.  The memo holds the last corpus read from each
-directory; its tables and ``AxiomEntry`` values are shared, and
+edited file or another ``RELCHECK_CORPUS`` is never served stale.
+``versioned_axioms`` gives the digest and the axioms from one read, so the
+version an axiom suite's report stamps names the corpus its axioms were
+parsed from, even if a file changes while the suite runs.  A parse error is
+raised on every load and never kept.  The memo holds the last corpus read
+from each directory; its tables and ``AxiomEntry`` values are shared, and
 ``load_axioms`` returns a fresh list.
 """
 
@@ -146,9 +147,19 @@ def load_definitions() -> DefinitionTable:
 
 
 def load_axioms(system: str, table: Optional[DefinitionTable] = None) -> list[AxiomEntry]:
+    return _axioms(_corpus(), system, table)
+
+
+def versioned_axioms(system: str) -> tuple[str, list[AxiomEntry]]:
+    """`corpus_version()` and `load_axioms(system)` from one read of the
+    corpus, so the version names the corpus the axioms were parsed from."""
+    corpus = _corpus()
+    return corpus.digest, _axioms(corpus, system, None)
+
+
+def _axioms(corpus: _Corpus, system: str, table: Optional[DefinitionTable]) -> list[AxiomEntry]:
     if system not in _MANIFESTS:
         raise ValueError(f"unknown system {system!r}")
-    corpus = _corpus()
     if table is not None and table is not corpus.table:
         return list(corpus.parse_axioms(system, table))
     if system not in corpus.axioms:

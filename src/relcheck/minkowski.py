@@ -11,7 +11,9 @@ positive int denominator, reduced by one gcd.  ``+``, ``-``, ``scale``,
 ``inner`` and the canonical form of a ``Line`` keep one branch on those
 ints at level 0 and run on the tower's int kernels (``_vmul``, ``_vinv``,
 ``_reduced``) above it; ``==`` and ``is_zero`` read the fields, and
-``tarski_bw_f`` cross-multiplies the ints at every level.
+``tarski_bw_f`` cross-multiplies the ints, with the same one level-0
+branch.  Sign tests of the quotient form (``_offsets``, ``_qform``,
+``_vparallel``) also run on the ints, with no division.
 ``Line.contains``, ``lines_intersect`` and ``along`` read the coordinates,
 which are built as Scalars only when read.  The context rule is that of
 ``Scalar``: a vector lives in the context of its highest-level coordinate,
@@ -174,18 +176,23 @@ class Vec4:
         return Vec4(*(v if isinstance(v, Scalar) else ctx.rat(v) for v in vals))
 
 
+def _vinner(v: Sequence[int], w: Sequence[int], sq: list) -> list:
+    """The ints of the inner product of two vectors given by their ints (four blocks each)."""
+    m, n = len(v) // 4, len(w) // 4
+    out = [-p for p in _vmul(v[:m], w[:n], sq)]
+    for i in range(1, 4):
+        for j, p in enumerate(_vmul(v[i * m : i * m + m], w[i * n : i * n + n], sq)):
+            out[j] += p
+    return out
+
+
 def inner(x: Vec4, y: Vec4) -> Scalar:
     """Minkowski inner product -x0*y0 + x1*y1 + x2*y2 + x3*y3."""
     v, w = x.a, y.a
     if x.level == 0 == y.level:
         return _rat(x.ctx, v[1] * w[1] + v[2] * w[2] + v[3] * w[3] - v[0] * w[0], x.den * y.den)
     ctx = _ctx_of(x, y)
-    m, n = 1 << x.level, 1 << y.level
-    out = [-p for p in _vmul(v[:m], w[:n], ctx._squares)]
-    for i in range(1, 4):
-        for j, p in enumerate(_vmul(v[i * m : i * m + m], w[i * n : i * n + n], ctx._squares)):
-            out[j] += p
-    return _reduced(ctx, out, x.den * y.den)
+    return _reduced(ctx, _vinner(v, w, ctx._squares), x.den * y.den)
 
 
 def lam(v: Vec4) -> Scalar:
@@ -224,6 +231,49 @@ def quotient_lift(u: Vec4, d: Vec4) -> Vec4:
     return u - d.scale(inner(u, d) / lam(d))
 
 
+def _offsets(d: Vec4, o: Vec4, *ps: Vec4) -> tuple[list, list, list]:
+    """The ints of each o - p for p in `ps`, over the positive denominator
+    o.den*p.den and not reduced, with the ints of d and the squares of the
+    context, all at the highest level among d, o and ps.  `_qform` and
+    `_vparallel` read them."""
+    level = max(d.level, o.level, *(p.level for p in ps))
+    sq = _ctx_of(d, o, *ps)._squares
+    if level == 0:
+        v, e = o.a, o.den
+        return [[y * p.den - x * e for x, y in zip(p.a, v)] for p in ps], d.a, sq
+    v, e = _widen(o.a, o.level, level), o.den
+    us = [[y * p.den - x * e for x, y in zip(_widen(p.a, p.level, level), v)] for p in ps]
+    return us, _widen(d.a, d.level, level), sq
+
+
+def _qform(u: Sequence[int], w: Sequence[int], d: Sequence[int], sq: list) -> list:
+    """The ints of lam(d)*<u, w> - <u, d>*<w, d>, for the ints of three
+    vectors at one level.  That is lam(d) times the quotient inner product
+    of u and w by d, with no division: lam(d)*q(u) when w is u.  Each term
+    has degree two in d and one in each of u and w, so numerators over
+    positive denominators give the value times a positive number, which has
+    the same sign; and lam(d)**2*(q(u)q(w) - <u, w>_q**2) is
+    _qform(u, u)*_qform(w, w) - _qform(u, w)**2."""
+    if len(d) == 4:
+        ud = u[1] * d[1] + u[2] * d[2] + u[3] * d[3] - u[0] * d[0]
+        wd = ud if w is u else w[1] * d[1] + w[2] * d[2] + w[3] * d[3] - w[0] * d[0]
+        uw = u[1] * w[1] + u[2] * w[2] + u[3] * w[3] - u[0] * w[0]
+        return [(d[1] * d[1] + d[2] * d[2] + d[3] * d[3] - d[0] * d[0]) * uw - ud * wd]
+    ud = _vinner(u, d, sq)
+    wd = ud if w is u else _vinner(w, d, sq)
+    lw = _vmul(_vinner(d, d, sq), _vinner(u, w, sq), sq)
+    return [x - y for x, y in zip(lw, _vmul(ud, wd, sq))]
+
+
+def _vparallel(u: Sequence[int], w: Sequence[int], sq: list) -> bool:
+    """Whether the vectors with ints u and w at one level, w not zero, are
+    parallel: u_i*w_p == u_p*w_i for every i, at the first p with w_p != 0."""
+    m = len(w) // 4
+    us, ws = [u[i : i + m] for i in range(0, 4 * m, m)], [w[i : i + m] for i in range(0, 4 * m, m)]
+    p = next(i for i in range(4) if any(ws[i]))
+    return all(_vmul(x, ws[p], sq) == _vmul(us[p], y, sq) for x, y in zip(us, ws))
+
+
 # --- Tarski relations: affine betweenness in F^4 ---------------------------
 
 
@@ -234,11 +284,20 @@ def tarski_bw_f(a: Vec4, b: Vec4, c: Vec4) -> bool:
     coordinates u and w.  If w is zero, a == c and b must equal a.  Else at
     the first p with w_p != 0, t = u_p/w_p; so u = t*w iff u_i*w_p ==
     u_p*w_i for every i, and 0 <= t <= 1 iff 0 <= u_p*w_p <= w_p*w_p.  No
-    division and no Scalar.
+    division and no Scalar: plain ints at level 0, the tower's int kernels
+    above it.
     """
     da, db, dc = a.den, b.den, c.den
-    sq = _ctx_of(a, b, c)._squares
     level = max(a.level, b.level, c.level)
+    if level == 0:
+        u = [(y * da - x * db) * dc for x, y in zip(a.a, b.a)]
+        w = [(z * da - x * dc) * db for x, z in zip(a.a, c.a)]
+        for up, wp in zip(u, w):
+            if wp:
+                uw = up * wp
+                return 0 <= uw <= wp * wp and all(x * wp == up * y for x, y in zip(u, w))
+        return not any(u)
+    sq = _ctx_of(a, b, c)._squares
     m = 1 << level
     va, vb, vc = (_widen(v.a, v.level, level) for v in (a, b, c))
     u = [(y * da - x * db) * dc for x, y in zip(va, vb)]
@@ -249,7 +308,7 @@ def tarski_bw_f(a: Vec4, b: Vec4, c: Vec4) -> bool:
             uw = _vmul(up, wp, sq)
             if _vsign(uw, sq) < 0 or _vsign([y - x for x, y in zip(uw, _vmul(wp, wp, sq))], sq) < 0:
                 return False
-            return all(_vmul(x, wp, sq) == _vmul(up, y, sq) for x, y in zip(us, ws))
+            return _vparallel(u, w, sq)
     return not any(u)
 
 
@@ -323,6 +382,13 @@ class Line:
         if (q - p).is_zero():
             raise ValueError("two distinct points are required")
         return Line(p, q - p)
+
+
+def _line(base: Vec4, direction: Vec4, pivot: int) -> Line:
+    """The Line with fields (base, dir, pivot), which must be canonical."""
+    line = object.__new__(Line)
+    line.base, line.dir, line.pivot = base, direction, pivot
+    return line
 
 
 def lines_intersect(a: Line, b: Line) -> Optional[Vec4]:

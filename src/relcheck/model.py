@@ -20,6 +20,9 @@ from relcheck.minkowski import (
     Line,
     Segment,
     Vec4,
+    _offsets,
+    _qform,
+    _vparallel,
     classify,
     inner,
     lam,
@@ -29,7 +32,7 @@ from relcheck.minkowski import (
     quotient_norm,
     tarski_bw_f,
 )
-from relcheck.scalar import Scalar, ScalarContext
+from relcheck.scalar import Scalar, ScalarContext, _vmul, _vsign
 
 
 class ModelError(Exception):
@@ -401,14 +404,13 @@ def bw_rho(a: Line, b: Line, c: Line) -> bool:
     d only when equal: the bases are between, and c.base - a.base + F*d is null.
     With u = c.base - a.base, that holds when lam(d)*quotient_norm(u, d) <= 0,
     and lam(d)*quotient_norm(u, d) = lam(d)*lam(u) - inner(u, d)**2, which
-    needs no division.
+    `_qform` signs on the ints with no division.
     """
     d = _parallel_family([a, b, c])
     if d is None or not tarski_bw_f(a.base, b.base, c.base):
         return False
-    u = c.base - a.base
-    ud = inner(u, d)
-    return (lam(d) * lam(u) - ud * ud).sign() <= 0
+    (u,), dd, sq = _offsets(d, c.base, a.base)
+    return _vsign(_qform(u, u, dd, sq), sq) <= 0
 
 
 def eq_rho(a: Line, b: Line, c: Line, d: Line) -> bool:
@@ -479,7 +481,8 @@ def dual_candidates(a: Line, b: Line) -> list[Line]:
 
     Empty unless a || b, spacelike class, and not relatable.  The printed
     clauses admit a one-parameter family; the two candidates here span the
-    timelike plane through the quotient offset.
+    timelike plane through the quotient offset.  `bw_ftl` and `eq_ftl`
+    decide on the whole family without them.
     """
     if not parallel(a, b) or a == b:
         return []
@@ -524,13 +527,41 @@ def dual_geo(ap: Line, a: Line, b: Line) -> bool:
 
 
 def bw_ftl(a: Line, b: Line, c: Line) -> bool:
+    """BwRho(a, b, c), or BwRho(a2, b, c2) for some dual a2 of a and c2 of c
+    w.r.t. b, over the whole family of duals, with no dual built.
+
+    On one common class d, let U1 = b - a and U2 = b - c in the quotient.
+    A dual a2 = a + n has q(n) = 0 and <n, U1> = q(U1) > 0 (`dual_geo`), so
+    A = a2 - b = n - U1 has q(A) = -q(U1) < 0 and <A, U1> = 0: A is timelike
+    and orthogonal to U1.  Likewise C = c2 - b is timelike with C _|_ U2.
+    BwRho(a2, b, c2) needs b on the segment from a2 to c2, that is A = -s*C
+    for some s > 0 (A and C are not zero), and then q(c2 - a2) < 0, so its
+    sign test holds.  So some timelike T is orthogonal to U1 and U2.
+    Conversely, given such a T, n = U1 + x*T with x**2 = q(U1)/-q(T) is a
+    dual's offset, with A = x*T, and c2 takes the opposite sign.  The
+    quotient has signature (-++), so such a T exists iff span(U1, U2) is
+    spacelike, q(U1)q(U2) - <U1, U2>**2 > 0, or U1 || U2; canonical bases
+    have pivot coordinate 0, so quotient parallelism is parallelism of U1
+    and U2.  Signed as lam(d)*q and lam(d)**2 times the Gram determinant by
+    `_qform`: lam(d)*q(U1) > 0 holds only for spacelike d and q(U1) > 0,
+    since q is positive definite on a timelike class and lam(d)*q(U1) =
+    -<U1, d>**2 on a lightlike one.
+    """
     if bw_rho(a, b, c):
         return True
-    for a2 in dual_candidates(a, b):
-        for c2 in dual_candidates(c, b):
-            if bw_rho(a2, b, c2):
-                return True
-    return False
+    d = a.dir
+    if b.dir != d or c.dir != d:
+        return False
+    (u1, u2), dd, sq = _offsets(d, b.base, a.base, c.base)
+    n1 = _qform(u1, u1, dd, sq)
+    if _vsign(n1, sq) <= 0:
+        return False
+    n2 = _qform(u2, u2, dd, sq)
+    if _vsign(n2, sq) <= 0:
+        return False
+    m = _qform(u1, u2, dd, sq)
+    gram = [x - y for x, y in zip(_vmul(n1, n2, sq), _vmul(m, m, sq))]
+    return _vsign(gram, sq) > 0 or _vparallel(u1, u2, sq)
 
 
 def eq_ftl(a: Line, b: Line, c: Line, d: Line) -> bool:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from relcheck.corpus import (
     SYSTEM_SIMPLERELFTL,
     corpus_version,
-    load_axioms,
+    versioned_axioms,
 )
 from relcheck.minkowski import (
     IntervalClass,
@@ -26,8 +26,10 @@ from relcheck.minkowski import (
     PoincareMap,
     Segment,
     Vec4,
+    _line,
     _pmap,
     _vec4,
+    _vreduced,
     along,
     lam,
     lines_intersect,
@@ -150,13 +152,25 @@ class ClassFrame:
         if self.dir.level:
             raise ScalarError("a ClassFrame direction must be rational")
         self.basis = [_vec4(self.ctx, 0, a, den) for a, den in _quotient_basis(self.dir.a)]
+        # the lines' canonical direction, dir/dir[pivot]
+        a = self.dir.a
+        self._pivot = next(i for i in range(4) if a[i])
+        self._dir = _vreduced(self.ctx, a, a[self._pivot])
 
     def line_at(self, coords: tuple) -> Line:
-        p = self.origin
+        """The line of the frame through origin + sum of c_i*basis_i, for
+        rational coordinates (Fractions or ints): that point's ints over one
+        denominator, then base - base[pivot]*dir with the frame's canonical
+        direction, reduced by one gcd."""
+        p, den = self.origin.a, self.origin.den
         for c, b in zip(coords, self.basis):
-            k = c if isinstance(c, Scalar) else self.ctx.rat(c)
-            p = p + b.scale(k)
-        return Line(p, self.dir)
+            k, e = c.numerator, c.denominator * b.den
+            p = [x * e + k * y * den for x, y in zip(p, b.a)]
+            den *= e
+        d, pivot = self._dir, self._pivot
+        dd, bp = d.den, p[pivot]
+        base = _vreduced(self.ctx, [x * dd - y * bp for x, y in zip(p, d.a)], den * dd)
+        return _line(base, d, pivot)
 
     def random_coords(self) -> tuple:
         return tuple(self.gen.rat_fraction() for _ in range(3))
@@ -997,11 +1011,10 @@ def run_axiom_suite(
     cases: int = 100,
     axioms: Optional[list[str]] = None,
 ) -> SuiteReport:
-    report = SuiteReport(
-        "axioms", kind.value, budget, corpus_version(), system=system
-    )
+    version, entries = versioned_axioms(system)
+    report = SuiteReport("axioms", kind.value, budget, version, system=system)
     ops = Ops("ftl" if system == SYSTEM_SIMPLERELFTL else "plain")
-    for entry in load_axioms(system):
+    for entry in entries:
         name = entry.name
         if axioms and name not in axioms:
             continue

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relcheck import corpus
 from relcheck.corpus import (
     SYSTEM_SIMPLEREL,
     SYSTEM_SIMPLERELFTL,
@@ -408,3 +409,16 @@ def test_cold_and_warm_axiom_suite_reports_are_identical(corpus_copy):
     cold = run_axiom_suite(SYSTEM_SIMPLEREL, ModelKind.STL_ONLY, Budget(seed=0), cases=3)
     warm = run_axiom_suite(SYSTEM_SIMPLEREL, ModelKind.STL_ONLY, Budget(seed=0), cases=3)
     assert cold.to_json() == warm.to_json()
+
+
+def test_axiom_suite_reads_the_corpus_once(corpus_copy, monkeypatch):
+    """The version a report stamps and the axioms it checks come from one
+    read, and an edit between two suites is seen by the second."""
+    reads = []
+    read = corpus._read
+    monkeypatch.setattr(corpus, "_read", lambda root: reads.append(root) or read(root))
+    first = run_axiom_suite(SYSTEM_SIMPLEREL, ModelKind.STL_ONLY, Budget(seed=0), cases=1)
+    assert len(reads) == 1 and first.corpus_version == corpus_version()
+    (corpus_copy / "ax_axsim.fol").write_text("forall a:Ob. a = a\n")
+    second = run_axiom_suite(SYSTEM_SIMPLEREL, ModelKind.STL_ONLY, Budget(seed=0), cases=1)
+    assert second.corpus_version == corpus_version() != first.corpus_version

@@ -17,11 +17,16 @@ from relcheck.minkowski import (
     inner,
     lam,
     lines_intersect,
+    quotient_inner,
     quotient_norm,
+    _offsets,
     _pmap,
+    _qform,
+    _vparallel,
     tarski_bw_f,
 )
-from relcheck.scalar import Scalar, ScalarContext, ScalarError
+from relcheck.model import bw_rho
+from relcheck.scalar import Scalar, ScalarContext, ScalarError, _vmul, _vsign
 from test_scalar import _q, _random_tower, _tower_element
 
 
@@ -557,6 +562,12 @@ def test_vec4_matches_per_coordinate_reference(depth, rng):
     vecs.append(pair([other.rat(_q(rng)) for _ in range(4)]))  # rational, second context
     vecs.append(pair([ctx.zero] * 4))
     ks = [scalar(), ctx.zero, ctx.one]
+    bw_levels = set()  # whether each tarski_bw_f triple was all rational
+
+    def bw(a, b, c, ra, rb, rc):
+        bw_levels.add(max(a.level, b.level, c.level) == 0)
+        assert tarski_bw_f(a, b, c) == _ref_tarski_bw_f(ra, rb, rc)
+
     for x, rx in vecs:
         assert _same(x, rx) and x.x0 == rx.c[0] and x[2] == rx.c[2]
         assert x.is_zero() == rx.is_zero()
@@ -584,9 +595,13 @@ def test_vec4_matches_per_coordinate_reference(depth, rng):
             # betweenness of x, x + t(y - x) and y, for t below, inside and above [0, 1]
             for t in [ctx.rat(-1, 2), ctx.zero, ctx.rat(1, 3), ctx.one, ctx.rat(3, 2), ks[0]]:
                 b, rb = x + (y - x).scale(t), rx + (ry - rx).scale(t)
-                assert tarski_bw_f(x, b, y) == _ref_tarski_bw_f(rx, rb, ry)
-                assert tarski_bw_f(b, x, y) == _ref_tarski_bw_f(rb, rx, ry)
-            assert tarski_bw_f(x, y, vecs[0][0]) == _ref_tarski_bw_f(rx, ry, vecs[0][1])
+                bw(x, b, y, rx, rb, ry)
+                bw(b, x, y, rb, rx, ry)
+            bw(x, y, vecs[0][0], rx, ry, vecs[0][1])
+    # the level-0 branch runs in every example (the rational and zero
+    # vectors), and the tower path whenever some vector is above level 0
+    assert True in bw_levels
+    assert False in bw_levels or not any(x.level for x, _ in vecs)
 
     # lines: canonical fields, and meets of lines through one point or not
     lines = []
@@ -607,6 +622,51 @@ def test_vec4_matches_per_coordinate_reference(depth, rng):
             assert (got is None) == (want is None)
             if got is not None:
                 assert _same(got, want)
+
+
+# --- quotient-form sign tests on ints against the Scalar formulas ---------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2), st.randoms(use_true_random=False))
+def test_qform_signs_match_the_quotient_form(depth, rng):
+    """`_qform` and `_vparallel` on the ints of `_offsets` against
+    lam(d)*quotient_norm, lam(d)*quotient_inner, the Gram determinant and
+    `along`, at levels 0-2; and bw_rho's sign test, on lines through
+    collinear bases, against lam(d)*quotient_norm(c - a, d) <= 0."""
+    ctx, adjoined = _random_tower(rng, depth)
+    roots = [root for _, root in adjoined]
+
+    def scalar():
+        if rng.random() < 0.5 or not roots:
+            return ctx.rat(_q(rng))
+        return _tower_element(rng, ctx, roots)
+
+    def vec():
+        return Vec4(*(scalar() for _ in range(4)))
+
+    for _ in range(6):
+        d, o, p = vec(), vec(), vec()
+        if lam(d).is_zero():
+            continue
+        # a third point on the line through o and p, or off it
+        q = o + (p - o).scale(scalar()) if rng.random() < 0.4 else vec()
+        (u, w), dd, sq = _offsets(d, o, p, q)
+        lu, lw, ld = o - p, o - q, lam(d)
+        n1, n2, m = _qform(u, u, dd, sq), _qform(w, w, dd, sq), _qform(u, w, dd, sq)
+        assert _vsign(n1, sq) == (ld * quotient_norm(lu, d)).sign()
+        assert _vsign(n2, sq) == (ld * quotient_norm(lw, d)).sign()
+        assert _vsign(m, sq) == (ld * quotient_inner(lu, lw, d)).sign()
+        qi = quotient_inner(lu, lw, d)
+        gram = quotient_norm(lu, d) * quotient_norm(lw, d) - qi * qi
+        got = [x - y for x, y in zip(_vmul(n1, n2, sq), _vmul(m, m, sq))]
+        assert _vsign(got, sq) == gram.sign()
+        if not lw.is_zero():
+            assert _vparallel(u, w, sq) == (along(lu, lw) is not None)
+        a, b, c = (Line(x, d) for x in (p, o, q))
+        if tarski_bw_f(a.base, b.base, c.base):
+            want = (ld * quotient_norm(c.base - a.base, d)).sign() <= 0
+            assert bw_rho(a, b, c) == want
 
 
 # --- the int-matrix PoincareMap against the Scalar-row reference ----------------

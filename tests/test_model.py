@@ -9,11 +9,13 @@ from relcheck import model
 from relcheck.minkowski import (
     IntervalClass,
     Line,
+    PoincareMap,
     Segment,
     Vec4,
     classify,
     inner,
     lam,
+    quotient_inner,
     quotient_lift,
     quotient_norm,
 )
@@ -58,6 +60,7 @@ from relcheck.model import (
 )
 from relcheck.scalar import DomainError, ScalarContext
 from relcheck.verifier import definitional as de
+from relcheck.verifier.suites import ClassFrame
 from relcheck.verifier.generators import ConfigGen
 
 
@@ -613,6 +616,113 @@ def test_eq_ftl_dual_branch_matches_the_candidate_loop(monkeypatch):
 
     monkeypatch.setattr(model, "dual_candidates", no_duals)
     assert [eq_ftl(*args) for args in cases] == expected
+
+
+# --- BwFTL's dual branch: the family rule against the candidate loop ----------
+
+
+def _bw_ftl_by_candidates(a, b, c):
+    """bw_ftl as a loop over the two dual candidates of a and of c."""
+    if bw_rho(a, b, c):
+        return True
+    return any(bw_rho(a2, b, c2)
+               for a2 in dual_candidates(a, b) for c2 in dual_candidates(c, b))
+
+
+def _family_witness(a, b, c):
+    """Duals a2 of a and c2 of c w.r.t. b with b between them, built from the
+    derivation in bw_ftl's docstring.  In the quotient by the common
+    spacelike class d, e0 is timelike; projected off span(U1, U2), which is
+    spacelike or a line, it stays timelike and is the T orthogonal to U1 and
+    U2.  Then a2 = a + U1 + x*T and c2 = c + U2 - y*T, with x, y > 0 the
+    square roots that make the offsets null."""
+    d, ctx = a.dir, a.ctx
+    u1, u2 = b.base - a.base, b.base - c.base
+    w2 = u2 - u1.scale(quotient_inner(u2, u1, d) / quotient_norm(u1, d))
+    t = v(ctx, 1, 0, 0, 0)
+    for w in [u1] + ([] if w2.is_zero() else [w2]):
+        t = t - w.scale(quotient_inner(t, w, d) / quotient_norm(w, d))
+    qt = quotient_norm(t, d)
+    assert qt.sign() < 0
+    x = ctx.sqrt(quotient_norm(u1, d) / -qt)
+    y = ctx.sqrt(quotient_norm(u2, d) / -qt)
+    return Line(a.base + u1 + t.scale(x), d), Line(c.base + u2 - t.scale(y), d)
+
+
+def _spacelike_triples():
+    """About 300 seeded triples on spacelike classes: a non-relatable pair
+    (a, b) with a third line, or three lines of a ClassFrame; a third of each
+    kind quotient-collinear."""
+    out = []
+    for seed in range(300):
+        gen = ConfigGen(seed)
+        if seed % 2:
+            a, b = gen.nonrelatable_spacelike_pair()
+            frame = None
+        else:
+            frame = ClassFrame(gen, gen.spacelike_dir())
+            a, b = frame.random_line(), frame.random_line()
+        d = a.dir
+        if seed % 3 == 0:  # quotient-collinear: c = a + t(b - a)
+            t = gen.ctx.rat(gen.rng.randint(-8, 16), 4)
+            c = Line(a.base + (b.base - a.base).scale(t), d)
+        else:
+            c = frame.random_line() if frame else Line(gen.point(), d)
+        out.append((a, b, c))
+    return out
+
+
+def test_bw_ftl_decides_the_whole_dual_family(monkeypatch):
+    triples = _spacelike_triples()
+    got = [bw_ftl(*abc) for abc in triples]
+    family_only = 0
+    for (a, b, c), family in zip(triples, got):
+        if _bw_ftl_by_candidates(a, b, c):
+            assert family, (a, b, c)
+        elif family:
+            family_only += 1
+            # the witness is checked by the printed clauses, not by the rule
+            a2, c2 = _family_witness(a, b, c)
+            assert dual_geo(a2, a, b) and dual_geo(c2, c, b) and bw_rho(a2, b, c2)
+    assert family_only >= 20 and got.count(True) - family_only >= 20 and got.count(False) >= 20
+
+    def no_duals(*args):
+        raise AssertionError("bw_ftl must not build dual candidates")
+
+    monkeypatch.setattr(model, "dual_candidates", no_duals)
+    assert [bw_ftl(*abc) for abc in triples] == got
+
+
+def _boosted(triple, t, axis):
+    m = PoincareMap.boost(triple[0].ctx, t, axis)
+    return tuple(Line(m.apply(x.base), m.apply_direction(x.dir)) for x in triple)
+
+
+_BOOSTS = [(Fraction(t), axis) for t in ("1/3", "1/5", "-1/4") for axis in (2, 3)]
+
+
+def test_bw_ftl_boost_example_is_invariant():
+    """On d = (0,1,0,0), U1 = (0,0,1,0) and U2 = (0,0,0,1) span a spacelike
+    plane, so the triple is TRUE in every frame.  With U2 = U1 + N for the
+    null N = (1,0,0,1), which is orthogonal to U1, the span is degenerate:
+    its complement is null, not timelike, so that triple is FALSE in every
+    frame; and U2 = -2*U1 is the parallel case, TRUE in every frame."""
+    ctx = ScalarContext()
+    d = v(ctx, 0, 1, 0, 0)
+    a, b = Line(v(ctx, 0, 0, -1, 0), d), Line(v(ctx, 0, 0, 0, 0), d)
+    cases = [
+        ((a, b, Line(v(ctx, 0, 0, 0, -1), d)), True),
+        ((a, b, Line(v(ctx, -1, 0, -1, -1), d)), False),
+        ((a, b, Line(v(ctx, 0, 0, 2, 0), d)), True),
+    ]
+    for triple, want in cases:
+        assert bw_ftl(*triple) == want
+        for t, axis in _BOOSTS:
+            boosted = _boosted(triple, t, axis)
+            assert bw_ftl(*boosted) == want, (t, axis)
+    # the candidate loop decides the first case only in the unboosted frame
+    assert _bw_ftl_by_candidates(*cases[0][0])
+    assert not any(_bw_ftl_by_candidates(*_boosted(cases[0][0], t, axis)) for t, axis in _BOOSTS)
 
 
 # --- the Eq family against the three-way reference -----------------------------

@@ -600,6 +600,26 @@ def test_classframe_basis_per_direction():
                 == [[x.as_fraction() for x in b] for b in f2.basis])
 
 
+def test_line_at_is_the_scalar_combination():
+    """ClassFrame.line_at, one int combination reduced once, against the
+    point origin + sum of basis_i.scale(c_i) and Line(point, dir), with
+    the canonical fields compared, on 500 timelike and spacelike frames."""
+    for seed in range(500):
+        gen = ConfigGen(seed, 8)
+        direction = gen.timelike_dir() if seed % 2 else gen.spacelike_dir()
+        frame = suites.ClassFrame(gen, direction)
+        coords = [frame.random_coords(), (0, 0, 0), (Fraction(7, 3), -2, Fraction(-1, 12))]
+        for cs in coords:
+            p = frame.origin
+            for c, b in zip(cs, frame.basis):
+                p = p + b.scale(gen.ctx.rat(c))
+            got, want = frame.line_at(cs), Line(p, frame.dir)
+            assert got == want and got.pivot == want.pivot
+            assert (got.base.a, got.base.den, got.dir.a, got.dir.den) == (
+                want.base.a, want.base.den, want.dir.a, want.dir.den)
+            assert got.base.ctx is gen.ctx and got.base[got.pivot].is_zero()
+
+
 def test_equidistant_locus():
     """Every point of the locus is quotient-equidistant from u, v and w, and
     collinear u, v, w have no locus."""
