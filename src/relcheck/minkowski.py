@@ -7,20 +7,20 @@ representation equality.
 
 A :class:`Vec4` is one value in one context, stored as a ``Scalar`` is: at
 level k its four coordinates' 2**k ints, one after the other, over one
-positive int denominator, reduced by one gcd.  ``+``, ``-``, ``scale``,
-``inner`` and the canonical form of a ``Line`` keep one branch on those
-ints at level 0 and run on the tower's int kernels (``_vmul``, ``_vinv``,
-``_reduced``) above it; ``==`` and ``is_zero`` read the fields, and
-``tarski_bw_f`` cross-multiplies the ints, with the same one level-0
-branch.  Sign tests of the quotient form (``_offsets``, ``_qform``,
-``_vparallel``) also run on the ints, with no division.
-``Line.contains``, ``lines_intersect`` and ``along`` read the coordinates,
-which are built as Scalars only when read.  The context rule is that of
-``Scalar``: a vector lives in the context of its highest-level coordinate,
-or of x0 when all are rational, and coordinates or operands above level 0
-from two contexts raise ``ScalarError``.  A ``PoincareMap`` stores its
-rational linear part the same way, 16 ints over one denominator, so
-``compose``, ``apply`` and ``validate_isometry`` run on ints.
+positive int denominator, reduced by one gcd.  What reads a vector runs on
+those ints: ``+``, ``-``, ``scale``, ``inner``, ``Line.at``, a ``Line``'s
+canonical form and ``lines_intersect`` keep one plain-int branch at level 0
+and use the tower's int kernels (``_vmul``, ``_vinv``, ``_reduced``) above
+it; ``==`` and ``is_zero`` read the fields; ``tarski_bw_f``,
+``Line.contains`` (p - base parallel to dir) and the quotient-form sign
+tests (``_offsets``, ``_qform``, ``_vparallel``) cross-multiply with no
+division.  ``lines_intersect`` and ``along`` build a Scalar only for the
+parameter they find, and coordinates only when read.  The context rule is
+that of ``Scalar``: a vector lives in the context of its highest-level
+coordinate, or of x0 when all are rational, and coordinates or operands
+above level 0 from two contexts raise ``ScalarError``.  A ``PoincareMap``
+stores its rational linear part the same way, 16 ints over one
+denominator, so ``compose``, ``apply`` and ``validate_isometry`` run on ints.
 """
 
 from __future__ import annotations
@@ -44,13 +44,15 @@ def _ctx_of(*vals) -> ScalarContext:
     of the highest-level one, the first on a tie.  Two contexts above level
     0 do not mix."""
     top = max(vals, key=lambda v: v.level)
-    if any(v.level and v.ctx is not top.ctx for v in vals):
+    if top.level and any(v.level and v.ctx is not top.ctx for v in vals):
         raise ScalarError("mixing values from different contexts")
     return top.ctx
 
 
-def _widen(a: Sequence[int], level: int, to: int) -> list:
-    """Coordinates `a` of a vector at `level`, each padded to level `to`."""
+def _widen(a: Sequence[int], level: int, to: int) -> Sequence[int]:
+    """Coordinates `a` of a vector at `level`, each padded to level `to`; `a` itself at `to`."""
+    if level == to:
+        return a
     m, pad = 1 << level, (0,) * ((1 << to) - (1 << level))
     return [x for i in range(0, 4 * m, m) for x in (*a[i : i + m], *pad)]
 
@@ -178,6 +180,8 @@ class Vec4:
 
 def _vinner(v: Sequence[int], w: Sequence[int], sq: list) -> list:
     """The ints of the inner product of two vectors given by their ints (four blocks each)."""
+    if len(v) == 4 == len(w):
+        return [v[1] * w[1] + v[2] * w[2] + v[3] * w[3] - v[0] * w[0]]
     m, n = len(v) // 4, len(w) // 4
     out = [-p for p in _vmul(v[:m], w[:n], sq)]
     for i in range(1, 4):
@@ -238,9 +242,6 @@ def _offsets(d: Vec4, o: Vec4, *ps: Vec4) -> tuple[list, list, list]:
     `_vparallel` read them."""
     level = max(d.level, o.level, *(p.level for p in ps))
     sq = _ctx_of(d, o, *ps)._squares
-    if level == 0:
-        v, e = o.a, o.den
-        return [[y * p.den - x * e for x, y in zip(p.a, v)] for p in ps], d.a, sq
     v, e = _widen(o.a, o.level, level), o.den
     us = [[y * p.den - x * e for x, y in zip(_widen(p.a, p.level, level), v)] for p in ps]
     return us, _widen(d.a, d.level, level), sq
@@ -268,6 +269,10 @@ def _qform(u: Sequence[int], w: Sequence[int], d: Sequence[int], sq: list) -> li
 def _vparallel(u: Sequence[int], w: Sequence[int], sq: list) -> bool:
     """Whether the vectors with ints u and w at one level, w not zero, are
     parallel: u_i*w_p == u_p*w_i for every i, at the first p with w_p != 0."""
+    if len(w) == 4:
+        p = 0 if w[0] else 1 if w[1] else 2 if w[2] else 3
+        up, wp = u[p], w[p]
+        return all(x * wp == up * y for x, y in zip(u, w))
     m = len(w) // 4
     us, ws = [u[i : i + m] for i in range(0, 4 * m, m)], [w[i : i + m] for i in range(0, 4 * m, m)]
     p = next(i for i in range(4) if any(ws[i]))
@@ -357,14 +362,24 @@ class Line:
         return classify(self.dir)
 
     def at(self, t: Scalar) -> Vec4:
-        return self.base + self.dir.scale(t)
+        """base + t*dir, as one int combination over one denominator, reduced once."""
+        b, d = self.base, self.dir
+        e = d.den * t.den
+        if b.level == 0 == d.level == t.level:
+            n = t.a[0] * b.den
+            return _vreduced(b.ctx, [x * e + y * n for x, y in zip(b.a, d.a)], b.den * e)
+        ctx, level = _ctx_of(b, d, t), max(b.level, d.level, t.level)
+        dt = _vmul(_widen(d.a, d.level, level), [x * b.den for x in t.a], ctx._squares)
+        return _vreduced(ctx, [x * e + y for x, y in zip(_widen(b.a, b.level, level), dt)], b.den * e)
 
     def param_of(self, p: Vec4) -> Scalar:
         """Parameter of p along the line (p need not lie on it; pivot rule)."""
         return p[self.pivot]
 
     def contains(self, p: Vec4) -> bool:
-        return (p - self.at(self.param_of(p))).is_zero()
+        """Whether p - base is parallel to dir, on the ints."""
+        (u,), d, sq = _offsets(self.dir, p, self.base)
+        return _vparallel(u, d, sq)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Line):
@@ -395,29 +410,50 @@ def lines_intersect(a: Line, b: Line) -> Optional[Vec4]:
     """A point on both lines, or None: `a.base` for identical lines, None for
     distinct parallel ones (equal canonical directions), and otherwise the
     s of a.at(s) from the first non-zero 2x2 minor of (a.dir, b.dir) by
-    Cramer's rule, kept only if b contains that point."""
+    Cramer's rule, kept only if b contains that point.  On the ints of a.dir
+    = A/Da, b.dir = B/Db and b.base - a.base = F/E, the minor is A_i*B_j -
+    A_j*B_i and s = (F_i*B_j - F_j*B_i)*Da / (E*(A_i*B_j - A_j*B_i))."""
     if a == b:
         return a.base
-    da, db = a.dir, b.dir
+    da, db, p, q = a.dir, b.dir, a.base, b.base
     if da == db:
         return None
-    diff = b.base - a.base
+    ctx = _ctx_of(p, q, da, db)
+    sq, level = ctx._squares, max(p.level, q.level, da.level, db.level)
+    if level == 0:
+        va, vb, vp, vq = da.a, db.a, p.a, q.a
+        for i in range(3):
+            for j in range(i + 1, 4):
+                det = va[i] * vb[j] - va[j] * vb[i]
+                if det:
+                    fi, fj = vq[i] * p.den - vp[i] * q.den, vq[j] * p.den - vp[j] * q.den
+                    pt = a.at(_rat(ctx, (fi * vb[j] - fj * vb[i]) * da.den, p.den * q.den * det))
+                    return pt if b.contains(pt) else None
+    m = 1 << level
+    va, vb, vp, vq = (_widen(v.a, v.level, level) for v in (da, db, p, q))
+    f = [y * p.den - x * q.den for x, y in zip(vp, vq)]
+    x, y, f = ([v[i : i + m] for i in range(0, 4 * m, m)] for v in (va, vb, f))
     for i in range(3):
         for j in range(i + 1, 4):
-            det = da[i] * db[j] - da[j] * db[i]
-            if not det.is_zero():
-                p = a.at((diff[i] * db[j] - diff[j] * db[i]) / det)
-                return p if b.contains(p) else None
+            det = [r - t for r, t in zip(_vmul(x[i], y[j], sq), _vmul(x[j], y[i], sq))]
+            if any(det):
+                num = [r - t for r, t in zip(_vmul(f[i], y[j], sq), _vmul(f[j], y[i], sq))]
+                w, c = _vinv(det, sq)
+                pt = a.at(_reduced(ctx, [da.den * r for r in _vmul(num, w, sq)], p.den * q.den * c))
+                return pt if b.contains(pt) else None
     raise AssertionError("non-parallel directions have a non-zero minor")
 
 
 def along(u: Vec4, d: Vec4) -> Optional[Scalar]:
-    """The t with u == t*d, or None (also when d is zero)."""
-    for ui, di in zip(u, d):
-        if not di.is_zero():
-            t = ui / di
-            return t if (u - d.scale(t)).is_zero() else None
-    return None
+    """The t with u == t*d, or None (also when d is zero): when u is parallel
+    to d, t = u_p/d_p at the first p with d_p != 0, on the ints."""
+    ctx, level = _ctx_of(u, d), max(u.level, d.level)
+    v, w, m, sq = _widen(u.a, u.level, level), _widen(d.a, d.level, level), 1 << level, ctx._squares
+    if d.is_zero() or not _vparallel(v, w, sq):
+        return None
+    p = next(i for i in range(0, 4 * m, m) if any(w[i : i + m]))
+    x, c = _vinv(w[p : p + m], sq)
+    return _reduced(ctx, [d.den * y for y in _vmul(v[p : p + m], x, sq)], u.den * c)
 
 
 class Segment:
@@ -426,16 +462,17 @@ class Segment:
     __slots__ = ("beg", "end")
 
     def __init__(self, beg: Vec4, end: Vec4) -> None:
-        d = end - beg
-        if not lam(d).is_zero():
-            raise ValueError("segment endpoints are not lightlike separated")
-        if d.x0.sign() < 0:
-            raise ValueError("segment is past-directed (end.x0 < beg.x0)")
+        if beg != end:  # an event is null and not past-directed
+            d = end - beg
+            if not lam(d).is_zero():
+                raise ValueError("segment endpoints are not lightlike separated")
+            if d.x0.sign() < 0:
+                raise ValueError("segment is past-directed (end.x0 < beg.x0)")
         self.beg = beg
         self.end = end
 
     def is_degenerate(self) -> bool:
-        return (self.end - self.beg).is_zero()
+        return self.beg == self.end
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Segment):

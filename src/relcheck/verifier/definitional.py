@@ -13,8 +13,9 @@ mentions.  None of them catches a CapacityError from the scalar tower: it
 propagates to the suites' case driver, which records the case as UNKNOWN.
 
 Witness searches read a candidate line's class before they build it: the
-line through p and q has the class of q - p, and in `cop_def` that class
-comes from a quadratic in the parameter of q.  The four M conjuncts of Cop
+line through p and q has the class of q - p; in `cop_def` it is the sign
+of a quadratic in the int parameter of q, with int coefficients computed
+once per anchor point (`_transversal_class`).  The four M conjuncts of Cop
 are checked at the events the transversals were built on, not solved again.
 
 The null links from an event to a given worldline come from
@@ -39,6 +40,8 @@ from relcheck.minkowski import (
     Line,
     Segment,
     Vec4,
+    _offsets,
+    _vinner,
     along,
     classify,
     inner,
@@ -60,7 +63,7 @@ from relcheck.model import (
     rho_witness,
     witness_zero_and_two,
 )
-from relcheck.scalar import Scalar, ScalarContext
+from relcheck.scalar import Scalar, ScalarContext, _vsign
 from relcheck.verifier.report import Verdict
 
 
@@ -74,7 +77,7 @@ def _separating_line(keep: Vec4, avoid: Vec4) -> Line:
 def ev_def(s: Segment, kind: ModelKind) -> Verdict:
     # forall a (T(a,s) <-> R(a,s)): a counterexample is a universe line
     # through exactly one endpoint, which exists exactly when beg != end
-    if (s.end - s.beg).is_zero():
+    if s.is_degenerate():
         return Verdict.true()
     witness = _separating_line(s.beg, s.end)
     assert witness.contains(s.beg) and not witness.contains(s.end)
@@ -127,26 +130,16 @@ def cop_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
                 return Verdict.true({"c": c, "d": d, "g": event(g)})
         return Verdict.unknown("no Cop witness constructed")
 
-    # the transversal from p to b.at(k) has direction w + k*b.dir with
-    # w = b.base - p, so its class is the sign of c0 + (c1 + lam(b.dir)*k)*k;
-    # a pair is built only when kind allows both classes
-    lam_b = lam(b.dir)
-
-    def allows_at(p: Vec4) -> Callable[[Scalar], bool]:
-        w = b.base - p
-        c0, c1 = lam(w), inner(w, b.dir) * 2
-        return lambda k: kind.allows(sign_class((c0 + (c1 + lam_b * k) * k).sign()))
-
+    # a pair is built only when kind allows both transversals' classes
     for t1, t2 in ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(-1)),
                    (Fraction(1, 2), Fraction(-3, 2)), (Fraction(-2), Fraction(2)),
                    (Fraction(3), Fraction(-3))):
         p1, p2 = a.at(ctx.rat(t1)), a.at(ctx.rat(t2))
-        allows1, allows2 = allows_at(p1), allows_at(p2)
+        class1, class2 = _transversal_class(p1, b), _transversal_class(p2, b)
         for k in (1, 2, 3, 5, 8, 13, 64, 256, 1024):
-            k1, k2 = ctx.rat(k), ctx.rat(-k - 1)
-            if not (allows1(k1) and allows2(k2)):
+            if not (kind.allows(class1(k)) and kind.allows(class2(-k - 1))):
                 continue
-            q1, q2 = b.at(k1), b.at(k2)
+            q1, q2 = b.at(ctx.rat(k)), b.at(ctx.rat(-k - 1))
             c, d = Line(p1, q1 - p1), Line(p2, q2 - p2)
             if c == d or c in (a, b) or d in (a, b):
                 continue
@@ -158,6 +151,16 @@ def cop_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
                    for x, y, s in ((a, c, p1), (c, b, q1), (d, b, q2), (d, a, p2))):
                 return Verdict.true({"c": c, "d": d, "g": event(g)})
     return Verdict.unknown("no Cop witness constructed")
+
+
+def _transversal_class(p: Vec4, b: Line) -> Callable[[int], IntervalClass]:
+    """The class of the line from p to b.at(k), for an int k: the sign of
+    lam(e*W + k*E*D) = c0 + (c1 + c2*k)*k, which is (E*e)**2*lam(w + k*b.dir)
+    for w = b.base - p = W/E and b.dir = D/e, with c0, c1, c2 ints."""
+    (w,), d, sq = _offsets(b.dir, b.base, p)
+    x, y = [b.dir.den * v for v in w], [b.base.den * p.den * v for v in d]
+    c0, c1, c2 = _vinner(x, x, sq), [2 * v for v in _vinner(x, y, sq)], _vinner(y, y, sq)
+    return lambda k: sign_class(_vsign([r + k * (s + k * t) for r, s, t in zip(c0, c1, c2)], sq))
 
 
 def _line_through_meeting(p: Vec4, target: Line, param: Fraction, kind: ModelKind) -> Optional[Line]:

@@ -519,6 +519,23 @@ def _ref_lines_intersect(a, b):
     raise AssertionError("non-parallel directions have a non-zero minor")
 
 
+def _ref_contains(line, p):
+    """The point at p's pivot parameter equals p (the former Line.contains)."""
+    pivot, base, d = line
+    return (p - (base + d.scale(p.c[pivot]))).is_zero()
+
+
+def _ref_segment_error(beg, end):
+    """The ValueError message Segment(beg, end) raised when it checked every
+    difference, or None."""
+    d = end - beg
+    if not _ref_inner(d, d).is_zero():
+        return "segment endpoints are not lightlike separated"
+    if d.c[0].sign() < 0:
+        return "segment is past-directed (end.x0 < beg.x0)"
+    return None
+
+
 def _ref_along(u, d):
     for ui, di in zip(u.c, d.c):
         if not di.is_zero():
@@ -622,6 +639,28 @@ def test_vec4_matches_per_coordinate_reference(depth, rng):
             assert (got is None) == (want is None)
             if got is not None:
                 assert _same(got, want)
+        # points of the line, at rational and tower parameters, and points off it
+        for t in [ctx.zero, ctx.rat(-1, 2), ks[0]]:
+            p, rp = a.at(t), ra[1] + ra[2].scale(t)
+            assert _same(p, rp) and a.contains(p) and _ref_contains(ra, rp)
+        for x, rx in vecs:
+            assert a.contains(x) == _ref_contains(ra, rx)
+            assert a.contains(x + a.dir) == _ref_contains(ra, rx + ra[2])
+
+    # segments: events, null ends future or past by the sign of k, other ends
+    null = [ctx.rat(c) for c in (3, 2, -2, 1)]  # -9 + 4 + 4 + 1 == 0
+    for x, rx in vecs:
+        for k in [ks[0], ctx.one, -ctx.one, ctx.rat(-1, 3)]:
+            ends = [(x, rx), (x + Vec4(*null).scale(k), rx + _RefVec4(*null).scale(k))]
+            ends += [(y, ry) for y, ry in vecs[:2]]
+            for end, rend in ends:
+                want = _ref_segment_error(rx, rend)
+                try:
+                    s = Segment(x, end)
+                except ValueError as err:
+                    assert str(err) == want
+                else:
+                    assert want is None and s.is_degenerate() == (rend - rx).is_zero()
 
 
 # --- quotient-form sign tests on ints against the Scalar formulas ---------------

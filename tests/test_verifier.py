@@ -4,7 +4,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relcheck import model
 from relcheck.cli import EXIT_FAIL, _report_exit
 from relcheck.corpus import load_axioms, load_definitions
 from relcheck.fol import parse_formula
@@ -19,6 +22,7 @@ from relcheck.minkowski import (
     quotient_inner,
     quotient_lift,
     quotient_norm,
+    sign_class,
 )
 from relcheck.model import (
     GEOMETRIC_PREDICATES,
@@ -35,7 +39,7 @@ from relcheck.verifier import definitional as de
 from relcheck.verifier import suites
 from relcheck.verifier.evaluate import EvalModel, evaluate_bounded
 from relcheck.verifier.generators import ConfigGen, GenerationError
-from relcheck.verifier.report import FALSE, TRUE, Budget, SuiteReport, Verdict, sub_seed
+from relcheck.verifier.report import FALSE, TRUE, UNKNOWN, Budget, SuiteReport, Verdict, sub_seed
 from relcheck.verifier.suites import (
     AXIOM_CHECKERS,
     CRITERION6_PREDICATES,
@@ -47,6 +51,7 @@ from relcheck.verifier.suites import (
     run_equivalence_suite,
     run_lemma_suite,
 )
+from test_scalar import _q, _random_tower, _tower_element
 
 STL = ModelKind.STL_ONLY
 FTL = ModelKind.FTL
@@ -197,6 +202,74 @@ def test_cop_search_matches_the_reference_search():
         assert not a.contains(g.beg) and not b.contains(g.beg)
     assert reached == {"a == b", "STL k > 1", "UNKNOWN skew"}
     assert level1 >= 100
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2), st.randoms(use_true_random=False))
+def test_cop_class_test_matches_the_scalar_quadratic(depth, rng):
+    """cop_def's class test on ints against sign_class of the Scalar
+    quadratic c0 + (c1 + lam_b*k)*k, with w = b.base - p, c0 = lam(w),
+    c1 = 2<w, b.dir> and lam_b = lam(b.dir), over cop_def's k grid, at
+    levels 0-2.  One anchor per line pair puts a null transversal on the
+    grid, so the lightlike class is reached in every example."""
+    ctx, adjoined = _random_tower(rng, depth)
+    roots = [root for _, root in adjoined]
+
+    def scalar():
+        if rng.random() < 0.5 or not roots:
+            return ctx.rat(_q(rng))
+        return _tower_element(rng, ctx, roots)
+
+    def vec():
+        return Vec4(*(scalar() for _ in range(4)))
+
+    grid = [k for n in (1, 2, 3, 5, 8, 13, 64, 256, 1024) for k in (n, -n - 1)]
+    null = Vec4.of(ctx, 3, 2, -2, 1)
+    classes = set()
+    for _ in range(3):
+        a, b = (Line(vec(), d if not d.is_zero() else null) for d in (vec(), vec()))
+        k0 = rng.choice(grid)
+        anchors = [a.at(scalar()), vec(), b.at(ctx.rat(k0)) - null.scale(scalar())]
+        for p in anchors:
+            w = b.base - p
+            c0, c1, lam_b = lam(w), inner(w, b.dir) * 2, lam(b.dir)
+            got = de._transversal_class(p, b)
+            for k in grid:
+                kk = ctx.rat(k)
+                want = sign_class((c0 + (c1 + lam_b * kk) * kk).sign())
+                assert got(k) == want
+                classes.add(want)
+    assert IntervalClass.LIGHTLIKE in classes
+
+
+def test_m_cop_par_defs_never_call_their_geometric_twins(monkeypatch):
+    """m_def, cop_def and par_def give the same verdicts, with the same
+    witnesses, on the Cop and Par equivalence items' generated pairs at
+    seeds 0-3 when model.coplanar, model.parallel and model.meets raise."""
+    def verdicts():
+        out = []
+        for seed in range(4):
+            for name in ("Cop", "Par"):
+                for kind in (FTL, STL):
+                    for i in range(20):
+                        gen = ConfigGen(sub_seed(seed, "equiv", name, i), Budget().coordinate_bound)
+                        a, b = PRED_GENERATORS[name](gen, kind, i)
+                        for f in (de.m_def, de.cop_def, de.par_def):
+                            got = f(a, b, kind)
+                            out.append((got.status, got.reason, repr(got.witness)))
+        return out
+
+    want = verdicts()
+    assert {status for status, _, _ in want} == {TRUE, FALSE, UNKNOWN}
+
+    def twin(*args):
+        raise AssertionError("a geometric twin was called")
+
+    for name in ("coplanar", "parallel", "meets"):
+        monkeypatch.setattr(model, name, twin)
+    with pytest.raises(AssertionError, match="geometric twin"):
+        GEOMETRIC_PREDICATES["Cop"]((v(ScalarContext(), 0, 0, 0, 0), None))
+    assert verdicts() == want
 
 
 def test_bw_def_matches_fixture():
