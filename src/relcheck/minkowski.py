@@ -5,22 +5,25 @@ Points, lines, null segments, and affine isometries over a
 lines are kept in a canonical parametrization so set equality of lines is
 representation equality.
 
-A :class:`Vec4` is one value in one context, stored as a ``Scalar`` is: at
-level k its four coordinates' 2**k ints, one after the other, over one
-positive int denominator, reduced by one gcd.  What reads a vector runs on
-those ints: ``+``, ``-``, ``scale``, ``inner``, ``Line.at``, a ``Line``'s
-canonical form and ``lines_intersect`` keep one plain-int branch at level 0
-and use the tower's int kernels (``_vmul``, ``_vinv``, ``_reduced``) above
-it; ``==`` and ``is_zero`` read the fields; ``tarski_bw_f``,
-``Line.contains`` (p - base parallel to dir) and the quotient-form sign
-tests (``_offsets``, ``_qform``, ``_vparallel``) cross-multiply with no
-division.  ``lines_intersect`` and ``along`` build a Scalar only for the
-parameter they find, and coordinates only when read.  The context rule is
-that of ``Scalar``: a vector lives in the context of its highest-level
-coordinate, or of x0 when all are rational, and coordinates or operands
-above level 0 from two contexts raise ``ScalarError``.  A ``PoincareMap``
-stores its rational linear part the same way, 16 ints over one
-denominator, so ``compose``, ``apply`` and ``validate_isometry`` run on ints.
+A :class:`Vec4` is a ``scalar._Blocks`` with one block of ints per
+coordinate, so it shares the Scalar's kernel layer: fields, ``==``,
+``is_zero``, hash, ``+`` and ``-``, the one reduce and the one context rule
+(``_ctx_of``; a vector built from coordinates lives in the context of the
+highest-level one, x0's when all are rational).  On those ints
+``tarski_bw_f``, ``Line.contains`` and the quotient-form sign tests
+(``_offsets``, ``_qform``, ``_vparallel``) cross-multiply with no division,
+``Line(...)`` and ``lines_intersect`` divide once by a pivot block
+(``_pivot``, ``_divided``), and ``along`` divides two coordinates.  A
+``PoincareMap`` stores its rational linear part as 16 ints over one
+denominator, reduced by the same reduce.  The level-0 branches kept, with
+traffic and ablation measured as in ``scalar``'s docstring:
+
+- ``_vparallel`` 92% / 80%, +5.7% / +6.6%; ``_pivot`` 95% / 85%, +4.0% / +2.3%.
+- ``inner`` 95% / 82%, +4.6% / +2.4%; ``_vinner`` 0% / 43%, +0.4% / +2.6%.
+- ``Line(...)`` 91% / 84%, +4.2% / +3.1%; ``Line.at`` 92% / 88%, +1.4% / +1.6%.
+- ``_qform`` 95% / 61%, +2.3% / -0.1%; ``tarski_bw_f`` 94% / 78%, +2.1% / -0.1%.
+- ``lines_intersect`` 79% / 79%, +0.3% / +1.0%; ``Vec4[i]`` 74% / 40%, +1.1% / +0.5%.
+- ``scale`` 90% / 44%, +0.6% / -0.3%.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from relcheck.scalar import Scalar, ScalarContext, ScalarError, _rat, _reduced, _vinv, _vmul, _vsign
+from relcheck.scalar import (
+    Scalar, ScalarContext, _Blocks, _ctx_of, _rat, _reduced, _vinv, _vmul, _vsign, _widen,
+)
 
 
 class IntervalClass(enum.Enum):
@@ -39,48 +44,7 @@ class IntervalClass(enum.Enum):
     SPACELIKE = "spacelike"
 
 
-def _ctx_of(*vals) -> ScalarContext:
-    """The context of a value computed from `vals` (Vec4s or Scalars): that
-    of the highest-level one, the first on a tie.  Two contexts above level
-    0 do not mix."""
-    top = max(vals, key=lambda v: v.level)
-    if top.level and any(v.level and v.ctx is not top.ctx for v in vals):
-        raise ScalarError("mixing values from different contexts")
-    return top.ctx
-
-
-def _widen(a: Sequence[int], level: int, to: int) -> Sequence[int]:
-    """Coordinates `a` of a vector at `level`, each padded to level `to`; `a` itself at `to`."""
-    if level == to:
-        return a
-    m, pad = 1 << level, (0,) * ((1 << to) - (1 << level))
-    return [x for i in range(0, 4 * m, m) for x in (*a[i : i + m], *pad)]
-
-
-def _vec4(ctx: ScalarContext, level: int, a: tuple, den: int) -> "Vec4":
-    """The Vec4 with fields (ctx, level, a, den), which must be reduced."""
-    v = object.__new__(Vec4)
-    v.ctx, v.level, v.a, v.den = ctx, level, a, den
-    return v
-
-
-def _vreduced(ctx: ScalarContext, a: Sequence[int], den: int) -> "Vec4":
-    """The Vec4 with coordinates `a` (4 * 2**k ints) over den != 0, trimmed
-    to its own level, in lowest terms."""
-    m = len(a) // 4
-    while m > 1 and not any(any(a[i + m // 2 : i + m]) for i in range(0, 4 * m, m)):
-        a = [x for i in range(0, 4 * m, m) for x in a[i : i + m // 2]]
-        m //= 2
-    g = math.gcd(den, *a)
-    if den < 0:
-        g = -g
-    if g != 1:
-        a = [x // g for x in a]
-        den //= g
-    return _vec4(ctx, m.bit_length() - 1, tuple(a), den)
-
-
-class Vec4:
+class Vec4(_Blocks):
     """A vector of F^4 as one value in one context, stored as a Scalar is.
 
     At ``level == k``, ``a`` holds the four coordinates' 2**k ints one after
@@ -90,17 +54,17 @@ class Vec4:
     the context rule.
     """
 
-    __slots__ = ("ctx", "level", "a", "den")
+    __slots__ = ()
+    _blocks = 4
 
     def __init__(self, x0: Scalar, x1: Scalar, x2: Scalar, x3: Scalar) -> None:
         # over the lcm of reduced coordinates, gcd(den, *a) is already 1
         self.den = den = math.lcm(x0.den, x1.den, x2.den, x3.den)
-        self.ctx = _ctx_of(x0, x1, x2, x3)
-        self.level = level = max(x0.level, x1.level, x2.level, x3.level)
+        self.ctx, self.level = _ctx_of(x0, x1, x2, x3)
         a: list = []
         for x in (x0, x1, x2, x3):
             a += [c * (den // x.den) for c in x.a]
-            a += [0] * ((1 << level) - len(x.a))
+            a += [0] * ((1 << self.level) - len(x.a))
         self.a = tuple(a)
 
     @property
@@ -120,16 +84,6 @@ class Vec4:
     def __iter__(self):
         return iter(self.c)
 
-    def _sum(self, other: "Vec4", sgn: int) -> "Vec4":
-        """self + sgn*other."""
-        v, d, w, e = self.a, self.den, other.a, other.den
-        if self.level == 0 == other.level:
-            return _vreduced(self.ctx, [x * e + sgn * y * d for x, y in zip(v, w)], d * e)
-        ctx = _ctx_of(self, other)
-        level = max(self.level, other.level)
-        v, w = _widen(v, self.level, level), _widen(w, other.level, level)
-        return _vreduced(ctx, [x * e + sgn * y * d for x, y in zip(v, w)], d * e)
-
     def __add__(self, other: "Vec4") -> "Vec4":
         return self._sum(other, 1)
 
@@ -137,35 +91,16 @@ class Vec4:
         return self._sum(other, -1)
 
     def __neg__(self) -> "Vec4":
-        return _vec4(self.ctx, self.level, tuple([-x for x in self.a]), self.den)
+        return _reduced(self.ctx, [-x for x in self.a], self.den, Vec4)
 
     def scale(self, k: Scalar) -> "Vec4":
         if self.level == 0 == k.level:
             c = k.a[0]
-            return _vreduced(self.ctx, [x * c for x in self.a], self.den * k.den)
-        ctx = _ctx_of(self, k)
+            return _reduced(self.ctx, [x * c for x in self.a], self.den * k.den, Vec4)
+        ctx, level = _ctx_of(self, k)
         # each coordinate, padded to k's level, is a block of _vmul's longer operand
-        a = _widen(self.a, self.level, max(self.level, k.level))
-        return _vreduced(ctx, _vmul(a, k.a, ctx._squares), self.den * k.den)
-
-    def is_zero(self) -> bool:
-        # reduced: above level 0 some coordinate is not zero
-        return self.level == 0 and not any(self.a)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Vec4):
-            return NotImplemented
-        if self.level != other.level:
-            return False
-        # coordinates compare only over the same radicands
-        if other.ctx is not self.ctx and (
-            self.ctx.radicands[: self.level] != other.ctx.radicands[: self.level]
-        ):
-            return False
-        return self.a == other.a and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.a, self.den))
+        a = _widen(self.a, self.level, level)
+        return _reduced(ctx, _vmul(a, k.a, ctx._squares), self.den * k.den, Vec4)
 
     def render(self) -> str:
         return "(" + ", ".join(a.render() for a in self.c) + ")"
@@ -195,7 +130,7 @@ def inner(x: Vec4, y: Vec4) -> Scalar:
     v, w = x.a, y.a
     if x.level == 0 == y.level:
         return _rat(x.ctx, v[1] * w[1] + v[2] * w[2] + v[3] * w[3] - v[0] * w[0], x.den * y.den)
-    ctx = _ctx_of(x, y)
+    ctx, _ = _ctx_of(x, y)
     return _reduced(ctx, _vinner(v, w, ctx._squares), x.den * y.den)
 
 
@@ -240,8 +175,8 @@ def _offsets(d: Vec4, o: Vec4, *ps: Vec4) -> tuple[list, list, list]:
     o.den*p.den and not reduced, with the ints of d and the squares of the
     context, all at the highest level among d, o and ps.  `_qform` and
     `_vparallel` read them."""
-    level = max(d.level, o.level, *(p.level for p in ps))
-    sq = _ctx_of(d, o, *ps)._squares
+    ctx, level = _ctx_of(d, o, *ps)
+    sq = ctx._squares
     v, e = _widen(o.a, o.level, level), o.den
     us = [[y * p.den - x * e for x, y in zip(_widen(p.a, p.level, level), v)] for p in ps]
     return us, _widen(d.a, d.level, level), sq
@@ -266,16 +201,30 @@ def _qform(u: Sequence[int], w: Sequence[int], d: Sequence[int], sq: list) -> li
     return [x - y for x, y in zip(lw, _vmul(ud, wd, sq))]
 
 
+def _pivot(a: Sequence[int], m: int) -> int:
+    """The first i with a non-zero block a[i*m : i*m + m], for the ints of a
+    non-zero vector in blocks of m."""
+    if m == 1:
+        return 0 if a[0] else 1 if a[1] else 2 if a[2] else 3
+    return next(i for i in range(4) if any(a[i * m : i * m + m]))
+
+
+def _divided(ctx: ScalarContext, num: Sequence[int], block: Sequence[int], den: int, cls: type = Scalar):
+    """The `cls` with ints `num` over block*den, for one non-zero block of ints
+    `block` and an int den != 0: `_vinv` makes the divisor an int."""
+    w, c = _vinv(block, ctx._squares)
+    return _reduced(ctx, _vmul(num, w, ctx._squares), den * c, cls)
+
+
 def _vparallel(u: Sequence[int], w: Sequence[int], sq: list) -> bool:
     """Whether the vectors with ints u and w at one level, w not zero, are
     parallel: u_i*w_p == u_p*w_i for every i, at the first p with w_p != 0."""
-    if len(w) == 4:
-        p = 0 if w[0] else 1 if w[1] else 2 if w[2] else 3
+    m = len(w) // 4
+    p = _pivot(w, m)
+    if m == 1:
         up, wp = u[p], w[p]
         return all(x * wp == up * y for x, y in zip(u, w))
-    m = len(w) // 4
     us, ws = [u[i : i + m] for i in range(0, 4 * m, m)], [w[i : i + m] for i in range(0, 4 * m, m)]
-    p = next(i for i in range(4) if any(ws[i]))
     return all(_vmul(x, ws[p], sq) == _vmul(us[p], y, sq) for x, y in zip(us, ws))
 
 
@@ -285,36 +234,25 @@ def _vparallel(u: Sequence[int], w: Sequence[int], sq: list) -> bool:
 def tarski_bw_f(a: Vec4, b: Vec4, c: Vec4) -> bool:
     """Affine betweenness: b - a = t*(c - a) for some 0 <= t <= 1.
 
-    Over the positive denominator a.den*b.den*c.den, b - a and c - a have
-    coordinates u and w.  If w is zero, a == c and b must equal a.  Else at
-    the first p with w_p != 0, t = u_p/w_p; so u = t*w iff u_i*w_p ==
-    u_p*w_i for every i, and 0 <= t <= 1 iff 0 <= u_p*w_p <= w_p*w_p.  No
-    division and no Scalar: plain ints at level 0, the tower's int kernels
-    above it.
+    `_offsets` gives the ints u of a - b over a.den*b.den and w of a - c over
+    a.den*c.den (a fills its direction slot, which is not read).  If w is zero, a == c and b must equal a.  Else at the first
+    non-zero block w_p, t = u_p*c.den / (w_p*b.den); so u and w are parallel
+    iff b - a = t*(c - a), and 0 <= t <= 1 iff 0 <= u_p*w_p*c.den <=
+    w_p*w_p*b.den.  No division and no Scalar.
     """
-    da, db, dc = a.den, b.den, c.den
-    level = max(a.level, b.level, c.level)
-    if level == 0:
-        u = [(y * da - x * db) * dc for x, y in zip(a.a, b.a)]
-        w = [(z * da - x * dc) * db for x, z in zip(a.a, c.a)]
-        for up, wp in zip(u, w):
-            if wp:
-                uw = up * wp
-                return 0 <= uw <= wp * wp and all(x * wp == up * y for x, y in zip(u, w))
+    (u, w), _, sq = _offsets(a, a, b, c)
+    if not any(w):
         return not any(u)
-    sq = _ctx_of(a, b, c)._squares
-    m = 1 << level
-    va, vb, vc = (_widen(v.a, v.level, level) for v in (a, b, c))
-    u = [(y * da - x * db) * dc for x, y in zip(va, vb)]
-    w = [(z * da - x * dc) * db for x, z in zip(va, vc)]
-    us, ws = [u[i : i + m] for i in range(0, 4 * m, m)], [w[i : i + m] for i in range(0, 4 * m, m)]
-    for up, wp in zip(us, ws):
-        if any(wp):
-            uw = _vmul(up, wp, sq)
-            if _vsign(uw, sq) < 0 or _vsign([y - x for x, y in zip(uw, _vmul(wp, wp, sq))], sq) < 0:
-                return False
-            return _vparallel(u, w, sq)
-    return not any(u)
+    m = len(w) // 4
+    p = _pivot(w, m)
+    if m == 1:
+        uw = u[p] * w[p] * c.den
+        between = 0 <= uw <= w[p] * w[p] * b.den
+    else:
+        up, wp = u[p * m : p * m + m], w[p * m : p * m + m]
+        uw, ww = [x * c.den for x in _vmul(up, wp, sq)], _vmul(wp, wp, sq)
+        between = _vsign(uw, sq) >= 0 and _vsign([y * b.den - x for x, y in zip(uw, ww)], sq) >= 0
+    return between and _vparallel(u, w, sq)
 
 
 # --- lines and segments -----------------------------------------------------
@@ -333,21 +271,16 @@ class Line:
     def __init__(self, base: Vec4, direction: Vec4) -> None:
         if direction.is_zero():
             raise ValueError("line direction must be non-zero")
-        a, ctx = direction.a, direction.ctx
+        a, ctx, m = direction.a, direction.ctx, 1 << direction.level
+        pivot = _pivot(a, m)
         if direction.level == 0 == base.level:
-            pivot = 0 if a[0] else 1 if a[1] else 2 if a[2] else 3
-            p = a[pivot]
             # dir = a/a[pivot], so d.a[pivot] == d.den once reduced
-            d = _vreduced(ctx, a if p > 0 else [-x for x in a], abs(p))
+            d = _reduced(ctx, a, a[pivot], Vec4)
             # base - dir*base[pivot] = (base.a*D - d.a*base.a[pivot]) / (base.den*D), D = d.den
             bp, dd = base.a[pivot], d.den
-            b = _vreduced(base.ctx, [x * dd - y * bp for x, y in zip(base.a, d.a)], base.den * dd)
+            b = _reduced(base.ctx, [x * dd - y * bp for x, y in zip(base.a, d.a)], base.den * dd, Vec4)
         else:
-            m = 1 << direction.level
-            pivot = next(i for i in range(4) if any(a[i * m : i * m + m]))
-            # a[pivot]*w == k, an int, so dir = a*w/k
-            w, k = _vinv(a[pivot * m : pivot * m + m], ctx._squares)
-            d = _vreduced(ctx, _vmul(a, w, ctx._squares), k)
+            d = _divided(ctx, a, a[pivot * m : pivot * m + m], 1, Vec4)
             b = base - d.scale(base[pivot])
         self.base = b
         self.dir = d
@@ -367,10 +300,10 @@ class Line:
         e = d.den * t.den
         if b.level == 0 == d.level == t.level:
             n = t.a[0] * b.den
-            return _vreduced(b.ctx, [x * e + y * n for x, y in zip(b.a, d.a)], b.den * e)
-        ctx, level = _ctx_of(b, d, t), max(b.level, d.level, t.level)
+            return _reduced(b.ctx, [x * e + y * n for x, y in zip(b.a, d.a)], b.den * e, Vec4)
+        ctx, level = _ctx_of(b, d, t)
         dt = _vmul(_widen(d.a, d.level, level), [x * b.den for x in t.a], ctx._squares)
-        return _vreduced(ctx, [x * e + y for x, y in zip(_widen(b.a, b.level, level), dt)], b.den * e)
+        return _reduced(ctx, [x * e + y for x, y in zip(_widen(b.a, b.level, level), dt)], b.den * e, Vec4)
 
     def param_of(self, p: Vec4) -> Scalar:
         """Parameter of p along the line (p need not lie on it; pivot rule)."""
@@ -408,52 +341,49 @@ def _line(base: Vec4, direction: Vec4, pivot: int) -> Line:
 
 def lines_intersect(a: Line, b: Line) -> Optional[Vec4]:
     """A point on both lines, or None: `a.base` for identical lines, None for
-    distinct parallel ones (equal canonical directions), and otherwise the
-    s of a.at(s) from the first non-zero 2x2 minor of (a.dir, b.dir) by
-    Cramer's rule, kept only if b contains that point.  On the ints of a.dir
-    = A/Da, b.dir = B/Db and b.base - a.base = F/E, the minor is A_i*B_j -
-    A_j*B_i and s = (F_i*B_j - F_j*B_i)*Da / (E*(A_i*B_j - A_j*B_i))."""
+    distinct parallel ones (equal canonical directions), and otherwise
+    a.at(s) for the s with h(a.base - b.base) + s*h(a.dir) == 0, if there is
+    one.  h(x) = x - x_p*b.dir, at b's pivot p, is zero exactly when x is
+    parallel to b.dir, and b.base_p == 0.  On the ints U/E of a.base - b.base,
+    A/Da of a.dir and B/Db of b.dir (so B_p == Db), F = U*Db - U_p*B and G =
+    A*Db - A_p*B are h's numerators, G is not zero, and at its first non-zero
+    block k, s = -F_k*Da / (G_k*E) when F is parallel to G."""
     if a == b:
         return a.base
     da, db, p, q = a.dir, b.dir, a.base, b.base
     if da == db:
         return None
-    ctx = _ctx_of(p, q, da, db)
-    sq, level = ctx._squares, max(p.level, q.level, da.level, db.level)
+    ctx, level = _ctx_of(p, q, da, db)
+    sq, i, bd = ctx._squares, b.pivot, db.den
     if level == 0:
-        va, vb, vp, vq = da.a, db.a, p.a, q.a
-        for i in range(3):
-            for j in range(i + 1, 4):
-                det = va[i] * vb[j] - va[j] * vb[i]
-                if det:
-                    fi, fj = vq[i] * p.den - vp[i] * q.den, vq[j] * p.den - vp[j] * q.den
-                    pt = a.at(_rat(ctx, (fi * vb[j] - fj * vb[i]) * da.den, p.den * q.den * det))
-                    return pt if b.contains(pt) else None
+        u = [x * q.den - y * p.den for x, y in zip(p.a, q.a)]
+        ui, ai = u[i], da.a[i]
+        f = [x * bd - ui * y for x, y in zip(u, db.a)]
+        g = [x * bd - ai * y for x, y in zip(da.a, db.a)]
+        if not _vparallel(f, g, sq):
+            return None
+        k = _pivot(g, 1)
+        return a.at(_rat(ctx, -f[k] * da.den, g[k] * p.den * q.den))
     m = 1 << level
-    va, vb, vp, vq = (_widen(v.a, v.level, level) for v in (da, db, p, q))
-    f = [y * p.den - x * q.den for x, y in zip(vp, vq)]
-    x, y, f = ([v[i : i + m] for i in range(0, 4 * m, m)] for v in (va, vb, f))
-    for i in range(3):
-        for j in range(i + 1, 4):
-            det = [r - t for r, t in zip(_vmul(x[i], y[j], sq), _vmul(x[j], y[i], sq))]
-            if any(det):
-                num = [r - t for r, t in zip(_vmul(f[i], y[j], sq), _vmul(f[j], y[i], sq))]
-                w, c = _vinv(det, sq)
-                pt = a.at(_reduced(ctx, [da.den * r for r in _vmul(num, w, sq)], p.den * q.den * c))
-                return pt if b.contains(pt) else None
-    raise AssertionError("non-parallel directions have a non-zero minor")
+    vp, vq, va, vb = (_widen(v.a, v.level, level) for v in (p, q, da, db))
+    u = [x * q.den - y * p.den for x, y in zip(vp, vq)]
+    f = [x * bd - y for x, y in zip(u, _vmul(vb, u[i * m : i * m + m], sq))]
+    g = [x * bd - y for x, y in zip(va, _vmul(vb, va[i * m : i * m + m], sq))]
+    if not _vparallel(f, g, sq):
+        return None
+    k = _pivot(g, m) * m
+    return a.at(_divided(ctx, [-x * da.den for x in f[k : k + m]], g[k : k + m], p.den * q.den))
 
 
 def along(u: Vec4, d: Vec4) -> Optional[Scalar]:
     """The t with u == t*d, or None (also when d is zero): when u is parallel
-    to d, t = u_p/d_p at the first p with d_p != 0, on the ints."""
-    ctx, level = _ctx_of(u, d), max(u.level, d.level)
-    v, w, m, sq = _widen(u.a, u.level, level), _widen(d.a, d.level, level), 1 << level, ctx._squares
-    if d.is_zero() or not _vparallel(v, w, sq):
+    to d, t = u_p/d_p at the first p with d_p != 0."""
+    ctx, level = _ctx_of(u, d)
+    w = _widen(d.a, d.level, level)
+    if d.is_zero() or not _vparallel(_widen(u.a, u.level, level), w, ctx._squares):
         return None
-    p = next(i for i in range(0, 4 * m, m) if any(w[i : i + m]))
-    x, c = _vinv(w[p : p + m], sq)
-    return _reduced(ctx, [d.den * y for y in _vmul(v[p : p + m], x, sq)], u.den * c)
+    p = _pivot(w, 1 << level)
+    return u[p] / d[p]
 
 
 class Segment:
@@ -498,9 +428,8 @@ def _lmul(n: Sequence[int], w: Sequence[int], m: int) -> list:
 
 def _pmap(a: Sequence[int], den: int, translation: Vec4) -> "PoincareMap":
     """The map x -> (a/den) x + translation for 16 ints `a` and den != 0, in lowest terms."""
-    g = math.gcd(den, *a) if den > 0 else -math.gcd(den, *a)
-    m = object.__new__(PoincareMap)
-    m.a, m.den, m.translation = tuple([x // g for x in a]), den // g, translation
+    linear, m = _reduced(translation.ctx, a, den, _Blocks), object.__new__(PoincareMap)
+    m.a, m.den, m.translation = linear.a, linear.den, translation
     return m
 
 
@@ -522,9 +451,10 @@ class PoincareMap:
         return self.apply_direction(x) + self.translation
 
     def apply_direction(self, v: Vec4) -> Vec4:
-        # a rational v maps into the translation's context, and a v above level 0 keeps its own
+        # the linear part is rational: a v above level 0 keeps its context,
+        # and a rational v maps into the translation's
         ctx = v.ctx if v.level else self.translation.ctx
-        return _vreduced(ctx, _lmul(self.a, v.a, 1 << v.level), self.den * v.den)
+        return _reduced(ctx, _lmul(self.a, v.a, 1 << v.level), self.den * v.den, Vec4)
 
     def validate_isometry(self) -> bool:
         # L = a/den is an isometry iff a^T (eta a) == den**2 * eta
@@ -540,7 +470,7 @@ class PoincareMap:
 
     @staticmethod
     def identity(ctx: ScalarContext) -> "PoincareMap":
-        return _pmap(_IDENTITY, 1, _vec4(ctx, 0, (0, 0, 0, 0), 1))
+        return _pmap(_IDENTITY, 1, _reduced(ctx, (0, 0, 0, 0), 1, Vec4))
 
     @staticmethod
     def translation_by(v: Vec4) -> "PoincareMap":
@@ -558,7 +488,7 @@ class PoincareMap:
         a = [den * x for x in _IDENTITY]
         a[0] = a[5 * axis] = q * q + p * p
         a[axis] = a[4 * axis] = 2 * p * q
-        return _pmap(a, den, _vec4(ctx, 0, (0, 0, 0, 0), 1))
+        return _pmap(a, den, _reduced(ctx, (0, 0, 0, 0), 1, Vec4))
 
     @staticmethod
     def rotation(ctx: ScalarContext, m: int, n: int, ax1: int = 1, ax2: int = 2) -> "PoincareMap":
@@ -570,4 +500,4 @@ class PoincareMap:
         a = [den * x for x in _IDENTITY]
         a[5 * ax1] = a[5 * ax2] = m * m - n * n
         a[4 * ax1 + ax2], a[4 * ax2 + ax1] = -2 * m * n, 2 * m * n
-        return _pmap(a, den, _vec4(ctx, 0, (0, 0, 0, 0), 1))
+        return _pmap(a, den, _reduced(ctx, (0, 0, 0, 0), 1, Vec4))

@@ -16,33 +16,39 @@ from ``model.UnsupportedPredicate`` by the case driver and by the
 evaluator's atom step.
 
 At level k a value is a tuple of 2**k Python ints over one positive int
-denominator, reduced by one gcd.  The ints are coordinates over the
-monomials of the scaled roots s'_k = D_k*sqrt(r_k), where D_k is the
-denominator of r_k in this form, so every s'_k**2 has int coordinates and
-``+``, ``-``, ``*``, ``inverse`` and ``sign`` are small recursive functions
-on int vectors (``_vmul``, ``_vsign``, ``_vinv``) that split a vector into
-the halves without and with the top root.  ``Scalar._parts`` gives the
-(lo, hi) view in the unscaled root for rendering, approximation and
-square roots.
+denominator.  The ints are coordinates over the monomials of the scaled
+roots s'_k = D_k*sqrt(r_k), where D_k is the denominator of r_k in this
+form, so every s'_k**2 has int coordinates and products, inverses and signs
+are small recursive functions on int vectors (``_vmul``, ``_vinv``,
+``_vsign``) that split a vector into the halves without and with the top
+root.  ``Scalar._parts`` gives the (lo, hi) view in the unscaled root for
+rendering, approximation and square roots.  ``ScalarContext.sqrt`` makes a
+rational radicand square-free first, a = coeff**2 * rad, then searches the
+chain once, for sqrt(rad), and adjoins a root only when that search fails.
 
-``ScalarContext.sqrt`` makes a rational radicand square-free first, a =
-coeff**2 * rad, then searches the chain once, for sqrt(rad), and adjoins a
-root only when that search fails.
+This module is the one int kernel layer of ``Scalar`` and
+``minkowski.Vec4``: a value is B blocks of 2**k ints over one denominator
+(B = 1 for a Scalar, 4 for a Vec4, and 16 at k = 0 for a PoincareMap's
+linear part).  ``_Blocks`` holds the fields, ``==``, ``is_zero``, the hash
+and the one block-wise add; ``_reduced`` is the one reduce (trim every
+block to the value's level, then one gcd), ``_widen`` pads blocks to a
+higher level, and ``_ctx_of`` is the one context rule: a result lives in the
+context of its highest-level operand, the first on a tie (so a level-0
+result in the left operand's), and operands above level 0 from two
+contexts raise ``ScalarError``.  A rational is the k = 0 case, one int over
+one int, and ``Fraction`` appears only at the edges: ``ScalarContext.rat``
+input, ``as_fraction``, ``render``, ``approx`` and ``__hash__``, which
+equals the equal ``Fraction``'s.  The shortcuts kept here, with the share of
+their calls that take them in pass 0 of ftl-axioms / crosscheck at seeds
+1-3, and the pass-0 time those workloads lose without them (median of 5
+interleaved rounds, 2 cores, Python 3.11.7):
 
-A rational is the k = 0 case: one int numerator over a positive int
-denominator, in lowest terms.  Most arithmetic stays at level 0, so ``+``,
-``-``, ``*`` and ``/`` keep one branch for two rationals that works on the
-same two fields (n*e +- m*d over d*e, then one gcd) without the general
-path's lists and level bookkeeping.  ``minkowski.Vec4`` stores a vector the
-same way, the four coordinates' ints over one denominator, and keeps the
-same one level-0 branch.  ``Fraction`` appears only at the edges:
-``ScalarContext.rat`` input (read from its fields; two ints go through
-``_rat``), ``as_fraction``, ``render``, ``approx`` and ``__hash__``, which
-equals the hash of the equal ``Fraction`` because a rational Scalar
-compares equal to it.  Mixing two contexts is refused only
-when both operands are above level 0; a level-0 result lives in the left
-operand's context, and a result above level 0 in the context that owns its
-radicand.
+- ``+``, ``-``, ``*``, ``/`` of two rationals (``_rat``): 29-95% / 34-73%;
+  +3.1% / +1.7% without those of ``+``, ``-`` and ``*``.
+- ``_Blocks._sum`` for one level and one context: 86% / 68%; +2.0% / +1.6%.
+- ``*`` in one context skips ``_ctx_of``: 100% / 100% of the rest;
+  +0.3% / +0.8%.
+- ``_reduced`` trims one block by slices: 10% / 30%; +1.2% / +1.7%.
 
 Scalars are immutable values and safe to share; a context's radicand
 chain is append-only, so create one context per worker rather than
@@ -179,22 +185,81 @@ def _rat(ctx: "ScalarContext", n: int, d: int) -> "Scalar":
     return Scalar(ctx, 0, (n,), d)
 
 
-def _reduced(ctx: "ScalarContext", v: Sequence[int], den: int) -> "Scalar":
-    """The Scalar with coordinates v over den != 0, at its own level, in lowest terms."""
-    n = len(v)
-    while n > 1 and not any(v[n // 2 : n]):
-        n //= 2
-    v = v[:n]
-    g = math.gcd(den, *v)
-    if den < 0:
-        g = -g
-    if g != 1:
-        v = [x // g for x in v]
-        den //= g
-    return Scalar(ctx, n.bit_length() - 1, tuple(v), den)
+def _ctx_of(*vals) -> tuple["ScalarContext", int]:
+    """The context and level of a value computed from `vals` (Scalars or
+    Vec4s): those of the highest-level one, the first on a tie.  Two contexts
+    above level 0 do not mix."""
+    top = vals[0]
+    for v in vals:
+        if v.level > top.level:
+            top = v
+    if top.level:
+        for v in vals:
+            if v.level and v.ctx is not top.ctx:
+                raise ScalarError("mixing values from different contexts")
+    return top.ctx, top.level
 
 
-class Scalar:
+def _widen(a: Sequence[int], level: int, to: int) -> Sequence[int]:
+    """The blocks of 2**level ints `a` of a value, each padded to 2**to ints; `a` itself at `to`."""
+    if level == to:
+        return a
+    m, pad = 1 << level, (0,) * ((1 << to) - (1 << level))
+    return [x for i in range(0, len(a), m) for x in (*a[i : i + m], *pad)]
+
+
+class _Blocks:
+    """What a Scalar and a Vec4 share: one value in one context ``ctx``,
+    stored as ``_blocks`` blocks of 2**level ints ``a`` (one block for a
+    Scalar, one per coordinate for a Vec4) over one positive int ``den``,
+    reduced by `_reduced`.  A bare ``_Blocks`` is only made for a
+    PoincareMap's linear part, 16 one-int blocks."""
+
+    __slots__ = ("ctx", "level", "a", "den")
+    _blocks = 16
+
+    def __init__(self, ctx: "ScalarContext", level: int, a, den) -> None:
+        self.ctx = ctx
+        self.level = level
+        self.a = a
+        self.den = den
+
+    def is_zero(self) -> bool:
+        # reduced: above level 0 some block's high half is not zero
+        return self.level == 0 and not any(self.a)
+
+    def _sum(self, other: "_Blocks", sgn: int) -> "_Blocks":
+        """self + sgn*other, block by block, in the context `_ctx_of` gives."""
+        v, d, w, e, ctx = self.a, self.den, other.a, other.den, self.ctx
+        if self.level != other.level or other.ctx is not ctx:
+            ctx, level = _ctx_of(self, other)
+            v, w = _widen(v, self.level, level), _widen(w, other.level, level)
+        sd = sgn * d
+        return _reduced(ctx, [x * e + y * sd for x, y in zip(v, w)], d * e, type(self))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            if isinstance(other, (int, Fraction)):
+                # only a rational Scalar has one int
+                return self.a == (other.numerator,) and self.den == other.denominator
+            return NotImplemented
+        if self.level != other.level:
+            return False
+        # coordinates compare only over the same radicands
+        if other.ctx is not self.ctx and (
+            self.ctx.radicands[: self.level] != other.ctx.radicands[: self.level]
+        ):
+            return False
+        return self.a == other.a and self.den == other.den
+
+    def __hash__(self) -> int:
+        if len(self.a) == 1:
+            # a rational Scalar equals, so hashes as, its Fraction
+            return hash(Fraction(self.a[0], self.den))
+        return hash((self.level, self.a, self.den))
+
+
+class Scalar(_Blocks):
     """Element of the context's current extension chain.
 
     At ``level == k``, ``a`` is a tuple of 2**k ints over the positive int
@@ -212,14 +277,8 @@ class Scalar:
     in the unscaled root.
     """
 
-    __slots__ = ("ctx", "level", "a", "den", "_hash")
-
-    def __init__(self, ctx: "ScalarContext", level: int, a, den) -> None:
-        self.ctx = ctx
-        self.level = level
-        self.a = a
-        self.den = den
-        self._hash: Optional[int] = None
+    __slots__ = ()
+    _blocks = 1
 
     # -- construction -------------------------------------------------
 
@@ -234,18 +293,12 @@ class Scalar:
 
     def _coerce(self, other) -> Optional["Scalar"]:
         if isinstance(other, Scalar):
-            if other.ctx is not self.ctx and other.level > 0 and self.level > 0:
-                raise ScalarError("mixing scalars from different contexts")
             return other
         if isinstance(other, (int, Fraction)):
             return self.ctx.rat(other)
         return None
 
     # -- predicates ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        # normalized: above level 0 the s'_k half is nonzero
-        return self.level == 0 and self.a[0] == 0
 
     def as_fraction(self) -> Fraction:
         if self.level != 0:
@@ -263,21 +316,7 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # a level > 0 result lives in the context that owns its radicand
-        ctx = self.ctx if self.level >= o.level else o.ctx
-        v, d, w, e = self.a, self.den, o.a, o.den
-        if len(v) < len(w):
-            v, d, w, e = w, e, v, d
-        if d == e:
-            out = list(v)
-            for i, y in enumerate(w):
-                out[i] += y
-        else:
-            out = [x * e for x in v]
-            for i, y in enumerate(w):
-                out[i] += y * d
-            d *= e
-        return _reduced(ctx, out, d)
+        return self._sum(o, 1)
 
     __radd__ = __add__
 
@@ -290,13 +329,13 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._sum(o, -1)
 
     def __rsub__(self, other) -> "Scalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._sum(self, -1)
 
     def __mul__(self, other) -> "Scalar":
         if self.level == 0 and isinstance(other, Scalar) and other.level == 0:
@@ -304,7 +343,7 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = self.ctx if self.level >= o.level else o.ctx
+        ctx = self.ctx if o.ctx is self.ctx else _ctx_of(self, o)[0]
         return _reduced(ctx, _vmul(self.a, o.a, ctx._squares), self.den * o.den)
 
     __rmul__ = __mul__
@@ -334,56 +373,21 @@ class Scalar:
 
     # -- order ----------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Scalar):
-            if isinstance(other, (int, Fraction)):
-                num, den = other.numerator, other.denominator
-                return self.level == 0 and self.a[0] == num and self.den == den
-            return NotImplemented
-        if self.level != other.level:
-            return False
-        # coordinates compare only over the same radicands
-        if other.ctx is not self.ctx and (
-            self.ctx.radicands[: self.level] != other.ctx.radicands[: self.level]
-        ):
-            return False
-        return self.a == other.a and self.den == other.den
-
-    def __ne__(self, other) -> bool:
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
     def __lt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        d = self.__sub__(other)
+        return d if d is NotImplemented else d.sign() < 0
 
     def __le__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        d = self.__sub__(other)
+        return d if d is NotImplemented else d.sign() <= 0
 
     def __gt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
+        d = self.__sub__(other)
+        return d if d is NotImplemented else d.sign() > 0
 
     def __ge__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            if self.level == 0:
-                self._hash = hash(self.as_fraction())
-            else:
-                self._hash = hash((self.level, self.a, self.den))
-        return self._hash
+        d = self.__sub__(other)
+        return d if d is NotImplemented else d.sign() >= 0
 
     # -- rendering -------------------------------------------------------
 
@@ -419,6 +423,30 @@ class Scalar:
 
     def __float__(self) -> float:
         return float(self.approx(Fraction(1, 10**15)))
+
+
+def _reduced(ctx: "ScalarContext", a: Sequence[int], den: int, cls: type = Scalar) -> "_Blocks":
+    """The `cls` with the ``cls._blocks`` blocks of 2**k ints `a` over den
+    != 0, each block trimmed to the value's own level, in lowest terms."""
+    blocks = cls._blocks
+    m = len(a) // blocks
+    if blocks == 1:
+        while m > 1 and not any(a[m // 2 : m]):
+            m //= 2
+            a = a[:m]
+    else:
+        while m > 1 and not any(any(a[i + m // 2 : i + m]) for i in range(0, len(a), m)):
+            a = [x for i in range(0, len(a), m) for x in a[i : i + m // 2]]
+            m //= 2
+    g = math.gcd(den, *a)
+    if den < 0:
+        g = -g
+    if g != 1:
+        a = [x // g for x in a]
+        den //= g
+    v = object.__new__(cls)
+    v.ctx, v.level, v.a, v.den = ctx, m.bit_length() - 1, tuple(a), den
+    return v
 
 
 def _approx_sqrt(x: Fraction, eps: Fraction) -> Fraction:

@@ -27,9 +27,8 @@ from relcheck.minkowski import (
     Segment,
     Vec4,
     _line,
+    _pivot,
     _pmap,
-    _vec4,
-    _vreduced,
     along,
     lam,
     lines_intersect,
@@ -66,7 +65,7 @@ from relcheck.model import (
     transmits,
     witness_zero_and_two,
 )
-from relcheck.scalar import CapacityError, Scalar, ScalarContext, ScalarError
+from relcheck.scalar import CapacityError, Scalar, ScalarContext, ScalarError, _reduced
 from relcheck.verifier import definitional
 from relcheck.verifier.generators import ConfigGen
 from relcheck.verifier.report import (
@@ -121,7 +120,7 @@ def _quotient_basis(direction: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], 
     It is not full after one pass and keeps filling during a run (1246
     entries after 300 ftl-axioms passes at seed 241).  It holds no Scalar,
     so no value is shared between contexts."""
-    d = _vec4(ScalarContext(), 0, direction, 1)
+    d = _reduced(ScalarContext(), direction, 1, Vec4)
     basis = []
     for i in range(4):
         w = quotient_lift(Vec4.of(d.ctx, *[int(j == i) for j in range(4)]), d)
@@ -151,11 +150,11 @@ class ClassFrame:
         self.origin = gen.point()
         if self.dir.level:
             raise ScalarError("a ClassFrame direction must be rational")
-        self.basis = [_vec4(self.ctx, 0, a, den) for a, den in _quotient_basis(self.dir.a)]
+        self.basis = [_reduced(self.ctx, a, den, Vec4) for a, den in _quotient_basis(self.dir.a)]
         # the lines' canonical direction, dir/dir[pivot]
         a = self.dir.a
-        self._pivot = next(i for i in range(4) if a[i])
-        self._dir = _vreduced(self.ctx, a, a[self._pivot])
+        self._pivot = _pivot(a, 1)
+        self._dir = _reduced(self.ctx, a, a[self._pivot], Vec4)
 
     def line_at(self, coords: tuple) -> Line:
         """The line of the frame through origin + sum of c_i*basis_i, for
@@ -169,7 +168,7 @@ class ClassFrame:
             den *= e
         d, pivot = self._dir, self._pivot
         dd, bp = d.den, p[pivot]
-        base = _vreduced(self.ctx, [x * dd - y * bp for x, y in zip(p, d.a)], den * dd)
+        base = _reduced(self.ctx, [x * dd - y * bp for x, y in zip(p, d.a)], den * dd, Vec4)
         return _line(base, d, pivot)
 
     def random_coords(self) -> tuple:
@@ -1530,7 +1529,7 @@ def invariance_suite(kind: ModelKind, budget: Budget, configs: int = 20) -> Suit
 
     def control(gen: ConfigGen, i: int, j: int) -> Verdict:
         # doubling time is not an isometry: the check must reject it
-        zero = _vec4(gen.ctx, 0, (0, 0, 0, 0), 1)
+        zero = _reduced(gen.ctx, (0, 0, 0, 0), 1, Vec4)
         doubling = _pmap((2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1), 1, zero)
         return _verdict(not doubling.validate_isometry())
 

@@ -725,6 +725,17 @@ def test_bw_ftl_boost_example_is_invariant():
     assert not any(_bw_ftl_by_candidates(*_boosted(cases[0][0], t, axis)) for t, axis in _BOOSTS)
 
 
+@pytest.mark.xfail(strict=True, reason="bwftl_def witnesses Dual with the two dual candidates "
+                   "only, which miss this TRUE triple in every boosted frame")
+def test_bwftl_def_agrees_with_bw_ftl_on_the_boosted_example():
+    # the first triple of test_bw_ftl_boost_example_is_invariant
+    ctx = ScalarContext()
+    d = v(ctx, 0, 1, 0, 0)
+    triple = (Line(v(ctx, 0, 0, -1, 0), d), Line(v(ctx, 0, 0, 0, 0), d), Line(v(ctx, 0, 0, 0, -1), d))
+    boosted = [_boosted(triple, t, axis) for t, axis in _BOOSTS]
+    assert [de.bwftl_def(*abc, ModelKind.FTL).is_true() for abc in boosted] == [bw_ftl(*abc) for abc in boosted]
+
+
 # --- the Eq family against the three-way reference -----------------------------
 #
 # The reference is the Eq family as it was before one comparison of quotient

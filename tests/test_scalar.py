@@ -1,3 +1,4 @@
+import ast
 import fractions
 import math
 import random
@@ -18,6 +19,7 @@ from relcheck.scalar import (
     DomainError,
     Scalar,
     ScalarContext,
+    ScalarError,
     ScalarParseError,
     _square_free_split,
 )
@@ -335,6 +337,71 @@ def test_mixed_context_rejected():
         _ = x + y
 
 
+def test_context_rule_is_one_rule():
+    """Every operation that combines values follows one rule: operands above
+    level 0 from two contexts raise ScalarError, and a level-0 operand from
+    another context mixes, the result living in the context that owns the
+    radicand."""
+    c1, c2 = ScalarContext(), ScalarContext()
+    r2, r3, q = c1.sqrt(c1.rat(2)), c2.sqrt(c2.rat(3)), c2.rat(5, 3)
+    q1 = c1.rat(5, 3)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, lambda x, y: x / y):
+        for x, y in ((r2, r3), (r3, r2)):
+            with pytest.raises(ScalarError):
+                op(x, y)
+        for got in (op(r2, q), op(q, r2)):
+            assert got.ctx is c1 and got.level == 1
+        assert (op(r2, q), op(q, r2)) == (op(r2, q1), op(q1, r2))
+    with pytest.raises(ScalarError):
+        _ = r2 < r3
+    assert (q < r2) is False and (r2 < q) is True
+
+    def vec(ctx, x):
+        return minkowski.Vec4(ctx.zero, x, ctx.zero, ctx.zero)
+
+    x1, x3, xq = vec(c1, r2), vec(c2, r3), vec(c2, q)
+    vec_ops = [
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: minkowski.inner(a, b),
+        lambda a, b: a.scale(b[1]),
+    ]
+    for op in vec_ops:
+        with pytest.raises(ScalarError):
+            op(x1, x3)
+        for got in (op(x1, xq), op(xq, x1)):
+            assert got.ctx is c1 and got.level == 1
+    # a tower line, and a rational line of c2, both through (0, sqrt 2, 0, 0)
+    tower = minkowski.Line(x1, minkowski.Vec4(c1.one, c1.zero, c1.zero, c1.zero))
+    rational = minkowski.Line(vec(c2, c2.zero), vec(c2, c2.one))
+    with pytest.raises(ScalarError):
+        tower.at(r3)
+    assert tower.at(q).ctx is c1 and tower.at(q) == tower.at(q1)
+    assert rational.at(r2).ctx is c1 and rational.at(r2) == x1
+    across = minkowski.Line(x3, minkowski.Vec4(c2.one, c2.zero, c2.one, c2.zero))
+    with pytest.raises(ScalarError):
+        minkowski.lines_intersect(tower, across)
+    for a, b in ((tower, rational), (rational, tower)):
+        got = minkowski.lines_intersect(a, b)
+        assert got == x1 and got.ctx is c1
+    with pytest.raises(ScalarError):
+        minkowski.tarski_bw_f(x1, x3, vec(c1, r2 * 3))
+    origin = vec(c2, c2.zero)
+    assert minkowski.tarski_bw_f(origin, x1, vec(c1, r2 * 2))
+    assert not minkowski.tarski_bw_f(origin, vec(c1, r2 * 3), vec(c1, r2 * 2))
+    assert minkowski.tarski_bw_f(origin, xq, vec(c1, r2 * 2))
+
+
+def test_equality_with_ints_and_fractions_reads_both_fields():
+    ctx = ScalarContext()
+    third, r2 = ctx.rat(1, 3), ctx.sqrt(ctx.rat(2))
+    assert third == Fraction(1, 3) and third != Fraction(1, 2) and third != 1
+    assert ctx.rat(2) == 2 and ctx.rat(2) != Fraction(2, 3) and hash(third) == hash(Fraction(1, 3))
+    assert r2 != 1 and r2 != Fraction(1, 2)
+    # the equality a Vec4 shares with Scalar: never equal to a number
+    assert minkowski.Vec4.of(ctx, 1, 0, 0, 0) != 1
+
+
 def test_cross_context_equality_compares_radicands():
     c1, c2 = ScalarContext(), ScalarContext()
     x = c1.sqrt(c1.rat(2))
@@ -448,6 +515,43 @@ def test_fraction_only_at_the_edges():
     finally:
         sys.setprofile(None)
     assert not seen, sorted(seen)
+
+
+# Where the kernel layer may reduce by a gcd and raise ScalarError itself:
+# one reduce for 1, 4 or 16 blocks plus the level-0 `_rat`, and one context
+# rule plus as_fraction's "not rational".
+_GCD_CALLERS = {"_reduced", "_rat"}
+_SCALAR_ERROR_RAISERS = {"_ctx_of", "as_fraction"}
+
+
+def _calls_by_function(path: str, wanted) -> set:
+    """Names of the innermost functions of `path` holding a node for which `wanted` holds."""
+    found = set()
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if wanted(child):
+                found.add(inner)
+            walk(child, inner)
+
+    walk(ast.parse(Path(path).read_text()), "<module>")
+    return found
+
+
+def test_one_reduce_and_one_context_rule():
+    def gcd_call(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "gcd"
+
+    def scalar_error(node):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        return isinstance(exc, ast.Name) and exc.id == "ScalarError"
+
+    for path in (scalar.__file__, minkowski.__file__):
+        assert _calls_by_function(path, gcd_call) <= _GCD_CALLERS, path
+    raisers = set().union(*(_calls_by_function(p, scalar_error) for p in (scalar.__file__, minkowski.__file__)))
+    assert raisers == _SCALAR_ERROR_RAISERS
 
 
 def _decimal(x: Scalar):
