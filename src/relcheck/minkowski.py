@@ -14,6 +14,9 @@ highest-level one, x0's when all are rational).  On those ints
 (``_offsets``, ``_qform``, ``_vparallel``) cross-multiply with no division,
 ``Line(...)`` and ``lines_intersect`` divide once by a pivot block
 (``_pivot``, ``_divided``), and ``along`` divides two coordinates.  A
+line's canonical form is made in one place, ``_canonical_dir`` then
+``_canonical_base``, each reduced once; ``Line(...)``, the suites'
+``ClassFrame`` and Cop's witness in the pair's plane all call them.  A
 ``PoincareMap`` stores its rational linear part as 16 ints over one
 denominator, reduced by the same reduce.  The level-0 branches kept, with
 traffic and ablation measured as in ``scalar``'s docstring:
@@ -271,18 +274,13 @@ class Line:
     def __init__(self, base: Vec4, direction: Vec4) -> None:
         if direction.is_zero():
             raise ValueError("line direction must be non-zero")
-        a, ctx, m = direction.a, direction.ctx, 1 << direction.level
-        pivot = _pivot(a, m)
-        if direction.level == 0 == base.level:
-            # dir = a/a[pivot], so d.a[pivot] == d.den once reduced
-            d = _reduced(ctx, a, a[pivot], Vec4)
-            # base - dir*base[pivot] = (base.a*D - d.a*base.a[pivot]) / (base.den*D), D = d.den
-            bp, dd = base.a[pivot], d.den
-            b = _reduced(base.ctx, [x * dd - y * bp for x, y in zip(base.a, d.a)], base.den * dd, Vec4)
+        d, pivot = _canonical_dir(direction.ctx, direction.a, direction.level)
+        if base.level == 0 == d.level:
+            ctx, p = base.ctx, base.a
         else:
-            d = _divided(ctx, a, a[pivot * m : pivot * m + m], 1, Vec4)
-            b = base - d.scale(base[pivot])
-        self.base = b
+            ctx, level = _ctx_of(base, d)
+            p = _widen(base.a, base.level, level)
+        self.base = _canonical_base(ctx, p, base.den, d, pivot)
         self.dir = d
         self.pivot = pivot
 
@@ -330,6 +328,31 @@ class Line:
         if (q - p).is_zero():
             raise ValueError("two distinct points are required")
         return Line(p, q - p)
+
+
+def _canonical_dir(ctx: ScalarContext, a: Sequence[int], level: int) -> tuple[Vec4, int]:
+    """(dir, pivot) of the lines along the non-zero vector with ints `a`, in
+    blocks of 2**level over any denominator: dir = a/a[pivot] at the first
+    non-zero block, so dir[pivot] == 1, reduced once."""
+    if level == 0:
+        pivot = _pivot(a, 1)
+        return _reduced(ctx, a, a[pivot], Vec4), pivot
+    m = 1 << level
+    pivot = _pivot(a, m)
+    return _divided(ctx, a, a[pivot * m : pivot * m + m], 1, Vec4), pivot
+
+
+def _canonical_base(ctx: ScalarContext, p: Sequence[int], den: int, d: Vec4, pivot: int) -> Vec4:
+    """The base of the line along the canonical direction d (with its pivot)
+    through the point with ints p over den, in blocks at a level >= d.level:
+    p - d*p[pivot], whose pivot coordinate is 0, as the one int combination
+    (p*e - d.a*p[pivot]) over den*e with e = d.den, reduced once."""
+    e, m = d.den, len(p) // 4
+    if m == 1:
+        bp = p[pivot]
+        return _reduced(ctx, [x * e - y * bp for x, y in zip(p, d.a)], den * e, Vec4)
+    dp = _vmul(_widen(d.a, d.level, m.bit_length() - 1), p[pivot * m : pivot * m + m], ctx._squares)
+    return _reduced(ctx, [x * e - y for x, y in zip(p, dp)], den * e, Vec4)
 
 
 def _line(base: Vec4, direction: Vec4, pivot: int) -> Line:

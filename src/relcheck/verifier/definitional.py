@@ -14,9 +14,15 @@ propagates to the suites' case driver, which records the case as UNKNOWN.
 
 Witness searches read a candidate line's class before they build it: the
 line through p and q has the class of q - p; in `cop_def` it is the sign
-of a quadratic in the int parameter of q, with int coefficients computed
-once per anchor point (`_transversal_class`).  The four M conjuncts of Cop
-are checked at the events the transversals were built on, not solved again.
+of a binary quadratic form whose int Gram entries are computed once per
+anchor point (`_pencil`, `_form_class`).  The four M conjuncts of Cop are
+checked at the events the transversals were built on, not solved again.
+For two distinct parallel lines every candidate lies in the pair's plane,
+and `_cop_parallel` decides each clause of def_cop there, on homogeneous
+int coordinates: on `cop_def`'s grid every clause holds, so the witness
+is the first candidate whose classes the kind allows, and only it is built
+in F^4.  Its docstring gives the derivation, and why the witness is the
+one the search in F^4 returns.
 
 The null links from an event to a given worldline come from
 `model.null_links`.  Bw and BwRho run one loop, `_null_triangle`, over the
@@ -40,6 +46,9 @@ from relcheck.minkowski import (
     Line,
     Segment,
     Vec4,
+    _canonical_base,
+    _canonical_dir,
+    _line,
     _offsets,
     _vinner,
     along,
@@ -63,7 +72,7 @@ from relcheck.model import (
     rho_witness,
     witness_zero_and_two,
 )
-from relcheck.scalar import Scalar, ScalarContext, _vsign
+from relcheck.scalar import Scalar, ScalarContext, _ctx_of, _reduced, _vsign, _widen
 from relcheck.verifier.report import Verdict
 
 
@@ -111,11 +120,24 @@ def _grow_until(predicate: Callable[[int], Optional[object]], cap: int = 4096):
     return None
 
 
+# cop_def's candidates: the transversals from a.at(t1) to b.at(k) and from
+# a.at(t2) to b.at(-k - 1), in this order
+_COP_ANCHORS = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(-1)),
+                (Fraction(1, 2), Fraction(-3, 2)), (Fraction(-2), Fraction(2)),
+                (Fraction(3), Fraction(-3)))
+_COP_KS = (1, 2, 3, 5, 8, 13, 64, 256, 1024)
+
+
 def cop_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
     """Witness construction for Cop: two transversals slanted in opposite
     senses cross at a shared signal point off both lines.  Unknown when no
     such pair is found (skew pairs stay undecided: a complete refutation
-    would need the same rank computation as the geometric evaluator)."""
+    would need the same rank computation as the geometric evaluator).
+
+    A candidate is built only when kind allows both transversals' classes.
+    Distinct lines with one canonical direction go to `_cop_parallel`,
+    which decides the same candidates in the pair's plane and returns the
+    same verdict and witness."""
     ctx = a.ctx
     if a == b:
         # any two universe lines through one off-line point meeting a
@@ -129,15 +151,13 @@ def cop_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
             if c is not None and d is not None and c != d:
                 return Verdict.true({"c": c, "d": d, "g": event(g)})
         return Verdict.unknown("no Cop witness constructed")
-
-    # a pair is built only when kind allows both transversals' classes
-    for t1, t2 in ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(-1)),
-                   (Fraction(1, 2), Fraction(-3, 2)), (Fraction(-2), Fraction(2)),
-                   (Fraction(3), Fraction(-3))):
+    if a.dir == b.dir:
+        return _cop_parallel(a, b, kind)
+    for t1, t2 in _COP_ANCHORS:
         p1, p2 = a.at(ctx.rat(t1)), a.at(ctx.rat(t2))
-        class1, class2 = _transversal_class(p1, b), _transversal_class(p2, b)
-        for k in (1, 2, 3, 5, 8, 13, 64, 256, 1024):
-            if not (kind.allows(class1(k)) and kind.allows(class2(-k - 1))):
+        class1, class2 = (_form_class(*_pencil(p, b)) for p in (p1, p2))
+        for k in _COP_KS:
+            if not (kind.allows(class1(1, k)) and kind.allows(class2(1, -k - 1))):
                 continue
             q1, q2 = b.at(ctx.rat(k)), b.at(ctx.rat(-k - 1))
             c, d = Line(p1, q1 - p1), Line(p2, q2 - p2)
@@ -153,14 +173,110 @@ def cop_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
     return Verdict.unknown("no Cop witness constructed")
 
 
-def _transversal_class(p: Vec4, b: Line) -> Callable[[int], IntervalClass]:
-    """The class of the line from p to b.at(k), for an int k: the sign of
-    lam(e*W + k*E*D) = c0 + (c1 + c2*k)*k, which is (E*e)**2*lam(w + k*b.dir)
-    for w = b.base - p = W/E and b.dir = D/e, with c0, c1, c2 ints."""
+def _pencil(p: Vec4, b: Line) -> tuple[list, list, list]:
+    """(U, V, sq): the ints of b.base - p and of b.dir over one denominator
+    E*e, for E = b.base.den*p.den and e = b.dir.den, and the context's
+    squares, at the highest level among p, b.base and b.dir."""
     (w,), d, sq = _offsets(b.dir, b.base, p)
-    x, y = [b.dir.den * v for v in w], [b.base.den * p.den * v for v in d]
-    c0, c1, c2 = _vinner(x, x, sq), [2 * v for v in _vinner(x, y, sq)], _vinner(y, y, sq)
-    return lambda k: sign_class(_vsign([r + k * (s + k * t) for r, s, t in zip(c0, c1, c2)], sq))
+    return [b.dir.den * v for v in w], [b.base.den * p.den * v for v in d], sq
+
+
+def _form_class(u: list, v: list, sq: list) -> Callable[[int, int], IntervalClass]:
+    """The class of x*U + y*V for ints x and y: the sign of the binary form
+    g0*x*x + (g1*x + g2*y)*y in the Gram entries g0 = lam(U), g1 = 2<U, V>
+    and g2 = lam(V), ints computed once.  For (U, V) from `_pencil(p, b)`,
+    the line from p to b.at(y/x) (x != 0) has the class at (x, y)."""
+    g0, g1, g2 = _vinner(u, u, sq), [2 * r for r in _vinner(u, v, sq)], _vinner(v, v, sq)
+    return lambda x, y: sign_class(_vsign([r * x * x + (s * x + t * y) * y for r, s, t in zip(g0, g1, g2)], sq))
+
+
+# a (x = 0) and b (x = 1) in `_cop_parallel`'s plane, as homogeneous lines
+_PLANE_A, _PLANE_B = (1, 0, 0), (1, 0, -1)
+
+
+def _cross(p: tuple, q: tuple) -> tuple:
+    """The line through two points of the projective plane, or the point
+    where two lines meet, in homogeneous int coordinates."""
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _on(line: tuple, p: tuple) -> bool:
+    return line[0] * p[0] + line[1] * p[1] + line[2] * p[2] == 0
+
+
+def _toward(p: tuple, q: tuple) -> tuple[int, int]:
+    """The plane direction from p to q, two points with Z > 0, times both Zs."""
+    return q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2]
+
+
+def _cop_parallel(a: Line, b: Line, kind: ModelKind) -> Verdict:
+    """cop_def for distinct lines with one canonical direction D.
+
+    (x, y) -> A + x*w + y*D, for A = a.base and w = b.base - A, maps the
+    plane F^2 one to one onto the pair's plane: A and b.base both have pivot
+    coordinate 0 and D has 1 there, so w is not zero and not along D.  A
+    line maps to a line, so incidence, equality and meeting of the lines of
+    that plane are decided on their plane coordinates.  a is x = 0, b is
+    x = 1, a.at(t) is (0, t) and b.at(k) is (1, k).  Points and lines are
+    homogeneous int triples (X, Y, Z) for (X/Z, Y/Z), so each clause of
+    def_cop is one `_cross` or `_on` on small ints: c != d, c and d are
+    neither a nor b, g = c x d (on c and on d) is a point (Z != 0) off a and
+    off b, and the four M conjuncts hold at the events c and d were built
+    on.  The class of
+    the transversal with plane direction (x, y) is that of x*w + y*D, one
+    binary form whose Gram entries (`_form_class`) are computed once per
+    pair.
+
+    On this grid every clause holds: c and d have directions (1, k - t1)
+    and (1, -k - 1 - t2), which differ since t1 - t2 is never 2k + 1, and
+    neither is a's; they meet at x = (t2 - t1)/(2k + 1 - t1 + t2), which is
+    neither 0 nor 1.  So the witness is the first candidate whose classes
+    kind allows, the one `cop_def`'s search in F^4 stops at, and canonical
+    forms make it field for field the same.  Only that candidate is built
+    in F^4: each point is one int combination reduced once, and each line
+    one `_canonical_dir` and one `_canonical_base`."""
+    u, v, sq = _pencil(a.base, b)
+    plane_class = _form_class(u, v, sq)
+    for t1, t2 in _COP_ANCHORS:
+        p1, p2 = (0, t1.numerator, t1.denominator), (0, t2.numerator, t2.denominator)
+        for k in _COP_KS:
+            q1, q2 = (1, k, 1), (1, -k - 1, 1)
+            if not (kind.allows(plane_class(*_toward(p1, q1)))
+                    and kind.allows(plane_class(*_toward(p2, q2)))):
+                continue
+            c, d = _cross(p1, q1), _cross(p2, q2)
+            if any(not any(_cross(x, y)) for x, y in ((c, d), (c, _PLANE_A), (c, _PLANE_B),
+                                                      (d, _PLANE_A), (d, _PLANE_B))):
+                continue
+            g = _cross(c, d)
+            if g[2] == 0 or _on(_PLANE_A, g) or _on(_PLANE_B, g):
+                continue
+            if all(_on(x, s) and _on(y, s) for x, y, s in (
+                    (_PLANE_A, c, p1), (c, _PLANE_B, q1), (d, _PLANE_B, q2), (d, _PLANE_A, p2))):
+                return Verdict.true(_plane_witness(a, b, u, v, (p1, q1), (p2, q2), g))
+    return Verdict.unknown("no Cop witness constructed")
+
+
+def _plane_witness(a: Line, b: Line, u: list, v: list, c: tuple, d: tuple, g: tuple) -> dict:
+    """Cop's witness in F^4 from `_cop_parallel`'s plane: the lines c and d,
+    each through the first of its two plane points, and the event g.  With
+    U and V from `_pencil(a.base, b)` over E*e, E = a.base.den*b.base.den,
+    the point (X, Y, Z) has the ints Z*b.base.den*e*A + X*U + Y*V over
+    Z*E*e, and the direction (x, y) the ints x*U + y*V."""
+    ctx, level = _ctx_of(a.base, a.dir, b.base)
+    den, scale = a.base.den * b.base.den * a.dir.den, b.base.den * a.dir.den
+    o = [scale * r for r in _widen(a.base.a, a.base.level, level)]
+
+    def point(p: tuple) -> tuple[list, int]:
+        x, y, z = p
+        return [z * r + x * s + y * t for r, s, t in zip(o, u, v)], z * den
+
+    def line(p: tuple, q: tuple) -> Line:
+        x, y = _toward(p, q)
+        direction, pivot = _canonical_dir(ctx, [x * s + y * t for s, t in zip(u, v)], level)
+        return _line(_canonical_base(ctx, *point(p), direction, pivot), direction, pivot)
+
+    return {"c": line(*c), "d": line(*d), "g": event(_reduced(ctx, *point(g), Vec4))}
 
 
 def _line_through_meeting(p: Vec4, target: Line, param: Fraction, kind: ModelKind) -> Optional[Line]:

@@ -26,8 +26,9 @@ from relcheck.minkowski import (
     PoincareMap,
     Segment,
     Vec4,
+    _canonical_base,
+    _canonical_dir,
     _line,
-    _pivot,
     _pmap,
     along,
     lam,
@@ -151,25 +152,21 @@ class ClassFrame:
         if self.dir.level:
             raise ScalarError("a ClassFrame direction must be rational")
         self.basis = [_reduced(self.ctx, a, den, Vec4) for a, den in _quotient_basis(self.dir.a)]
-        # the lines' canonical direction, dir/dir[pivot]
-        a = self.dir.a
-        self._pivot = _pivot(a, 1)
-        self._dir = _reduced(self.ctx, a, a[self._pivot], Vec4)
+        # the lines' canonical direction
+        self._dir, self._pivot = _canonical_dir(self.ctx, self.dir.a, 0)
 
     def line_at(self, coords: tuple) -> Line:
         """The line of the frame through origin + sum of c_i*basis_i, for
         rational coordinates (Fractions or ints): that point's ints over one
-        denominator, then base - base[pivot]*dir with the frame's canonical
-        direction, reduced by one gcd."""
+        denominator, then the canonical base with the frame's canonical
+        direction (`_canonical_base`)."""
         p, den = self.origin.a, self.origin.den
         for c, b in zip(coords, self.basis):
             k, e = c.numerator, c.denominator * b.den
             p = [x * e + k * y * den for x, y in zip(p, b.a)]
             den *= e
         d, pivot = self._dir, self._pivot
-        dd, bp = d.den, p[pivot]
-        base = _reduced(self.ctx, [x * dd - y * bp for x, y in zip(p, d.a)], den * dd, Vec4)
-        return _line(base, d, pivot)
+        return _line(_canonical_base(self.ctx, p, den, d, pivot), d, pivot)
 
     def random_coords(self) -> tuple:
         return tuple(self.gen.rat_fraction() for _ in range(3))

@@ -166,8 +166,10 @@ def _reference_cop(a, b, kind):
 
 
 def _cop_cases():
-    """Line pairs of the Cop and Par generators at both kinds, and level-1
-    parallel pairs (and some equal pairs) from the Tau generator."""
+    """Line pairs of the Cop and Par generators at both kinds, level-1
+    parallel pairs (and some equal pairs) from the Tau generator, FTL
+    parallel pairs on spacelike directions from the BwFTL and Dual
+    generators, and level-2 parallel pairs at both kinds."""
     for kind in (STL, FTL):
         for name in ("Cop", "Par"):
             for i in range(110):
@@ -177,6 +179,24 @@ def _cop_cases():
         gen = ConfigGen(sub_seed(9, "cop-search", "Tau", i), 8)
         c, b, _, _ = PRED_GENERATORS["Tau"](gen, STL, i)
         yield STL, (b, c)
+    for i in range(30):
+        gen = ConfigGen(sub_seed(9, "cop-search", "BwFTL", i), 8)
+        a, b, _ = PRED_GENERATORS["BwFTL"](gen, FTL, 2 * i + 1)  # odd indices: a spacelike frame
+        gen = ConfigGen(sub_seed(9, "cop-search", "Dual", i), 8)
+        _, c, d = PRED_GENERATORS["Dual"](gen, FTL, i)
+        yield from ((FTL, (a, b)), (FTL, (c, d)))
+    for kind in (STL, FTL):
+        for i in range(20):
+            gen = ConfigGen(sub_seed(9, "cop-search", "level 2", kind.value, i), 8)
+            ctx = gen.ctx
+            r2, r3 = ctx.sqrt(ctx.rat(2)), ctx.sqrt(ctx.rat(3))
+            off = Vec4(ctx.zero, r3, r2 * r3, ctx.rat(i % 3))
+            d = gen.direction(kind)
+            if i % 2:  # a level-2 direction, spacelike at FTL for i % 4 == 3
+                d = (Vec4(ctx.rat(1, 5), r2, r3, ctx.zero) if kind is FTL and i % 4 == 3
+                     else Vec4(ctx.one, r2 * ctx.rat(1, 5), r3 * ctx.rat(1, 7), ctx.zero))
+            p = gen.point()
+            yield kind, (Line(p, d), Line(p + off, d))
 
 
 def test_cop_search_matches_the_reference_search():
@@ -208,10 +228,12 @@ def test_cop_search_matches_the_reference_search():
 @given(st.integers(0, 2), st.randoms(use_true_random=False))
 def test_cop_class_test_matches_the_scalar_quadratic(depth, rng):
     """cop_def's class test on ints against sign_class of the Scalar
-    quadratic c0 + (c1 + lam_b*k)*k, with w = b.base - p, c0 = lam(w),
-    c1 = 2<w, b.dir> and lam_b = lam(b.dir), over cop_def's k grid, at
-    levels 0-2.  One anchor per line pair puts a null transversal on the
-    grid, so the lightlike class is reached in every example."""
+    quadratic c0 + (c1 + lam_b*x)*x, with w = b.base - p, c0 = lam(w),
+    c1 = 2<w, b.dir> and lam_b = lam(b.dir), at levels 0-2: over cop_def's
+    k grid (x = k), and for the plane of a and a line parallel to it (p =
+    a.base) at the plane's x = k - t for each anchor t.  One anchor per line
+    pair puts a null transversal on the grid, so the lightlike class is
+    reached in every example."""
     ctx, adjoined = _random_tower(rng, depth)
     roots = [root for _, root in adjoined]
 
@@ -230,16 +252,40 @@ def test_cop_class_test_matches_the_scalar_quadratic(depth, rng):
         a, b = (Line(vec(), d if not d.is_zero() else null) for d in (vec(), vec()))
         k0 = rng.choice(grid)
         anchors = [a.at(scalar()), vec(), b.at(ctx.rat(k0)) - null.scale(scalar())]
-        for p in anchors:
-            w = b.base - p
-            c0, c1, lam_b = lam(w), inner(w, b.dir) * 2, lam(b.dir)
-            got = de._transversal_class(p, b)
-            for k in grid:
-                kk = ctx.rat(k)
-                want = sign_class((c0 + (c1 + lam_b * kk) * kk).sign())
-                assert got(k) == want
+        inputs = [(p, b, [Fraction(k) for k in grid]) for p in anchors]
+        parallel = Line(vec(), a.dir)
+        ts = [t for pair in de._COP_ANCHORS for t in pair]
+        inputs.append((a.base, parallel, [k - t for k in grid for t in ts]))
+        for p, target, xs in inputs:
+            w = target.base - p
+            c0, c1, lam_b = lam(w), inner(w, target.dir) * 2, lam(target.dir)
+            got = de._form_class(*de._pencil(p, target))
+            for x in xs:
+                xx = ctx.rat(x)
+                want = sign_class((c0 + (c1 + lam_b * xx) * xx).sign())
+                assert got(x.denominator, x.numerator) == want
                 classes.add(want)
     assert IntervalClass.LIGHTLIKE in classes
+
+
+def test_cop_def_decides_parallel_pairs_in_their_plane(monkeypatch):
+    """On the distinct parallel pairs of _cop_cases (levels 0-2, both kinds),
+    cop_def gives the reference search's statuses and witnesses with
+    lines_intersect and Line.contains raising: it decides the candidates in
+    the pair's plane and builds only the witness in F^4."""
+    pairs = [(kind, a, b) for kind, (a, b) in _cop_cases() if a != b and a.dir == b.dir]
+    want = [_reference_cop(a, b, kind)[0] for kind, a, b in pairs]
+    assert {max(x.level for x in (a.base, a.dir, b.base)) for _, a, b in pairs} == {0, 1, 2}
+    assert {kind for kind, _, _ in pairs} == {STL, FTL}
+
+    def primitive(*args):
+        raise AssertionError("a line primitive was called")
+
+    monkeypatch.setattr(de, "lines_intersect", primitive)
+    monkeypatch.setattr(Line, "contains", primitive)
+    got = [de.cop_def(a, b, kind) for kind, a, b in pairs]
+    assert [(x.status, x.reason, x.witness) for x in got] == [
+        (x.status, x.reason, x.witness) for x in want]
 
 
 def test_m_cop_par_defs_never_call_their_geometric_twins(monkeypatch):
