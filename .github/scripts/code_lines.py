@@ -1,11 +1,14 @@
 """Count the lines and code lines of each module of `src/relcheck`.
 
-    python3 .github/scripts/code_lines.py [REV]
+    python3 .github/scripts/code_lines.py [REV [REV_B]]
 
 A code line is a line that is not blank, not only a comment and not part of
 a docstring (the leading string of a module, class or function).  Without
 REV the working tree is read; with REV, the files of that git revision.
-Prints one row per module, then the total; never fails on the counts.
+Prints one row per module, then the total.  With two revisions each row
+gives the lines and code lines of both, a module missing from one counting
+0 there, and the code-line difference REV_B - REV.  Never fails on the
+counts.
 """
 
 from __future__ import annotations
@@ -53,15 +56,18 @@ def sources(rev: str | None) -> dict[str, str]:
 
 
 def main(argv: list[str]) -> int:
-    rev = argv[1] if len(argv) > 1 else None
-    total_lines = total_code = 0
-    print(f"{'module':44} {'lines':>6} {'code':>6}   ({rev or 'working tree'})")
-    for name, text in sources(rev).items():
-        lines, code = len(text.splitlines()), code_lines(text)
-        total_lines += lines
-        total_code += code
-        print(f"{name:44} {lines:6} {code:6}")
-    print(f"{'total':44} {total_lines:6} {total_code:6}")
+    revs = argv[1:3] or [None]
+    counts = [{name: (len(text.splitlines()), code_lines(text)) for name, text in sources(rev).items()}
+              for rev in revs]
+    names = sorted(set().union(*counts))
+    rows = [(name, [c.get(name, (0, 0)) for c in counts]) for name in names]
+    rows.append(("total", [tuple(map(sum, zip(*c.values()))) for c in counts]))
+    head = "".join(f" {'lines':>6} {'code':>6}" for _ in revs)
+    print(f"{'module':44}{head}{'  diff' if len(revs) == 2 else ''}   "
+          f"({' -> '.join(rev or 'working tree' for rev in revs)})")
+    for name, cols in rows:
+        diff = f" {cols[1][1] - cols[0][1]:+5}" if len(cols) == 2 else ""
+        print(f"{name:44}" + "".join(f" {lines:6} {code:6}" for lines, code in cols) + diff)
     return 0
 
 

@@ -5,24 +5,28 @@ of its *definition* over the primitives T, R, = — constructing explicit
 witnesses for existentials and refuting universals with verified
 counterexamples.  Two routes are not yet independent of the geometric twin
 they are cross-checked against: `rho_def` calls `model.rho`, and the third
-case of `eqrho_def` computes the quotient norms again.  `dual_def` decides
-the printed Dual clauses with `model.rho`, `optical_plane` and `bw_rho`, not
-with its closed-form twin `model.dual_geo`.  Layering follows the definition
-DAG: a procedure may use the procedures of the predicates its definition
-mentions.  None of them catches a CapacityError from the scalar tower: it
-propagates to the suites' case driver, which records the case as UNKNOWN.
+case of `eqrho_def` computes the quotient norms again.  `op_def` decides
+def_op's Rho clause itself, so OP does not reach `model.rho`.  `dual_def`
+decides the printed Dual clauses with `model.rho`, `optical_plane` and
+`bw_rho`, not with its closed-form twin `model.dual_geo`.  Layering follows
+the definition DAG: a procedure may use the procedures of the predicates
+its definition mentions.  None of them catches a CapacityError from the
+scalar tower: it propagates to the suites' case driver, which records the
+case as UNKNOWN.
 
-Witness searches read a candidate line's class before they build it: the
-line through p and q has the class of q - p; in `cop_def` it is the sign
-of a binary quadratic form whose int Gram entries are computed once per
-anchor point (`_pencil`, `_form_class`).  The four M conjuncts of Cop are
-checked at the events the transversals were built on, not solved again.
-For two distinct parallel lines every candidate lies in the pair's plane,
-and `_cop_parallel` decides each clause of def_cop there, on homogeneous
-int coordinates: on `cop_def`'s grid every clause holds, so the witness
-is the first candidate whose classes the kind allows, and only it is built
-in F^4.  Its docstring gives the derivation, and why the witness is the
-one the search in F^4 returns.
+Every witness question on two distinct lines is decided in their plane,
+and nothing is searched in F^4.  Cop keeps one grid of candidate
+transversals.  `_cop_parallel` decides each clause of def_cop for two
+distinct parallel lines on homogeneous int coordinates, and `_cop_meeting`
+for two meeting lines on the coefficients of a candidate's direction along
+a.dir and b.dir.  A candidate's class is the sign of a binary quadratic
+form whose Gram entries are computed once per pair (`_pencil` and
+`_form_class` on ints for parallel lines).  The four M conjuncts hold at
+the events the transversals were built on, so they are not solved again.
+In both cases only the witness is built in F^4, and it is the one a search
+in F^4 over the same grid returns.  Skew lines have no Cop witness
+(`cop_def` gives the proof).  `op_def` decides Rho and the universal clause
+of def_op on f(y) = lam(b.base - a.base + y*a.dir), with no square root.
 
 The null links from an event to a given worldline come from
 `model.null_links`.  Bw and BwRho run one loop, `_null_triangle`, over the
@@ -110,16 +114,6 @@ def m_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
     return Verdict.false() if meet is None else Verdict.true({"s": event(meet)})
 
 
-def _grow_until(predicate: Callable[[int], Optional[object]], cap: int = 4096):
-    k = 1
-    while k <= cap:
-        got = predicate(k)
-        if got is not None:
-            return got
-        k *= 2
-    return None
-
-
 # cop_def's candidates: the transversals from a.at(t1) to b.at(k) and from
 # a.at(t2) to b.at(-k - 1), in this order
 _COP_ANCHORS = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(-1)),
@@ -130,14 +124,18 @@ _COP_KS = (1, 2, 3, 5, 8, 13, 64, 256, 1024)
 
 def cop_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
     """Witness construction for Cop: two transversals slanted in opposite
-    senses cross at a shared signal point off both lines.  Unknown when no
-    such pair is found (skew pairs stay undecided: a complete refutation
-    would need the same rank computation as the geometric evaluator).
+    senses cross at a shared signal point off both lines.  A candidate
+    counts only when kind allows both transversals' classes.
 
-    A candidate is built only when kind allows both transversals' classes.
-    Distinct lines with one canonical direction go to `_cop_parallel`,
-    which decides the same candidates in the pair's plane and returns the
-    same verdict and witness."""
+    Every clause is decided in the plane of a and b: `_cop_parallel` takes
+    distinct lines with one canonical direction and `_cop_meeting` lines
+    that meet.  Skew lines have no witness.  Say distinct c and d meet at g
+    and each meets a and b.  If a met c and d at one point, that point
+    would be on both, so it would be g, which is off a; so a has two points
+    in the plane of c and d and lies in it, and so does b.  Two lines of
+    one plane meet or are parallel.  Skew pairs still return UNKNOWN:
+    FALSE would change stored verdicts, so it waits for the references to
+    be regenerated (ROADMAP item 3)."""
     ctx = a.ctx
     if a == b:
         # any two universe lines through one off-line point meeting a
@@ -153,23 +151,43 @@ def cop_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
         return Verdict.unknown("no Cop witness constructed")
     if a.dir == b.dir:
         return _cop_parallel(a, b, kind)
+    meet = lines_intersect(a, b)
+    if meet is None:
+        return Verdict.unknown("no Cop witness constructed")
+    return _cop_meeting(a, b, meet, kind)
+
+
+def _cop_meeting(a: Line, b: Line, meet: Vec4, kind: ModelKind) -> Verdict:
+    """cop_def for lines with different directions meeting at P = a.at(s) =
+    b.at(r), where s and r are P's pivot coordinates on a and on b.
+
+    The transversal from a.at(t) to b.at(k) has direction x*a.dir +
+    y*b.dir with (x, y) = (s - t, k - r), since b.base - a.base = s*a.dir -
+    r*b.dir.  It is neither a nor b iff x and y are not zero, and then it
+    meets a only at a.at(t) and b only at b.at(k), so its M conjuncts hold
+    where it was built.  Two of them from t1 != t2 are distinct.  They lie
+    in one plane, so they meet iff their (x, y) are not parallel.  Then
+    they meet off a, whose points on them differ, and off b, whose points
+    b.at(k) and b.at(-k - 1) differ.  The class is the sign of lam(x*a.dir
+    + y*b.dir), from Gram entries computed once per pair.  So the witness
+    is the first grid candidate that passes, the one a search in F^4 over
+    the grid stops at, and only it is built in F^4."""
+    ctx = a.ctx
+    s, r = meet[a.pivot], meet[b.pivot]
+    g0, g1, g2 = lam(a.dir), inner(a.dir, b.dir) * 2, lam(b.dir)
+
+    def allowed(x: Scalar, y: Scalar) -> bool:
+        return not (x.is_zero() or y.is_zero()) and kind.allows(
+            sign_class(((g0 * x + g1 * y) * x + g2 * y * y).sign()))
+
     for t1, t2 in _COP_ANCHORS:
-        p1, p2 = a.at(ctx.rat(t1)), a.at(ctx.rat(t2))
-        class1, class2 = (_form_class(*_pencil(p, b)) for p in (p1, p2))
+        x1, x2 = s - ctx.rat(t1), s - ctx.rat(t2)
         for k in _COP_KS:
-            if not (kind.allows(class1(1, k)) and kind.allows(class2(1, -k - 1))):
-                continue
-            q1, q2 = b.at(ctx.rat(k)), b.at(ctx.rat(-k - 1))
-            c, d = Line(p1, q1 - p1), Line(p2, q2 - p2)
-            if c == d or c in (a, b) or d in (a, b):
-                continue
-            g = lines_intersect(c, d)
-            if g is None or a.contains(g) or b.contains(g):
-                continue
-            # M(a,c), M(c,b), M(d,b) and M(d,a), each at the event it was built on
-            if all(x.contains(s) and y.contains(s)
-                   for x, y, s in ((a, c, p1), (c, b, q1), (d, b, q2), (d, a, p2))):
-                return Verdict.true({"c": c, "d": d, "g": event(g)})
+            y1, y2 = ctx.rat(k) - r, ctx.rat(-k - 1) - r
+            if allowed(x1, y1) and allowed(x2, y2) and not (x1 * y2 - x2 * y1).is_zero():
+                p1, p2 = a.at(ctx.rat(t1)), a.at(ctx.rat(t2))
+                c, d = Line(p1, b.at(ctx.rat(k)) - p1), Line(p2, b.at(ctx.rat(-k - 1)) - p2)
+                return Verdict.true({"c": c, "d": d, "g": event(lines_intersect(c, d))})
     return Verdict.unknown("no Cop witness constructed")
 
 
@@ -231,7 +249,7 @@ def _cop_parallel(a: Line, b: Line, kind: ModelKind) -> Verdict:
     and (1, -k - 1 - t2), which differ since t1 - t2 is never 2k + 1, and
     neither is a's; they meet at x = (t2 - t1)/(2k + 1 - t1 + t2), which is
     neither 0 nor 1.  So the witness is the first candidate whose classes
-    kind allows, the one `cop_def`'s search in F^4 stops at, and canonical
+    kind allows, the one a search in F^4 over the grid stops at, and canonical
     forms make it field for field the same.  Only that candidate is built
     in F^4: each point is one int combination reduced once, and each line
     one `_canonical_dir` and one `_canonical_base`."""
@@ -280,13 +298,13 @@ def _plane_witness(a: Line, b: Line, u: list, v: list, c: tuple, d: tuple, g: tu
 
 
 def _line_through_meeting(p: Vec4, target: Line, param: Fraction, kind: ModelKind) -> Optional[Line]:
-    ctx = p.ctx
-
-    def attempt(k: int) -> Optional[Line]:
-        v = target.at(ctx.rat(param * k)) - p
-        return Line(p, v) if kind.allows(classify(v)) else None
-
-    return _grow_until(attempt)
+    """The line from p to the first target.at(param*k), for k = 1, 2, 4, ...,
+    4096, whose class kind allows, or None."""
+    for k in (1 << i for i in range(13)):
+        v = target.at(p.ctx.rat(param * k)) - p
+        if kind.allows(classify(v)):
+            return Line(p, v)
+    return None
 
 
 def par_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
@@ -621,50 +639,50 @@ def rho_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
 
 
 def op_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
+    """Par(a,b) & Rho(a,b) & forall c:Ob ((M(a,c) & M(b,c)) -> FTL(c)), as
+    def_op prints it, with Rho's exists g:Si (TR(a,g) & TR(b,g)) decided
+    here, in the plane of a and b, with no square root.
+
+    For a == b, Rho holds at any event of a, and a timelike line through a
+    point of a refutes the universal.  For distinct parallel lines, with w =
+    b.base - a.base and D = a.dir, the segment from a.at(t) to b.at(t + y)
+    is along w + y*D, and f(y) = lam(w + y*D) = g0 + g1*y + g2*y*y.  Rho
+    needs an end of g on each line, and one end on both would make the
+    lines meet, so Rho holds iff f has a real root.  The lines meeting a
+    and b are these transversals.  An observer is FTL iff it is spacelike,
+    and no observer is lightlike, so the universal holds iff no transversal
+    is timelike: f >= 0 everywhere.  As w is not along D, f is not zero
+    everywhere, so OP holds iff f has a double root and g2 > 0, that is
+    disc = g1*g1 - 4*g0*g2 == 0.  The witness is the null segment from
+    a.base to b.at(-g1/(2*g2)).  When Rho holds and the universal fails,
+    the line from a.base to b.at(y) is a timelike observer meeting both,
+    for y at the vertex (f = -disc/(4*g2) < 0 there) when g2 > 0, y = 1 +
+    (|g0| + |g1|)/|g2| (f(y) <= -|g2|*y) when g2 < 0, and y = -(1 +
+    |g0|)/g1 (f(y) <= -1) when g2 == 0."""
     pv = par_def(a, b, kind)
     if not pv.is_true():
         return pv if pv.is_unknown() else Verdict.false()
-    rv = rho_def(a, b, kind)
-    if not rv.is_true():
-        return Verdict.false() if rv.is_false() else rv
-    # forall c (M(a,c) & M(b,c) -> FTL(c)): transversals of a parallel pair
-    # lie in its affine plane, whose direction cone is x^2 lam(d) + y^2 Q(u);
-    # a non-FTL transversal exists iff the plane carries a timelike direction
     if a == b:
-        # any timelike line through a point of a meets it twice over
         return Verdict.false({"c": _separating_line(a.base, a.base + a.dir)})
-    d = a.dir
-    u = b.base - a.base
-    q = quotient_norm(u, d)
-    if lam(d).sign() > 0 and q.sign() >= 0:
-        return Verdict.true(rv.witness)
-    # a timelike in-plane transversal exists; construct and verify one
-    ctx = a.ctx
-    cand = None
-    if lam(d).sign() < 0:
-
-        def attempt_timelike(k: int) -> Optional[Line]:
-            v = b.at(ctx.rat(k)) - a.base
-            return Line(a.base, v) if classify(v) is IntervalClass.TIMELIKE else None
-
-        cand = _grow_until(attempt_timelike)
+    w, one = b.base - a.base, a.ctx.one
+    g0, g1, g2 = lam(w), inner(w, a.dir) * 2, lam(a.dir)
+    disc, s = g1 * g1 - g0 * g2 * 4, g2.sign()
+    if disc.sign() < 0 or s == 0 == g1.sign():
+        return Verdict.false()  # f has no real root: not Rho(a, b)
+    if s > 0:
+        y = -g1 / (g2 * 2)
+        if disc.is_zero():
+            p, q = a.base, b.at(y)
+            return Verdict.true({"g": Segment(p, q) if (q - p).x0.sign() >= 0 else Segment(q, p)})
+    elif s < 0:
+        y = one - (_abs(g0) + _abs(g1)) / g2
     else:
-        # spacelike direction, quotient-timelike offset: mix the lifted
-        # offset with a shrinking direction component
-        ulift = quotient_lift(u, d)
+        y = -(one + _abs(g0)) / g1
+    return Verdict.false({"c": Line(a.base, b.at(y) - a.base)})
 
-        def attempt_mixed(k: int) -> Optional[Line]:
-            probe = ulift + d.scale(ctx.rat(1, k))
-            if classify(probe) is IntervalClass.TIMELIKE:
-                return Line(a.base, probe)
-            return None
 
-        cand = _grow_until(attempt_mixed)
-    if cand is not None and cand.interval_class is IntervalClass.TIMELIKE:
-        # cand meets a at its base; check it meets b as well
-        if lines_intersect(cand, b) is not None:
-            return Verdict.false({"c": cand})
-    return Verdict.unknown("no refuting transversal constructed")
+def _abs(x: Scalar) -> Scalar:
+    return -x if x.sign() < 0 else x
 
 
 def eq_def(a: Line, b: Line, c: Line, d: Line, kind: ModelKind) -> Verdict:

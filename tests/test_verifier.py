@@ -1,3 +1,4 @@
+import collections
 import functools
 import random
 from fractions import Fraction
@@ -169,7 +170,9 @@ def _cop_cases():
     """Line pairs of the Cop and Par generators at both kinds, level-1
     parallel pairs (and some equal pairs) from the Tau generator, FTL
     parallel pairs on spacelike directions from the BwFTL and Dual
-    generators, and level-2 parallel pairs at both kinds."""
+    generators, level-2 parallel pairs at both kinds, and meeting and skew
+    pairs at levels 1-2 at both kinds, through points whose coordinates
+    take the roots too."""
     for kind in (STL, FTL):
         for name in ("Cop", "Par"):
             for i in range(110):
@@ -197,10 +200,27 @@ def _cop_cases():
                      else Vec4(ctx.one, r2 * ctx.rat(1, 5), r3 * ctx.rat(1, 7), ctx.zero))
             p = gen.point()
             yield kind, (Line(p, d), Line(p + off, d))
+    for kind in (STL, FTL):
+        for i in range(200):
+            gen = ConfigGen(sub_seed(9, "cop-search", "meeting or skew", kind.value, i), 8)
+            ctx, rng = gen.ctx, gen.rng
+            roots = [ctx.sqrt(ctx.rat(n)) for n in (2, 3)[: 1 + i % 2]]  # level 1 or 2
+
+            def direction():
+                # |root*x0| <= 3*sqrt(3)/7, so lam is negative, or positive when spacelike
+                x = [rng.choice(roots) * ctx.rat(rng.randint(1, 3), 7)]
+                x += [ctx.rat(rng.randint(-3, 3), 7) for _ in range(2)]
+                spacelike = kind is FTL and rng.random() < 0.5
+                return Vec4(x[0], ctx.one, *x[1:]) if spacelike else Vec4(ctx.one, *x)
+
+            p = gen.point() + Vec4(ctx.zero, roots[0] * ctx.rat(rng.randint(-3, 3), 2),
+                                   roots[-1] * ctx.rat(rng.randint(-3, 3), 2), ctx.zero)
+            q = p if i % 4 < 2 else p + gen.point()  # meeting, or (nearly always) skew
+            yield kind, (Line(p, direction()), Line(q, direction()))
 
 
 def test_cop_search_matches_the_reference_search():
-    reached = set()
+    reached, off_parallel = set(), set()
     level1 = 0
     for kind, (a, b) in _cop_cases():
         got = de.cop_def(a, b, kind)
@@ -213,6 +233,8 @@ def test_cop_search_matches_the_reference_search():
             reached.add("STL k > 1")
         elif want.is_unknown() and not de.m_def(a, b, kind).is_true() and a.dir != b.dir:
             reached.add("UNKNOWN skew")
+        if a.dir != b.dir and max(x.level for x in (a.base, a.dir, b.base, b.dir)) > 0:
+            off_parallel.add((kind, de.m_def(a, b, kind).is_true(), got.status))
         if not got.is_true():
             continue
         assert [got.witness[n] for n in "cdg"] == [want.witness[n] for n in "cdg"]
@@ -222,18 +244,21 @@ def test_cop_search_matches_the_reference_search():
         assert not a.contains(g.beg) and not b.contains(g.beg)
     assert reached == {"a == b", "STL k > 1", "UNKNOWN skew"}
     assert level1 >= 100
+    # meeting pairs with a witness and skew pairs, at levels 1-2 and both kinds
+    assert {(kind, meets, TRUE if meets else UNKNOWN)
+            for kind in (STL, FTL) for meets in (True, False)} <= off_parallel
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2), st.randoms(use_true_random=False))
 def test_cop_class_test_matches_the_scalar_quadratic(depth, rng):
-    """cop_def's class test on ints against sign_class of the Scalar
-    quadratic c0 + (c1 + lam_b*x)*x, with w = b.base - p, c0 = lam(w),
-    c1 = 2<w, b.dir> and lam_b = lam(b.dir), at levels 0-2: over cop_def's
-    k grid (x = k), and for the plane of a and a line parallel to it (p =
-    a.base) at the plane's x = k - t for each anchor t.  One anchor per line
-    pair puts a null transversal on the grid, so the lightlike class is
-    reached in every example."""
+    """The int class test of _cop_parallel (_pencil, _form_class) against
+    sign_class of the Scalar quadratic c0 + (c1 + lam_b*x)*x, with w =
+    b.base - p, c0 = lam(w), c1 = 2<w, b.dir> and lam_b = lam(b.dir), at
+    levels 0-2: over cop_def's k grid (x = k) for any p, and for the plane
+    of a and a line parallel to it (p = a.base) at the plane's x = k - t for
+    each anchor t.  One anchor per line pair puts a null transversal on
+    the grid, so the lightlike class is reached in every example."""
     ctx, adjoined = _random_tower(rng, depth)
     roots = [root for _, root in adjoined]
 
@@ -269,38 +294,55 @@ def test_cop_class_test_matches_the_scalar_quadratic(depth, rng):
 
 
 def test_cop_def_decides_parallel_pairs_in_their_plane(monkeypatch):
-    """On the distinct parallel pairs of _cop_cases (levels 0-2, both kinds),
-    cop_def gives the reference search's statuses and witnesses with
-    lines_intersect and Line.contains raising: it decides the candidates in
-    the pair's plane and builds only the witness in F^4."""
-    pairs = [(kind, a, b) for kind, (a, b) in _cop_cases() if a != b and a.dir == b.dir]
+    """On every pair a != b of _cop_cases (parallel, meeting and skew, at
+    levels 0-2 and both kinds), cop_def gives the reference search's
+    statuses, reasons and witnesses with Line.contains raising.  It calls
+    lines_intersect on no parallel pair, at most twice on a meeting pair
+    (the pair, then the witness) and once on a skew pair: it decides every
+    candidate in the pair's plane and builds only the witness in F^4."""
+    pairs = [(kind, a, b) for kind, (a, b) in _cop_cases() if a != b]
     want = [_reference_cop(a, b, kind)[0] for kind, a, b in pairs]
-    assert {max(x.level for x in (a.base, a.dir, b.base)) for _, a, b in pairs} == {0, 1, 2}
+    shapes = ["parallel" if a.dir == b.dir else "skew" if lines_intersect(a, b) is None else "meeting"
+              for _, a, b in pairs]
+    levels = {(shape, max(x.level for x in (a.base, a.dir, b.base, b.dir)))
+              for shape, (_, a, b) in zip(shapes, pairs)}
+    assert {(shape, level) for shape in ("parallel", "meeting", "skew") for level in (1, 2)} <= levels
     assert {kind for kind, _, _ in pairs} == {STL, FTL}
 
     def primitive(*args):
         raise AssertionError("a line primitive was called")
 
-    monkeypatch.setattr(de, "lines_intersect", primitive)
+    calls = []
+
+    def counted(c, d):
+        calls.append((c, d))
+        return lines_intersect(c, d)
+
+    monkeypatch.setattr(de, "lines_intersect", counted)
     monkeypatch.setattr(Line, "contains", primitive)
-    got = [de.cop_def(a, b, kind) for kind, a, b in pairs]
-    assert [(x.status, x.reason, x.witness) for x in got] == [
-        (x.status, x.reason, x.witness) for x in want]
+    for (kind, a, b), shape, w in zip(pairs, shapes, want):
+        calls.clear()
+        got = de.cop_def(a, b, kind)
+        assert (got.status, got.reason, got.witness) == (w.status, w.reason, w.witness)
+        assert len(calls) <= {"parallel": 0, "meeting": 2, "skew": 1}[shape]
+        assert shape != "skew" or len(calls) == 1
 
 
 def test_m_cop_par_defs_never_call_their_geometric_twins(monkeypatch):
-    """m_def, cop_def and par_def give the same verdicts, with the same
-    witnesses, on the Cop and Par equivalence items' generated pairs at
-    seeds 0-3 when model.coplanar, model.parallel and model.meets raise."""
+    """m_def, cop_def, par_def and op_def give the same verdicts, with the
+    same witnesses, on the Cop, Par and OP equivalence items' generated
+    pairs at seeds 0-3 when model.coplanar, parallel, meets, rho,
+    rho_witness and optical_plane raise, and so do the names that
+    definitional imports from model."""
     def verdicts():
         out = []
         for seed in range(4):
-            for name in ("Cop", "Par"):
+            for name in ("Cop", "Par", "OP"):
                 for kind in (FTL, STL):
                     for i in range(20):
                         gen = ConfigGen(sub_seed(seed, "equiv", name, i), Budget().coordinate_bound)
                         a, b = PRED_GENERATORS[name](gen, kind, i)
-                        for f in (de.m_def, de.cop_def, de.par_def):
+                        for f in (de.m_def, de.cop_def, de.par_def, de.op_def):
                             got = f(a, b, kind)
                             out.append((got.status, got.reason, repr(got.witness)))
         return out
@@ -311,10 +353,14 @@ def test_m_cop_par_defs_never_call_their_geometric_twins(monkeypatch):
     def twin(*args):
         raise AssertionError("a geometric twin was called")
 
-    for name in ("coplanar", "parallel", "meets"):
+    for name in ("coplanar", "parallel", "meets", "rho", "rho_witness", "optical_plane"):
         monkeypatch.setattr(model, name, twin)
-    with pytest.raises(AssertionError, match="geometric twin"):
-        GEOMETRIC_PREDICATES["Cop"]((v(ScalarContext(), 0, 0, 0, 0), None))
+        if hasattr(de, name):
+            monkeypatch.setattr(de, name, twin)
+    line = vertical(ScalarContext())
+    for name in ("Cop", "Rho", "OP"):
+        with pytest.raises(AssertionError, match="geometric twin"):
+            GEOMETRIC_PREDICATES[name]((line, line))
     assert verdicts() == want
 
 
@@ -581,6 +627,85 @@ def test_op_def_polarities():
     c = got.witness["c"]
     assert got.is_false() and c.interval_class is IntervalClass.TIMELIKE
     assert c.contains(a.base) and not c.contains(a.base + a.dir)
+    # a lightlike direction D: f(y) = lam(w + y*D) is linear, and has a root iff <w, D> != 0
+    a = Line(v(ctx, 0, 0, 0, 0), v(ctx, 1, 1, 0, 0))
+    got = de.op_def(a, Line(v(ctx, 0, 0, 1, 0), a.dir), FTL)
+    assert got.is_false() and got.witness is None
+    b = Line(v(ctx, 0, 1, 0, 0), a.dir)
+    got = de.op_def(a, b, FTL)
+    c = got.witness["c"]
+    assert got.is_false() and c.interval_class is IntervalClass.TIMELIKE
+    assert lines_intersect(c, a) is not None and lines_intersect(c, b) is not None
+
+
+def _reference_op(a, b, kind):
+    """op_def as it stood before it was decided in the pair's plane: Rho by
+    rho_def (model.rho and rho_witness), then a timelike transversal
+    searched for in F^4 by doubling k: from a.base to b.at(k) on a timelike
+    direction, else along quotient_lift(b.base - a.base) + a.dir/k."""
+    pv = de.par_def(a, b, kind)
+    if not pv.is_true():
+        return pv if pv.is_unknown() else Verdict.false()
+    rv = de.rho_def(a, b, kind)
+    if not rv.is_true():
+        return Verdict.false() if rv.is_false() else rv
+    if a == b:
+        return Verdict.false({"c": de._separating_line(a.base, a.base + a.dir)})
+    d, u, ctx = a.dir, b.base - a.base, a.ctx
+    if lam(d).sign() > 0 and quotient_norm(u, d).sign() >= 0:
+        return Verdict.true(rv.witness)
+    for k in (1 << i for i in range(13)):
+        if lam(d).sign() < 0:
+            probe = b.at(ctx.rat(k)) - a.base
+        else:
+            probe = quotient_lift(u, d) + d.scale(ctx.rat(1, k))
+        if lam(probe).sign() < 0:
+            cand = Line(a.base, probe)
+            if lines_intersect(cand, b) is not None:
+                return Verdict.false({"c": cand})
+            break
+    return Verdict.unknown("no refuting transversal constructed")
+
+
+def _op_cases():
+    """The OP generator's pairs at both kinds, the parallel pairs of
+    _cop_cases at levels 1-2, and FTL tangent pairs: b is a moved by a null
+    n orthogonal to their spacelike direction d, so every transversal is
+    spacelike but the null one along n."""
+    for kind in (STL, FTL):
+        for i in range(100):
+            yield kind, PRED_GENERATORS["OP"](ConfigGen(sub_seed(9, "op", kind.value, i), 8), kind, i)
+    for kind, (a, b) in _cop_cases():
+        if a.dir == b.dir and max(x.level for x in (a.base, a.dir, b.base)) > 0:
+            yield kind, (a, b)
+    for i in range(40):
+        gen = ConfigGen(sub_seed(9, "op", "tangent", i), 8)
+        n, x, m = gen.null_dir(), gen.point(), gen.timelike_dir()  # <m, n> != 0
+        d = x - m.scale(inner(x, n) / inner(m, n))
+        if lam(d).is_zero():  # d along n
+            continue
+        a = Line(gen.point(), d)
+        yield FTL, (a, Line(a.base + n.scale(gen.ctx.rat(gen.rng.randint(1, 3))), d))
+
+
+def test_op_def_matches_the_reference_and_its_witnesses_hold():
+    """op_def gives the reference's statuses on _op_cases.  Each FALSE
+    witness is a timelike line meeting a and b, and each TRUE witness a null
+    segment with one end on each line."""
+    seen = collections.Counter()
+    for kind, (a, b) in _op_cases():
+        got, want = de.op_def(a, b, kind), _reference_op(a, b, kind)
+        assert got.status == want.status, (kind, a, b)
+        seen[got.status, bool(got.witness)] += 1
+        if got.is_false() and got.witness:
+            c = got.witness["c"]
+            assert c.interval_class is IntervalClass.TIMELIKE
+            assert lines_intersect(c, a) is not None and lines_intersect(c, b) is not None
+        if got.is_true():
+            g = got.witness["g"]
+            assert not g.is_degenerate()  # the Segment constructor checked null and future
+            assert a.contains(g.beg) and b.contains(g.end) or b.contains(g.beg) and a.contains(g.end)
+    assert seen[TRUE, True] >= 40 and seen[FALSE, True] >= 40 and seen[FALSE, False] >= 40, seen
 
 
 # --- suites -------------------------------------------------------------------
