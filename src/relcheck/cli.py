@@ -197,6 +197,17 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
+def _positive(text: str) -> int:
+    """An argparse type for counts and bounds: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"want an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relcheck",
@@ -217,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--formula", help="formula text; scenario names are free variables")
     group.add_argument("--predicate", help="defined predicate name")
     p_eval.add_argument("--args", help="comma-separated scenario names for --predicate")
-    p_eval.add_argument("--candidates", type=int, default=64)
+    p_eval.add_argument("--candidates", type=_positive, default=64)
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run the seeded property suites")
@@ -227,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite",
                           choices=["axioms", "lemmas", "equivalence", "invariance", "all"],
                           default="axioms")
-    p_verify.add_argument("--cases", type=int, default=100)
+    p_verify.add_argument("--cases", type=_positive, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--bound", type=int, default=8)
+    p_verify.add_argument("--bound", type=_positive, default=8)
     p_verify.add_argument("--report", help="write the JSON report here")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -296,9 +296,8 @@ def tau_geo(b: Line, e1: Segment, e2: Segment) -> Optional[Line]:
 # --- relatability, optical planes, and the rho-generalized relations ----------
 
 
-def _null_conic(a: Line, b: Line):
-    """(A, B, D, l2, lin, const) for the null conic of a and b, or None when
-    no null segment connects them.
+def rho(a: Line, b: Line) -> bool:
+    """Some null segment connects a point of a with a point of b.
 
     With u = b - a, f(s,t) = lam(u + t b.dir - s a.dir) = A s^2 + B s t +
     C t^2 + D s + E t + F, and A != 0 for observers.  A zero exists iff the
@@ -312,59 +311,9 @@ def _null_conic(a: Line, b: Line):
     const = D * D - A * F * 4
     sl = l2.sign()
     if sl == 0:
-        found = not lin.is_zero() or const.sign() >= 0
-    else:
-        # a downward parabola has its maximum value at the vertex
-        found = sl > 0 or (const - lin * lin / (l2 * 4)).sign() >= 0
-    return (A, B, D, l2, lin, const) if found else None
-
-
-def rho(a: Line, b: Line) -> bool:
-    """Some null segment connects a point of a with a point of b."""
-    return _null_conic(a, b) is not None
-
-
-def rho_witness(a: Line, b: Line) -> Optional[tuple[Vec4, Vec4]]:
-    """A null-connected point pair (p on a, q on b), constructed exactly."""
-    conic = _null_conic(a, b)
-    if conic is None:
-        return None
-    A, B, D, l2, lin, const = conic
-    ctx = a.ctx
-
-    def disc_at(t: Scalar) -> Scalar:
-        return l2 * t * t + lin * t + const
-
-    t = None
-    if l2.sign() < 0:
-        t = -lin / (l2 * 2)
-    else:
-        for cand in range(0, 40):
-            for sign in (1, -1):
-                probe = ctx.rat(cand * sign)
-                if disc_at(probe).sign() >= 0:
-                    t = probe
-                    break
-            if t is not None:
-                break
-        if t is None:
-            # disc >= 0 only beyond the probed integers.  rho holds, so l2 > 0
-            # or lin != 0.  For l2 > 0, disc has its minimum vmin at the
-            # vertex, and k past it disc = l2*k^2 + vmin >= 0 once k >= 1 and
-            # k >= -vmin/l2.  A linear disc is 0 at its root.
-            if l2.sign() > 0:
-                k = -(const - lin * lin / (l2 * 4)) / l2
-                t = -lin / (l2 * 2) + (k if k > 1 else ctx.one)
-            else:
-                t = -const / lin
-    dsc = disc_at(t)
-    assert dsc.sign() >= 0
-    root = ctx.sqrt(dsc)
-    s = (-(B * t + D) + root) / (A * 2)
-    p = a.at(s)
-    q = b.at(t)
-    assert lam(q - p).is_zero()
-    return p, q
+        return not lin.is_zero() or const.sign() >= 0
+    # a downward parabola has its maximum value at the vertex
+    return sl > 0 or (const - lin * lin / (l2 * 4)).sign() >= 0
 
 
 def optical_plane(a: Line, b: Line) -> bool:

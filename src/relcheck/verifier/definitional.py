@@ -3,16 +3,13 @@
 Each procedure here decides a predicate by solving the quantifier structure
 of its *definition* over the primitives T, R, = — constructing explicit
 witnesses for existentials and refuting universals with verified
-counterexamples.  Two routes are not yet independent of the geometric twin
-they are cross-checked against: `rho_def` calls `model.rho`, and the third
-case of `eqrho_def` computes the quotient norms again.  `op_def` decides
-def_op's Rho clause itself, so OP does not reach `model.rho`.  `dual_def`
-decides the printed Dual clauses with `model.rho`, `optical_plane` and
-`bw_rho`, not with its closed-form twin `model.dual_geo`.  Layering follows
-the definition DAG: a procedure may use the procedures of the predicates
-its definition mentions.  None of them catches a CapacityError from the
-scalar tower: it propagates to the suites' case driver, which records the
-case as UNKNOWN.
+counterexamples.  None of them calls a decision of the geometric twin it
+is cross-checked against but `dual_def`, which decides the printed Dual
+clauses with `model.rho`, `optical_plane` and `bw_rho`, not with its
+closed-form twin `model.dual_geo`.  Layering follows the definition DAG:
+a procedure may use the procedures of the predicates its definition
+mentions.  None of them catches a CapacityError from the scalar tower: it
+propagates to the suites' case driver, which records the case as UNKNOWN.
 
 Every witness question on two distinct lines is decided in their plane,
 and nothing is searched in F^4.  Cop keeps one grid of candidate
@@ -26,7 +23,10 @@ the events the transversals were built on, so they are not solved again.
 In both cases only the witness is built in F^4, and it is the one a search
 in F^4 over the same grid returns.  Skew lines have no Cop witness
 (`cop_def` gives the proof).  `op_def` decides Rho and the universal clause
-of def_op on f(y) = lam(b.base - a.base + y*a.dir), with no square root.
+of def_op on the link quadratic f(y) = lam(b.base - a.base + y*a.dir) of a
+parallel pair (`_links`), with no square root, and Eq and EqRho compare
+its discriminants.  `rho_def` decides def_rho on the null conic of any two
+lines and takes its one square root only for a TRUE witness.
 
 The null links from an event to a given worldline come from
 `model.null_links`.  Bw and BwRho run one loop, `_null_triangle`, over the
@@ -61,7 +61,6 @@ from relcheck.minkowski import (
     lam,
     lines_intersect,
     quotient_lift,
-    quotient_norm,
     sign_class,
 )
 from relcheck.model import (
@@ -73,7 +72,6 @@ from relcheck.model import (
     null_links,
     optical_plane,
     rho,
-    rho_witness,
     witness_zero_and_two,
 )
 from relcheck.scalar import Scalar, ScalarContext, _ctx_of, _reduced, _vsign, _widen
@@ -627,15 +625,58 @@ def tau_def(c: Line, b: Line, e1: Segment, e2: Segment, kind: ModelKind,
 
 
 def rho_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
-    """exists g (TR(a,g) & TR(b,g)): four endpoint placements, each a
-    null-pair existence question between two lines."""
-    if rho(a, b):
-        w = rho_witness(a, b)
-        assert w is not None
-        p, q = w
-        seg = Segment(p, q) if (q - p).x0.sign() >= 0 else Segment(q, p)
-        return Verdict.true({"g": seg})
-    return Verdict.false()
+    """exists g:Si (TR(a,g) & TR(b,g)), from def_rho's four TR placements.
+
+    TR(a,g) puts an end of g on a and TR(b,g) an end on b.  If one end is
+    on both, the lines meet there and the event at that point serves; else
+    g joins a point of a to a point of b.  So Rho holds iff some a.at(s) and
+    b.at(t) are joined by a null or zero vector: with u = b.base - a.base,
+    f(s, t) = lam(u + t*b.dir - s*a.dir) = A*s*s + (B*t + D)*s + C*t*t +
+    E*t + F = 0.  As a quadratic in s, f has the leading coefficient A =
+    lam(a.dir), never 0 for an observer, so it has a real root iff its
+    discriminant h(t) = l2*t*t + l1*t + l0 is >= 0 for some t.  That holds
+    iff l2 > 0; or l2 == 0 and (l1 != 0 or l0 >= 0); or l2 < 0 and h >= 0
+    at its vertex.  The witness takes t in closed form: at the vertex when
+    l2 < 0; at the vertex plus k = max(1, -h(vertex)/l2) when l2 > 0, where
+    h = l2*k*k + h(vertex) >= l2*k + h(vertex) >= 0; at the root -l0/l1
+    when l2 == 0 != l1; and at 0 when l2 == l1 == 0, as for every parallel
+    pair, where h = l0.  Then s is the larger root in s, and g is the
+    segment between a.at(s) and b.at(t) in future order.  The one square
+    root, of h(t), is taken only on TRUE."""
+    u, ctx = b.base - a.base, a.ctx
+    A, B, C = lam(a.dir), -(inner(a.dir, b.dir) * 2), lam(b.dir)
+    D, E, F = -(inner(u, a.dir) * 2), inner(u, b.dir) * 2, lam(u)
+    l2, l1, l0 = B * B - A * C * 4, (B * D - A * E * 2) * 2, D * D - A * F * 4
+    sl = l2.sign()
+    if sl != 0:
+        vertex, peak = -l1 / (l2 * 2), l0 - l1 * l1 / (l2 * 4)
+        if sl < 0:
+            if peak.sign() < 0:
+                return Verdict.false()
+            t = vertex
+        else:
+            k = -peak / l2
+            t = vertex + (k if k > 1 else ctx.one)
+    elif not l1.is_zero():
+        t = -l0 / l1
+    elif l0.sign() < 0:
+        return Verdict.false()
+    else:
+        t = ctx.zero
+    s = -(B * t + D) / (A * 2) + ctx.sqrt((l2 * t + l1) * t + l0) / (_abs(A) * 2)
+    p, q = a.at(s), b.at(t)
+    return Verdict.true({"g": Segment(p, q) if (q - p).x0.sign() >= 0 else Segment(q, p)})
+
+
+def _links(a: Line, b: Line) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """(g0, g1, g2, disc) of the link quadratic f(y) = lam(w + y*D) = g0 +
+    g1*y + g2*y*y of two parallel lines, for w = b.base - a.base and D =
+    a.dir, with disc = g1*g1 - 4*g0*g2 = -4*lam(D)*q(w) for the quotient
+    norm q.  The segment from a.at(t) to b.at(t + y) is along w + y*D, so
+    the null links between the lines sit at the real roots of f."""
+    w = b.base - a.base
+    g0, g1, g2 = lam(w), inner(w, a.dir) * 2, lam(a.dir)
+    return g0, g1, g2, g1 * g1 - g0 * g2 * 4
 
 
 def op_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
@@ -645,28 +686,26 @@ def op_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
 
     For a == b, Rho holds at any event of a, and a timelike line through a
     point of a refutes the universal.  For distinct parallel lines, with w =
-    b.base - a.base and D = a.dir, the segment from a.at(t) to b.at(t + y)
-    is along w + y*D, and f(y) = lam(w + y*D) = g0 + g1*y + g2*y*y.  Rho
-    needs an end of g on each line, and one end on both would make the
-    lines meet, so Rho holds iff f has a real root.  The lines meeting a
-    and b are these transversals.  An observer is FTL iff it is spacelike,
-    and no observer is lightlike, so the universal holds iff no transversal
-    is timelike: f >= 0 everywhere.  As w is not along D, f is not zero
-    everywhere, so OP holds iff f has a double root and g2 > 0, that is
-    disc = g1*g1 - 4*g0*g2 == 0.  The witness is the null segment from
-    a.base to b.at(-g1/(2*g2)).  When Rho holds and the universal fails,
-    the line from a.base to b.at(y) is a timelike observer meeting both,
-    for y at the vertex (f = -disc/(4*g2) < 0 there) when g2 > 0, y = 1 +
-    (|g0| + |g1|)/|g2| (f(y) <= -|g2|*y) when g2 < 0, and y = -(1 +
-    |g0|)/g1 (f(y) <= -1) when g2 == 0."""
+    b.base - a.base and D = a.dir, f(y) = lam(w + y*D) is the pair's link
+    quadratic (`_links`).  Rho needs an end of g on each line, and one end
+    on both would make the lines meet, so Rho holds iff f has a real root.
+    The lines meeting a and b are these transversals.  An observer is FTL
+    iff it is spacelike, and no observer is lightlike, so the universal
+    holds iff no transversal is timelike: f >= 0 everywhere.  As w is not
+    along D, f is not zero everywhere, so OP holds iff f has a double root
+    and g2 > 0, that is disc = g1*g1 - 4*g0*g2 == 0.  The witness is the
+    null segment from a.base to b.at(-g1/(2*g2)).  When Rho holds and the
+    universal fails, the line from a.base to b.at(y) is a timelike observer
+    meeting both, for y at the vertex (f = -disc/(4*g2) < 0 there) when g2
+    > 0, y = 1 + (|g0| + |g1|)/|g2| (f(y) <= -|g2|*y) when g2 < 0, and y =
+    -(1 + |g0|)/g1 (f(y) <= -1) when g2 == 0."""
     pv = par_def(a, b, kind)
     if not pv.is_true():
         return pv if pv.is_unknown() else Verdict.false()
     if a == b:
         return Verdict.false({"c": _separating_line(a.base, a.base + a.dir)})
-    w, one = b.base - a.base, a.ctx.one
-    g0, g1, g2 = lam(w), inner(w, a.dir) * 2, lam(a.dir)
-    disc, s = g1 * g1 - g0 * g2 * 4, g2.sign()
+    g0, g1, g2, disc = _links(a, b)
+    s, one = g2.sign(), a.ctx.one
     if disc.sign() < 0 or s == 0 == g1.sign():
         return Verdict.false()  # f has no real root: not Rho(a, b)
     if s > 0:
@@ -689,19 +728,21 @@ def eq_def(a: Line, b: Line, c: Line, d: Line, kind: ModelKind) -> Verdict:
     """The corrected chain definition.  On a common vertical class the link
     times force r_EA = r_EC (first diamond), t(a2)-t(a1) = 2 r_AB (b-chain),
     t(g2)-t(g1) = 2 r_CD (d-chain) and t(a2) = t(g2) (second diamond), so
-    the block is satisfiable iff the two quotient distances agree."""
+    the block is satisfiable iff the two chains' round-trip times agree.
+    The b-chain leaves a along the link w + y1*D to b and comes back along
+    -(w + y2*D), so it spends y1 - y2 along D, for the two roots y1 and y2
+    of the pair's link quadratic (`_links`): sqrt(disc)/|g2|.  The four
+    lines share D, so g2 = lam(D) is shared, and Eq is FALSE iff disc_ab !=
+    disc_cd."""
     guard = _parallel_layer(kind, a, b, c, d)
     if guard is not None:
         return guard
     if a.interval_class is not IntervalClass.TIMELIKE:
         return Verdict.unknown("Eq definitional evaluation outside the STL class")
-    dd = a.dir
-    q_ab = quotient_norm(b.base - a.base, dd)
-    q_cd = quotient_norm(d.base - c.base, dd)
-    if q_ab != q_cd:
+    if _links(a, b)[3] != _links(c, d)[3]:
         return Verdict.false()
     ctx = a.ctx
-    e_line = Line((a.base + c.base).scale(ctx.rat(1, 2)), dd)
+    e_line = Line((a.base + c.base).scale(ctx.rat(1, 2)), a.dir)
     witness = _eq_witness(e_line, a, b, c, d)
     if witness is None:
         return Verdict.unknown("Eq witness construction failed")
@@ -757,6 +798,12 @@ def _reflect_back(host: Line, bounce: Vec4, start: Vec4) -> Vec4:
 
 
 def eqrho_def(a: Line, b: Line, c: Line, d: Line, kind: ModelKind) -> Verdict:
+    """def_eqrho's three cases on one direction D.  The third asks for two
+    distinct events a1, a2 of a with null links to one event of b: two
+    distinct real roots of the pair's link quadratic (`_links`), disc_ab >
+    0, and the same for g1, g2 of c and d.  The e line's universal clause
+    pins equal root sets, so the two round trips agree, and with g2 =
+    lam(D) shared the case holds iff disc_ab > 0 and disc_ab == disc_cd."""
     guard = _parallel_layer(kind, a, b, c, d)
     if guard is not None:
         return guard
@@ -768,20 +815,8 @@ def eqrho_def(a: Line, b: Line, c: Line, d: Line, kind: ModelKind) -> Verdict:
         return Verdict.true()
     if ov1.is_unknown() or ov2.is_unknown():
         return Verdict.unknown("OP undecided")
-    # third case: two distinct events on a linked to one event of b force
-    # the two roots of the gap quadratic, so the block needs a strictly
-    # positive discriminant on both pairs and, through the shared e line
-    # (whose universal clause pins equal root sets), equal quotient norms
-    dd = a.dir
-    q_ab = quotient_norm(b.base - a.base, dd)
-    q_cd = quotient_norm(d.base - c.base, dd)
-    strict_ab = (-(lam(dd)) * q_ab).sign() > 0
-    strict_cd = (-(lam(dd)) * q_cd).sign() > 0
-    if not (strict_ab and strict_cd):
-        return Verdict.false()
-    if q_ab != q_cd:
-        return Verdict.false()
-    return Verdict.true()
+    disc = _links(a, b)[3]
+    return Verdict.true() if disc.sign() > 0 and disc == _links(c, d)[3] else Verdict.false()
 
 
 def dual_def(ap: Line, a: Line, b: Line, kind: ModelKind) -> Verdict:

@@ -169,6 +169,24 @@ def test_verify_unknown_flags(capsys):
     assert main(["verify", "--bogus"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag", ["--cases", "--bound"])
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_verify_counts_below_one_are_usage_errors(flag, value, capsys):
+    # --bound -1 used to end in randrange's "empty range" traceback
+    assert main(["verify", "--suite", "lemmas", flag, value]) == EXIT_USAGE
+    assert "integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_eval_candidates_below_one_are_usage_errors(tau_scenario, value, capsys):
+    # --candidates -1 used to slice the pool to pool[:-1], dropping its last
+    # entry, so "exists c:Ob. (c = b)" came back UNKNOWN
+    formula = "exists c:Ob. (c = b)"
+    assert main(["eval", "--scenario", tau_scenario, "--formula", formula, "--candidates", value]) == EXIT_USAGE
+    assert "integer >= 1" in capsys.readouterr().err
+    assert main(["eval", "--scenario", tau_scenario, "--formula", formula, "--candidates", "2"]) == EXIT_PASS
+
+
 def test_diagram_deterministic(tau_scenario, tmp_path, capsys):
     out1 = tmp_path / "a.svg"
     out2 = tmp_path / "b.svg"

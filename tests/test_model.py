@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -50,7 +51,6 @@ from relcheck.model import (
     parallel,
     receives,
     rho,
-    rho_witness,
     sim_ftl,
     sim_geo,
     sim_project,
@@ -60,7 +60,8 @@ from relcheck.model import (
 )
 from relcheck.scalar import DomainError, ScalarContext
 from relcheck.verifier import definitional as de
-from relcheck.verifier.suites import ClassFrame
+from relcheck.verifier.report import Budget, sub_seed
+from relcheck.verifier.suites import PRED_GENERATORS, ClassFrame
 from relcheck.verifier.generators import ConfigGen
 
 
@@ -323,16 +324,60 @@ def test_rho_known_cases():
     assert optical_plane(a, tangent)
     assert not optical_plane(a, far)
     assert not optical_plane(vertical(ctx, 0), vertical(ctx, 5))
-    w = rho_witness(vertical(ctx, 0), vertical(ctx, 5))
-    assert w is not None and lam(w[1] - w[0]).is_zero()
+    for b in (vertical(ctx, 0), vertical(ctx, 5)):
+        _assert_rho_def(vertical(ctx, 0), b, ModelKind.STL_ONLY)
+    for b in (far, tangent):
+        _assert_rho_def(a, b, ModelKind.FTL)
+    # x and y span a spacelike plane (l2 < 0).  The null offset (1, 0, 0, 1)
+    # orthogonal to it meets the null cone once, at the vertex, where h = 0;
+    # (1, 0, 0, 2) misses it and (2, 0, 0, 1) crosses it
+    x = Line(v(ctx, 0, 0, 0, 0), d)
+    for base, want in (((1, 0, 0, 1), True), ((1, 0, 0, 2), False), ((2, 0, 0, 1), True)):
+        y = Line(v(ctx, *base), v(ctx, 0, 0, 1, 0))
+        assert rho(x, y) == want and _t_branch(x, y) == "l2 < 0"
+        _assert_rho_def(x, y, ModelKind.FTL)
 
 
-def test_rho_witness_beyond_the_probed_parameters():
-    # the discriminant in t is >= 0 only for |t| > 39, past the integers that
-    # rho_witness probes; the first pair is an FTL equivalence case (Rho case
-    # 2 of ConfigGen(5059949114506954519, 8)) that used to raise
+def _assert_rho_def(a, b, kind):
+    """rho_def's status is model.rho's, computed first, and a TRUE witness
+    is an event on both lines or a null segment with one end on each."""
+    want = rho(a, b)
+    got = de.rho_def(a, b, kind)
+    assert got.is_true() == want and (got.is_true() or got.is_false()), (a, b)
+    if want:
+        g = got.witness["g"]  # the Segment constructor checked null and future
+        assert (a.contains(g.beg) or a.contains(g.end)) and (b.contains(g.beg) or b.contains(g.end))
+
+
+def _t_branch(a, b):
+    """Which closed form rho_def takes t from: the sign of l2, the t^2
+    coefficient of the s-discriminant, else whether l1 is zero."""
+    u = b.base - a.base
+    A, B, C = lam(a.dir), -(inner(a.dir, b.dir) * 2), lam(b.dir)
+    D, E = -(inner(u, a.dir) * 2), inner(u, b.dir) * 2
+    l2, l1 = B * B - A * C * 4, (B * D - A * E * 2) * 2
+    if l2.sign():
+        return "l2 > 0" if l2.sign() > 0 else "l2 < 0"
+    return "l2 = l1 = 0" if l1.is_zero() else "l2 = 0 != l1"
+
+
+def test_rho_def_witness_on_every_branch_of_t():
+    """On the Rho generator's pairs at seeds 0-1 and on 121 seeded pairs of
+    random directions or of two spacelike directions spanning a null plane,
+    rho_def agrees with model.rho, its witness holds, and every branch of t
+    is reached.  The first seeded pair, Rho case 2 of the FTL equivalence
+    item at ConfigGen(5059949114506954519, 8), has a discriminant in t that
+    is >= 0 only for |t| > 39; it once crashed a search over integer t."""
+    branches = collections.Counter()
+    for seed in range(2):
+        for kind in (ModelKind.STL_ONLY, ModelKind.FTL):
+            for i in range(200):
+                gen = ConfigGen(sub_seed(seed, "equiv", "Rho", i), Budget().coordinate_bound)
+                a, b = PRED_GENERATORS["Rho"](gen, kind, i)
+                _assert_rho_def(a, b, kind)
+                branches[_t_branch(a, b)] += 1
+                assert a.dir != b.dir or _t_branch(a, b) == "l2 = l1 = 0"
     rng = random.Random(3)
-    far = {1: 0, 0: 0, -1: 0}  # by sign of the t^2 coefficient: witnesses with |t| > 39
     for i in range(-1, 120):
         ctx = ScalarContext()  # one per pair, as each witness may adjoin a root
         if i < 0:
@@ -346,13 +391,9 @@ def test_rho_witness_beyond_the_probed_parameters():
                 a = Line(v(ctx, 0, 0, 0, 0), v(ctx, r(), 5, r(), r()))
                 db = v(ctx, r(), r(), 5, r())
             b = Line(v(ctx, *(rng.randint(-400, 400) for _ in range(4))), db)
-        if not rho(a, b):
-            continue
-        p, q = rho_witness(a, b)
-        assert a.contains(p) and b.contains(q) and lam(q - p).is_zero()
-        if abs(b.param_of(q).approx()) > 39:
-            far[model._null_conic(a, b)[3].sign()] += 1
-    assert far[1] >= 1 and far[0] >= 1
+        _assert_rho_def(a, b, ModelKind.FTL)
+        branches[_t_branch(a, b)] += 1
+    assert set(branches) == {"l2 > 0", "l2 < 0", "l2 = 0 != l1", "l2 = l1 = 0"}, branches
 
 
 def test_rho_includes_meeting_lines():

@@ -329,38 +329,51 @@ def test_cop_def_decides_parallel_pairs_in_their_plane(monkeypatch):
 
 
 def test_m_cop_par_defs_never_call_their_geometric_twins(monkeypatch):
-    """m_def, cop_def, par_def and op_def give the same verdicts, with the
-    same witnesses, on the Cop, Par and OP equivalence items' generated
-    pairs at seeds 0-3 when model.coplanar, parallel, meets, rho,
-    rho_witness and optical_plane raise, and so do the names that
-    definitional imports from model."""
+    """m_def, cop_def, par_def and op_def on the Cop, Par and OP equivalence
+    items' generated pairs, and rho_def, eq_def and eqrho_def on the Rho,
+    Eq and EqRho items' cases, at seeds 0-3 and both kinds, give the same
+    verdicts, with the same witnesses, when model.coplanar, parallel,
+    meets, rho, optical_plane, eq_rho, eq_geo and _equal_norms raise, and
+    so do these names and quotient_norm wherever definitional imports them.
+
+    What still leans on the twin: dual_def decides its nested clauses with
+    model.rho, optical_plane and bw_rho, since routing them through the
+    definitional procedures would add roots to the BwFTL and EqFTL items;
+    _dual_branch takes its candidates from model.dual_candidates; and
+    stl_def refutes a spacelike line at model.witness_zero_and_two's
+    events."""
+    procedures = {name: (de.m_def, de.cop_def, de.par_def, de.op_def) for name in ("Cop", "Par", "OP")}
+    procedures.update(Rho=(de.rho_def,), Eq=(de.eq_def,), EqRho=(de.eqrho_def,))
+    cases = [(name, kind, PRED_GENERATORS[name](
+                 ConfigGen(sub_seed(seed, "equiv", name, i), Budget().coordinate_bound), kind, i))
+             for seed in range(4) for name in procedures for kind in (FTL, STL) for i in range(20)]
+
     def verdicts():
         out = []
-        for seed in range(4):
-            for name in ("Cop", "Par", "OP"):
-                for kind in (FTL, STL):
-                    for i in range(20):
-                        gen = ConfigGen(sub_seed(seed, "equiv", name, i), Budget().coordinate_bound)
-                        a, b = PRED_GENERATORS[name](gen, kind, i)
-                        for f in (de.m_def, de.cop_def, de.par_def, de.op_def):
-                            got = f(a, b, kind)
-                            out.append((got.status, got.reason, repr(got.witness)))
+        for name, kind, args in cases:
+            for f in procedures[name]:
+                got = f(*args, kind)
+                out.append((f.__name__, got.status, got.reason, repr(got.witness)))
         return out
 
     want = verdicts()
-    assert {status for status, _, _ in want} == {TRUE, FALSE, UNKNOWN}
+    reached = {(f, status) for f, status, _, _ in want}
+    assert {status for _, status, _, _ in want} == {TRUE, FALSE, UNKNOWN}
+    assert {(f, s) for f in ("rho_def", "eq_def", "eqrho_def") for s in (TRUE, FALSE)} <= reached
 
     def twin(*args):
         raise AssertionError("a geometric twin was called")
 
-    for name in ("coplanar", "parallel", "meets", "rho", "rho_witness", "optical_plane"):
+    twins = ("coplanar", "parallel", "meets", "rho", "optical_plane", "eq_rho", "eq_geo", "_equal_norms")
+    for name in twins:
         monkeypatch.setattr(model, name, twin)
+    for name in twins + ("quotient_norm",):
         if hasattr(de, name):
             monkeypatch.setattr(de, name, twin)
     line = vertical(ScalarContext())
-    for name in ("Cop", "Rho", "OP"):
+    for name in ("Cop", "Rho", "OP", "Eq", "EqRho"):
         with pytest.raises(AssertionError, match="geometric twin"):
-            GEOMETRIC_PREDICATES[name]((line, line))
+            GEOMETRIC_PREDICATES[name]((line,) * 4)
     assert verdicts() == want
 
 
@@ -429,6 +442,28 @@ def test_eq_def_chain_and_refutation():
     assert de.eq_def(a, c, c, d, STL).is_false()
     assert de.eq_def(a, a, c, c, STL).is_true()
     assert de.eq_def(a, a, c, d, STL).is_false()
+
+
+def test_eqrho_def_known_cases():
+    """eqrho_def agrees with model.eq_rho on each printed case and on the
+    edges of the third, which needs two distinct links on each pair (disc >
+    0) and equal discriminants: an equal pair with an optical one (disc = 0
+    on both) and two pairs with no link (disc < 0) do not satisfy it."""
+    ctx = ScalarContext()
+    a, b, c, d = (vertical(ctx, x) for x in (0, 1, 3, 4))
+    s = lambda *p: Line(v(ctx, *p), v(ctx, 0, 1, 0, 0))
+    optical = s(0, 0, 0, 0), s(1, 0, 1, 0)  # offset null and orthogonal to the direction
+    optical2 = s(0, 0, 0, 2), s(1, 0, 0, 3)
+    relatable = s(0, 0, 7, 0), s(2, 0, 8, 0)  # q = -3
+    relatable2 = s(0, 0, 0, 5), s(2, 0, 0, 6)
+    farther = s(0, 0, 0, 0), s(3, 0, 1, 0)  # q = -8
+    apart, apart2 = (s(0, 0, 0, 0), s(0, 0, 5, 0)), (s(0, 0, 0, 3), s(0, 0, 5, 3))  # q = 25
+    cases = [((a, b, c, d), True), ((a, a, c, c), True), ((a, a, c, d), False), ((a, c, c, d), False),
+             (optical + optical2, True), (optical[:1] * 2 + optical, False),
+             (relatable + relatable2, True), (relatable + farther, False), (apart + apart2, False)]
+    for args, want in cases:
+        got = de.eqrho_def(*args, FTL)
+        assert (got.status, model.eq_rho(*args)) == (TRUE if want else FALSE, want), args
 
 
 def test_delta_def_double_diamond():
@@ -640,20 +675,19 @@ def test_op_def_polarities():
 
 def _reference_op(a, b, kind):
     """op_def as it stood before it was decided in the pair's plane: Rho by
-    rho_def (model.rho and rho_witness), then a timelike transversal
+    model.rho, the status rho_def then had, then a timelike transversal
     searched for in F^4 by doubling k: from a.base to b.at(k) on a timelike
     direction, else along quotient_lift(b.base - a.base) + a.dir/k."""
     pv = de.par_def(a, b, kind)
     if not pv.is_true():
         return pv if pv.is_unknown() else Verdict.false()
-    rv = de.rho_def(a, b, kind)
-    if not rv.is_true():
-        return Verdict.false() if rv.is_false() else rv
+    if not model.rho(a, b):
+        return Verdict.false()
     if a == b:
         return Verdict.false({"c": de._separating_line(a.base, a.base + a.dir)})
     d, u, ctx = a.dir, b.base - a.base, a.ctx
     if lam(d).sign() > 0 and quotient_norm(u, d).sign() >= 0:
-        return Verdict.true(rv.witness)
+        return Verdict.true()
     for k in (1 << i for i in range(13)):
         if lam(d).sign() < 0:
             probe = b.at(ctx.rat(k)) - a.base
