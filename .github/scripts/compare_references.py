@@ -5,7 +5,8 @@
 Both files are written by `perfbench/make_references.py --out`.  Exits 1 if
 any case changed status, unless it went from UNKNOWN to decided, or if the
 two files do not cover the same workloads, seeds, items and case counts.
-A change of report bytes (sha256) is printed but does not fail.
+A change of report bytes (sha256) is printed but does not fail, and so is
+a last line "report bytes identical on K of N workload-seeds".
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ def case_statuses(entry: list) -> dict[int, str]:
     return {**{i: "false" for i in false_cases}, **{i: "unknown" for i in unknown_cases}}
 
 
-def compare(parent: dict, change: dict) -> tuple[list[str], list[str]]:
-    """(status changes that fail, report-byte changes that are only listed)."""
+def compare(parent: dict, change: dict) -> tuple[list[str], list[str], int]:
+    """(status changes that fail, report-byte changes that are only listed,
+    the number of workload-seeds in both files)."""
     failures: list[str] = []
     notes: list[str] = []
+    both = 0
     for workload in sorted(set(parent) | set(change)):
         old_seeds, new_seeds = parent.get(workload, {}), change.get(workload, {})
         for seed in sorted(set(old_seeds) | set(new_seeds)):
@@ -31,6 +34,7 @@ def compare(parent: dict, change: dict) -> tuple[list[str], list[str]]:
             if seed not in old_seeds or seed not in new_seeds:
                 failures.append(f"{where}: only in one of the two files")
                 continue
+            both += 1
             old, new = old_seeds[seed], new_seeds[seed]
             if old["sha256"] != new["sha256"]:
                 notes.append(f"{where}: report bytes differ ({old['sha256'][:12]} -> {new['sha256'][:12]})")
@@ -47,7 +51,7 @@ def compare(parent: dict, change: dict) -> tuple[list[str], list[str]]:
                     a, b = was.get(index, "true"), now.get(index, "true")
                     if a != b and a != "unknown":
                         failures.append(f"{where} {item} case {index}: {a} -> {b}")
-    return failures, notes
+    return failures, notes, both
 
 
 def main() -> int:
@@ -55,10 +59,11 @@ def main() -> int:
         parent = json.load(fh)
     with open(sys.argv[2]) as fh:
         change = json.load(fh)
-    failures, notes = compare(parent, change)
+    failures, notes, both = compare(parent, change)
     for line in notes + failures:
         print(line)
     print(f"{len(failures)} status changes, {len(notes)} report-byte changes")
+    print(f"report bytes identical on {both - len(notes)} of {both} workload-seeds")
     return 1 if failures else 0
 
 

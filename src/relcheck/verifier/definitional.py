@@ -636,19 +636,23 @@ def rho_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
     lam(a.dir), never 0 for an observer, so it has a real root iff its
     discriminant h(t) = l2*t*t + l1*t + l0 is >= 0 for some t.  That holds
     iff l2 > 0; or l2 == 0 and (l1 != 0 or l0 >= 0); or l2 < 0 and h >= 0
-    at its vertex.  The witness takes t in closed form: at the vertex when
-    l2 < 0; at the vertex plus k = max(1, -h(vertex)/l2) when l2 > 0, where
-    h = l2*k*k + h(vertex) >= l2*k + h(vertex) >= 0; at the root -l0/l1
-    when l2 == 0 != l1; and at 0 when l2 == l1 == 0, as for every parallel
-    pair, where h = l0.  Then s is the larger root in s, and g is the
-    segment between a.at(s) and b.at(t) in future order.  The one square
-    root, of h(t), is taken only on TRUE."""
+    at its vertex.  The witness takes t in closed form: at 0, where h = l0,
+    when l2 > 0 and l0 >= 0 and when l2 == l1 == 0, as for every parallel
+    pair; at the vertex when l2 < 0; at the vertex plus k = max(1,
+    -h(vertex)/l2) when l2 > 0 > l0, where h = l2*k*k + h(vertex) >= l2*k +
+    h(vertex) >= 0; and at the root -l0/l1 when l2 == 0 != l1.  Then s is
+    the larger root in s, and g is the segment between a.at(s) and b.at(t)
+    in future order.  The one square root, of h(t), is taken only on TRUE;
+    t = 0 keeps its radicand l0 rather than one of about twice l0's
+    degree."""
     u, ctx = b.base - a.base, a.ctx
     A, B, C = lam(a.dir), -(inner(a.dir, b.dir) * 2), lam(b.dir)
     D, E, F = -(inner(u, a.dir) * 2), inner(u, b.dir) * 2, lam(u)
     l2, l1, l0 = B * B - A * C * 4, (B * D - A * E * 2) * 2, D * D - A * F * 4
     sl = l2.sign()
-    if sl != 0:
+    if sl > 0 and l0.sign() >= 0:
+        t = ctx.zero
+    elif sl != 0:
         vertex, peak = -l1 / (l2 * 2), l0 - l1 * l1 / (l2 * 4)
         if sl < 0:
             if peak.sign() < 0:

@@ -12,6 +12,7 @@ run their cases through one loop, `_run_cases`.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -112,12 +113,13 @@ def _interned(x: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _quotient_basis(direction: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _quotient_basis(direction: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
     """ClassFrame's Gram-Schmidt basis for a rational direction, given by
-    its numerators, as (numerators, denominator) per basis vector.  The
-    basis does not change when the direction is scaled, so the numerators
-    suffice.  Directions come from the generator's finite grids, 245
-    timelike and 1708 spacelike, so the cache holds at most 1953 entries.
+    its numerators, as (numerators, denominator) per basis vector, and the
+    basis vectors' quotient norms P0, P1, P2 over one Q, as (P0, P1, P2, Q).
+    The basis does not change when the direction is scaled, so the
+    numerators suffice.  Directions come from the generator's finite grids,
+    245 timelike and 1708 spacelike, so the cache holds at most 1953 entries.
     It is not full after one pass and keeps filling during a run (1246
     entries after 300 ftl-axioms passes at seed 241).  It holds no Scalar,
     so no value is shared between contexts."""
@@ -133,7 +135,10 @@ def _quotient_basis(direction: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], 
         if not w.is_zero():
             basis.append(w)
     assert len(basis) >= 3
-    return tuple(_interned((b.a, b.den)) for b in basis[:3])
+    norms = [quotient_norm(b, d) for b in basis[:3]]
+    q = math.lcm(*(n.den for n in norms))
+    return (tuple(_interned((b.a, b.den)) for b in basis[:3]),
+            tuple(n.a[0] * (q // n.den) for n in norms) + (q,))
 
 
 class ClassFrame:
@@ -151,35 +156,51 @@ class ClassFrame:
         self.origin = gen.point()
         if self.dir.level:
             raise ScalarError("a ClassFrame direction must be rational")
-        self.basis = [_reduced(self.ctx, a, den, Vec4) for a, den in _quotient_basis(self.dir.a)]
+        basis, _ = _quotient_basis(self.dir.a)
+        self.basis = [_reduced(self.ctx, a, den, Vec4) for a, den in basis]
         # the lines' canonical direction
         self._dir, self._pivot = _canonical_dir(self.ctx, self.dir.a, 0)
 
     def line_at(self, coords: tuple) -> Line:
         """The line of the frame through origin + sum of c_i*basis_i, for
-        rational coordinates (Fractions or ints): that point's ints over one
-        denominator, then the canonical base with the frame's canonical
-        direction (`_canonical_base`)."""
+        rational coordinates (Fractions or ints)."""
+        return self._line_on([(c.numerator, c.denominator) for c in coords])
+
+    def _line_on(self, coords: list) -> Line:
+        """`line_at` for coordinates given as (numerator, denominator) ints:
+        the point's ints over one denominator, then the canonical base with
+        the frame's canonical direction (`_canonical_base`)."""
         p, den = self.origin.a, self.origin.den
-        for c, b in zip(coords, self.basis):
-            k, e = c.numerator, c.denominator * b.den
+        for (k, c), b in zip(coords, self.basis):
+            e = c * b.den
             p = [x * e + k * y * den for x, y in zip(p, b.a)]
             den *= e
         d, pivot = self._dir, self._pivot
         return _line(_canonical_base(self.ctx, p, den, d, pivot), d, pivot)
 
     def random_coords(self) -> tuple:
-        return tuple(self.gen.rat_fraction() for _ in range(3))
+        return tuple(Fraction(*self.gen.rat_pair()) for _ in range(3))
 
     def random_line(self) -> Line:
-        return self.line_at(self.random_coords())
+        return self._line_on([self.gen.rat_pair() for _ in range(3)])
 
     def qnorm(self, a: Line, b: Line) -> Scalar:
         return quotient_norm(b.base - a.base, self.dir)
 
     def combo(self, a: Line, b: Line, t) -> Line:
+        """The line of the frame through a.base + t*(b.base - a.base).  For
+        a rational t = n/m and rational bases A/Da and B/Db, that point is
+        the one int combination (A*Db*(m - n) + B*Da*n) over Da*Db*m, and
+        `_canonical_base` puts it on the frame's canonical direction."""
+        u, v = a.base, b.base
         k = t if isinstance(t, Scalar) else self.ctx.rat(t)
-        return Line(a.base + (b.base - a.base).scale(k), self.dir)
+        if k.level or u.level or v.level:
+            return Line(u + (v - u).scale(k), self.dir)
+        n, m = k.a[0], k.den
+        e, f = v.den * (m - n), u.den * n
+        p = [x * e + y * f for x, y in zip(u.a, v.a)]
+        d, pivot = self._dir, self._pivot
+        return _line(_canonical_base(u.ctx, p, u.den * v.den * m, d, pivot), d, pivot)
 
 
 # --- Tarski axiom checkers ----------------------------------------------------------
@@ -405,33 +426,39 @@ def check_tarski12(gen: ConfigGen, kind: ModelKind, ops: Ops) -> Verdict:
 
 def _equidistant_locus(frame: ClassFrame, cu, cv, cw):
     """The line of basis coordinates equidistant from cu, cv and cw, as a
-    point and a direction, or None.  The two equidistance equations are
-    r0.x = h0 and r1.x = h1; with n = r0 x r1 the locus is the line through
-    (h0 (r1 x n) + h1 (n x r0)) / n.n along n, and None when n = 0."""
-    norms = [quotient_norm(b, frame.dir).as_fraction() for b in frame.basis]
-
-    def nsq(c):
-        return sum(Fraction(x) * Fraction(x) * n for x, n in zip(c, norms))
+    point and a direction, each a tuple of Fractions, or None.  With the
+    basis norms n_i, the two equidistance equations are r0.x = h0 and r1.x
+    = h1, for r0_i = 2*(cv_i - cu_i)*n_i, h0 = sum (cv_i**2 - cu_i**2)*n_i
+    and r1, h1 likewise from cw; with n = r0 x r1 the locus is the line
+    through (h0 (r1 x n) + h1 (n x r0)) / n.n along n, and None when n = 0.
+    All of it is on ints: the norms are P/Q over one Q, read from
+    `_quotient_basis`'s cache, and the coordinates C/D over one D (dd here).
+    Then r0 = R0/(D*Q), h0 = H0/(D*D*Q), n = N/(D*Q)**2 for N = R0 x R1, and
+    the point is (H0 (R1 x N) + H1 (N x R0)) / (D N.N)."""
 
     def cross(x, y):
         return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
 
-    r0, r1 = ([2 * (Fraction(o) - Fraction(u)) * n for o, u, n in zip(other, cu, norms)]
-              for other in (cv, cw))
-    h0, h1 = nsq(cv) - nsq(cu), nsq(cw) - nsq(cu)
+    *ps, q = _quotient_basis(frame.dir.a)[1]
+    dd = math.lcm(*(c.denominator for c in (*cu, *cv, *cw)))
+    us, vs, ws = ([c.numerator * (dd // c.denominator) for c in cs] for cs in (cu, cv, cw))
+    r0, r1 = ([2 * (o - u) * p for o, u, p in zip(other, us, ps)] for other in (vs, ws))
+    h0, h1 = (sum((o * o - u * u) * p for o, u, p in zip(other, us, ps)) for other in (vs, ws))
     n = cross(r0, r1)
     nn = sum(x * x for x in n)
     if nn == 0:
         return None
-    o = tuple((h0 * x + h1 * y) / nn for x, y in zip(cross(r1, n), cross(n, r0)))
-    return o, n
+    den = dd * nn
+    o = tuple(Fraction(h0 * x + h1 * y, den) for x, y in zip(cross(r1, n), cross(n, r0)))
+    scale = (dd * q) ** 2
+    return o, tuple(Fraction(x, scale) for x in n)
 
 
 # --- continuity instances -----------------------------------------------------------
 
 
 def _segment_params(gen: ConfigGen) -> tuple[Fraction, Fraction]:
-    a = gen.rat_fraction()
+    a = Fraction(*gen.rat_pair())
     b = a + Fraction(gen.rng.randint(0, 8), 4)
     return a, b
 

@@ -351,21 +351,33 @@ def _assert_rho_def(a, b, kind):
 
 def _t_branch(a, b):
     """Which closed form rho_def takes t from: the sign of l2, the t^2
-    coefficient of the s-discriminant, else whether l1 is zero."""
+    coefficient of the s-discriminant, and for l2 > 0 the sign of l0, its
+    value at t = 0; else whether l1 is zero."""
     u = b.base - a.base
     A, B, C = lam(a.dir), -(inner(a.dir, b.dir) * 2), lam(b.dir)
     D, E = -(inner(u, a.dir) * 2), inner(u, b.dir) * 2
-    l2, l1 = B * B - A * C * 4, (B * D - A * E * 2) * 2
-    if l2.sign():
-        return "l2 > 0" if l2.sign() > 0 else "l2 < 0"
+    l2, l1, l0 = B * B - A * C * 4, (B * D - A * E * 2) * 2, D * D - A * lam(u) * 4
+    if l2.sign() > 0:
+        return "l2 > 0 > l0" if l0.sign() < 0 else "l2 > 0 <= l0"
+    if l2.sign() < 0:
+        return "l2 < 0"
     return "l2 = l1 = 0" if l1.is_zero() else "l2 = 0 != l1"
 
 
+def _assert_t_zero(a, b, kind):
+    """Where rho_def takes t = 0, a TRUE witness has an end at b.at(0)."""
+    if _t_branch(a, b) in ("l2 > 0 <= l0", "l2 = l1 = 0"):
+        got = de.rho_def(a, b, kind)
+        assert not got.is_true() or b.base in (got.witness["g"].beg, got.witness["g"].end)
+
+
 def test_rho_def_witness_on_every_branch_of_t():
-    """On the Rho generator's pairs at seeds 0-1 and on 121 seeded pairs of
+    """On the Rho generator's pairs at seeds 0-1, on two timelike lines
+    where b.base lies on a (l2 > 0 == l0), and on 121 seeded pairs of
     random directions or of two spacelike directions spanning a null plane,
     rho_def agrees with model.rho, its witness holds, and every branch of t
-    is reached.  The first seeded pair, Rho case 2 of the FTL equivalence
+    is reached; where t = 0 (l2 > 0 <= l0, or l2 = l1 = 0) the witness has
+    an end at b.base.  The first seeded pair, Rho case 2 of the FTL equivalence
     item at ConfigGen(5059949114506954519, 8), has a discriminant in t that
     is >= 0 only for |t| > 39; it once crashed a search over integer t."""
     branches = collections.Counter()
@@ -377,10 +389,14 @@ def test_rho_def_witness_on_every_branch_of_t():
                 _assert_rho_def(a, b, kind)
                 branches[_t_branch(a, b)] += 1
                 assert a.dir != b.dir or _t_branch(a, b) == "l2 = l1 = 0"
+                _assert_t_zero(a, b, kind)
     rng = random.Random(3)
-    for i in range(-1, 120):
+    for i in range(-2, 120):
         ctx = ScalarContext()  # one per pair, as each witness may adjoin a root
-        if i < 0:
+        if i == -2:  # b.base on a: l2 > 0 == l0, and t = 0 gives the event b.base
+            a = Line(v(ctx, 0, 0, 0, 0), v(ctx, 1, 0, 0, 0))
+            b = Line(v(ctx, 0, 0, 0, 0), v(ctx, 1, Fraction(1, 2), 0, 0))
+        elif i < 0:
             a = Line(v(ctx, 0, 11, 2, Fraction(-29, 6)), v(ctx, 1, 5, 0, Fraction(-10, 3)))
             b = Line(v(ctx, -3, 0, 8, 3), v(ctx, 0, 1, 0, Fraction(-1, 2)))
         else:
@@ -393,7 +409,9 @@ def test_rho_def_witness_on_every_branch_of_t():
             b = Line(v(ctx, *(rng.randint(-400, 400) for _ in range(4))), db)
         _assert_rho_def(a, b, ModelKind.FTL)
         branches[_t_branch(a, b)] += 1
-    assert set(branches) == {"l2 > 0", "l2 < 0", "l2 = 0 != l1", "l2 = l1 = 0"}, branches
+        _assert_t_zero(a, b, ModelKind.FTL)
+    want = {"l2 > 0 > l0", "l2 > 0 <= l0", "l2 < 0", "l2 = 0 != l1", "l2 = l1 = 0"}
+    assert set(branches) == want, branches
 
 
 def test_rho_includes_meeting_lines():

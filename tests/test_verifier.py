@@ -35,7 +35,7 @@ from relcheck.model import (
     lightlike,
     tau_geo,
 )
-from relcheck.scalar import ScalarContext
+from relcheck.scalar import Scalar, ScalarContext
 from relcheck.verifier import definitional as de
 from relcheck.verifier import suites
 from relcheck.verifier.evaluate import EvalModel, evaluate_bounded
@@ -830,6 +830,115 @@ def test_generator_determinism():
         assert g1.timelike_dir().render() == g2.timelike_dir().render()
     assert sub_seed(1, "x", 2) == sub_seed(1, "x", 2)
     assert sub_seed(1, "x", 2) != sub_seed(1, "x", 3)
+
+
+def test_draws_are_the_random_stream():
+    """ConfigGen's draw source gives random.Random's stream: randint at
+    widths 1 to 2**31 + 1, interleaved with random() and choice(), over 200
+    seeds, ends in the same state, and an empty range raises as it does."""
+    widths = (1, 2, 3, 5, 7, 8, 9, 17, 2**31 + 1)
+    items = ["a", "b", "c", "d", "e"]
+    for seed in range(200):
+        got, want = ConfigGen(seed, 8).rng, random.Random(seed)
+        for i, n in enumerate(widths * 3):
+            lo = i - 5
+            assert got.randint(lo, lo + n - 1) == want.randint(lo, lo + n - 1)
+            if i % 2:
+                assert got.random() == want.random()
+            if i % 3:
+                assert got.choice(items[: 1 + i % 5]) == want.choice(items[: 1 + i % 5])
+        assert got.getstate() == want.getstate()
+    for rng in (ConfigGen(0, 8).rng, random.Random(0)):
+        with pytest.raises(ValueError):
+            rng.randint(3, 2)
+
+
+def _fields(x):
+    """A Vec4's or Line's fields, with the context by identity."""
+    if isinstance(x, Line):
+        return _fields(x.base), _fields(x.dir), x.pivot
+    return id(x.ctx), x.level, x.a, x.den
+
+
+def test_int_built_generators_match_the_scalar_construction():
+    """point, timelike_dir, spacelike_dir, ClassFrame.random_line and
+    ClassFrame.combo, each built on ints and reduced once, against the
+    Scalar and Fraction construction they replace, written out here with a
+    random.Random in the same state: the same fields and the same draws, on
+    500 seeds, and at a seed whose first spacelike draw is rejected.  combo
+    takes a rational t, an int t, and a level-1 t, which goes through Line.  suites._equidistant_locus, on ints, gives the
+    Fractions of the formula it replaces."""
+
+    def old_rng(gen):
+        rng = random.Random()
+        rng.setstate(gen.rng.getstate())
+        return rng
+
+    def old_rat(ctx, rng):
+        return ctx.rat(rng.randint(-8, 8), rng.randint(1, 4))
+
+    def old_dir(ctx, rng, timelike):
+        while True:
+            if timelike:
+                x = (ctx.one, *(ctx.rat(rng.randint(-m, m), 5) for m in (3, 3, 2)))
+                want = IntervalClass.TIMELIKE
+            else:
+                x0 = ctx.rat(rng.randint(-3, 3), 5)
+                x = (x0, *(ctx.rat(rng.randint(-m, m)) for m in (3, 3, 2)))
+                want = IntervalClass.SPACELIKE
+            v = Vec4(*x)
+            if sign_class(lam(v).sign()) is want:
+                return v
+
+    def cross(x, y):
+        return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+    def old_locus(frame, cu, cv, cw):
+        norms = [quotient_norm(b, frame.dir).as_fraction() for b in frame.basis]
+        nsq = lambda c: sum(Fraction(x) * Fraction(x) * n for x, n in zip(c, norms))
+        r0, r1 = ([2 * (Fraction(o) - Fraction(u)) * n for o, u, n in zip(other, cu, norms)]
+                  for other in (cv, cw))
+        h0, h1 = nsq(cv) - nsq(cu), nsq(cw) - nsq(cu)
+        n = cross(r0, r1)
+        nn = sum(x * x for x in n)
+        if nn == 0:
+            return None
+        return tuple((h0 * x + h1 * y) / nn for x, y in zip(cross(r1, n), cross(n, r0))), n
+
+    def same(got, want, gen=None, rng=None):
+        assert _fields(got) == _fields(want)
+        assert gen is None or gen.rng.getstate() == rng.getstate()
+
+    for seed in range(500):
+        gen = ConfigGen(seed, 8)
+        ctx = gen.ctx
+        rng = old_rng(gen)
+        same(gen.point(), Vec4(*(old_rat(ctx, rng) for _ in range(4))), gen, rng)
+        for timelike in (True, False):
+            rng = old_rng(gen)
+            got = gen.timelike_dir() if timelike else gen.spacelike_dir()
+            same(got, old_dir(ctx, rng, timelike), gen, rng)
+        frame = suites.ClassFrame(gen, gen.timelike_dir() if seed % 2 else gen.spacelike_dir())
+        rng = old_rng(gen)
+        p = frame.origin
+        for b in frame.basis:
+            p = p + b.scale(ctx.rat(Fraction(rng.randint(-8, 8), rng.randint(1, 4))))
+        a = frame.random_line()
+        same(a, Line(p, frame.dir), gen, rng)
+        b = frame.random_line()
+        root = ctx.sqrt(ctx.rat((2, 3, 5, 6, 7)[seed % 5]))
+        for t in (Fraction(gen.rng.randint(-8, 8), gen.rng.randint(1, 8)), seed % 3 - 1, root + 1):
+            k = t if isinstance(t, Scalar) else ctx.rat(t)
+            same(frame.combo(a, b, t), Line(a.base + (b.base - a.base).scale(k), frame.dir))
+            same(frame.combo(b, a, t), Line(b.base + (a.base - b.base).scale(k), frame.dir))
+        assert root.level == 1 and frame.combo(a, b, root).base.level == (a != b)
+        cu, cv = frame.random_coords(), frame.random_coords()
+        collinear = tuple(x + (y - x) * Fraction(seed % 7 - 3, 2) for x, y in zip(cu, cv))
+        for cw in (frame.random_coords(), collinear):
+            assert suites._equidistant_locus(frame, cu, cv, cw) == old_locus(frame, cu, cv, cw)
+    gen = ConfigGen(666, 8)  # its first spacelike draw is the zero vector, which is not spacelike
+    rng = old_rng(gen)
+    same(gen.spacelike_dir(), old_dir(gen.ctx, rng, False), gen, rng)
 
 
 def test_generate_configuration_dispatch():
