@@ -28,10 +28,17 @@ parallel pair (`_links`), with no square root, and Eq and EqRho compare
 its discriminants.  `rho_def` decides def_rho on the null conic of any two
 lines and takes its one square root only for a TRUE witness.
 
-The null links from an event to a given worldline come from
-`model.null_links`.  Bw and BwRho run one loop, `_null_triangle`, over the
-pairs of null links from a's base to b and to c; they differ only in the
-orientation rule, since BwRho also admits the all-past triangle.
+Bw and BwRho decide one null triangle, `_null_triangle`, from the
+coefficients of the two link quadratics from a's base to b and to c, with
+no square root; they differ only in the orientation rule, since BwRho also
+admits the all-past triangle.
+
+A procedure whose TRUE carries a witness is a decision and a builder.  A
+definition that nests it reads the decision alone: the Par guards and OP's
+Par (`_par`), Tau's Bw and BwFTL steps, and BwFTL's Dual branch.  A
+top-level call builds the witness only on TRUE, the same one as before: the
+null triangle from the roots of `model.null_links` (`_triangle_witness`),
+Cop's transversals in `_plane_witness`.
 
 Derived unsatisfiability rules (the FALSE sides of Sim, Eq, Delta and the
 dual machinery) come from eliminating the quantifiers by hand; every rule
@@ -74,7 +81,8 @@ from relcheck.model import (
     rho,
     witness_zero_and_two,
 )
-from relcheck.scalar import Scalar, ScalarContext, _ctx_of, _reduced, _vsign, _widen
+from relcheck.scalar import (DomainError, Scalar, ScalarContext, _ctx_of, _reduced, _vmul, _vsign,
+                             _widen)
 from relcheck.verifier.report import Verdict
 
 
@@ -148,7 +156,10 @@ def cop_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
                 return Verdict.true({"c": c, "d": d, "g": event(g)})
         return Verdict.unknown("no Cop witness constructed")
     if a.dir == b.dir:
-        return _cop_parallel(a, b, kind)
+        found = _cop_parallel(a, b, kind)
+        if found is None:
+            return Verdict.unknown("no Cop witness constructed")
+        return Verdict.true(_plane_witness(a, b, *found))
     meet = lines_intersect(a, b)
     if meet is None:
         return Verdict.unknown("no Cop witness constructed")
@@ -225,8 +236,10 @@ def _toward(p: tuple, q: tuple) -> tuple[int, int]:
     return q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2]
 
 
-def _cop_parallel(a: Line, b: Line, kind: ModelKind) -> Verdict:
-    """cop_def for distinct lines with one canonical direction D.
+def _cop_parallel(a: Line, b: Line, kind: ModelKind) -> Optional[tuple]:
+    """Cop's decision for distinct lines with one canonical direction D: the
+    first grid candidate whose clauses hold, as the arguments of
+    `_plane_witness` after a and b, or None.
 
     (x, y) -> A + x*w + y*D, for A = a.base and w = b.base - A, maps the
     plane F^2 one to one onto the pair's plane: A and b.base both have pivot
@@ -248,9 +261,9 @@ def _cop_parallel(a: Line, b: Line, kind: ModelKind) -> Verdict:
     neither is a's; they meet at x = (t2 - t1)/(2k + 1 - t1 + t2), which is
     neither 0 nor 1.  So the witness is the first candidate whose classes
     kind allows, the one a search in F^4 over the grid stops at, and canonical
-    forms make it field for field the same.  Only that candidate is built
-    in F^4: each point is one int combination reduced once, and each line
-    one `_canonical_dir` and one `_canonical_base`."""
+    forms make it field for field the same.  Only a top-level cop_def or
+    par_def builds it in F^4 (`_plane_witness`): `_par` reads the decision
+    alone."""
     u, v, sq = _pencil(a.base, b)
     plane_class = _form_class(u, v, sq)
     for t1, t2 in _COP_ANCHORS:
@@ -269,8 +282,8 @@ def _cop_parallel(a: Line, b: Line, kind: ModelKind) -> Verdict:
                 continue
             if all(_on(x, s) and _on(y, s) for x, y, s in (
                     (_PLANE_A, c, p1), (c, _PLANE_B, q1), (d, _PLANE_B, q2), (d, _PLANE_A, p2))):
-                return Verdict.true(_plane_witness(a, b, u, v, (p1, q1), (p2, q2), g))
-    return Verdict.unknown("no Cop witness constructed")
+                return u, v, (p1, q1), (p2, q2), g
+    return None
 
 
 def _plane_witness(a: Line, b: Line, u: list, v: list, c: tuple, d: tuple, g: tuple) -> dict:
@@ -278,7 +291,9 @@ def _plane_witness(a: Line, b: Line, u: list, v: list, c: tuple, d: tuple, g: tu
     each through the first of its two plane points, and the event g.  With
     U and V from `_pencil(a.base, b)` over E*e, E = a.base.den*b.base.den,
     the point (X, Y, Z) has the ints Z*b.base.den*e*A + X*U + Y*V over
-    Z*E*e, and the direction (x, y) the ints x*U + y*V."""
+    Z*E*e, and the direction (x, y) the ints x*U + y*V.  Each point is
+    one int combination reduced once, and each line one `_canonical_dir`
+    and one `_canonical_base`."""
     ctx, level = _ctx_of(a.base, a.dir, b.base)
     den, scale = a.base.den * b.base.den * a.dir.den, b.base.den * a.dir.den
     o = [scale * r for r in _widen(a.base.a, a.base.level, level)]
@@ -306,14 +321,29 @@ def _line_through_meeting(p: Vec4, target: Line, param: Fraction, kind: ModelKin
 
 
 def par_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
+    """(!M(a,b) & Cop(a,b)) | a = b, with Cop's witness on a TRUE for
+    distinct lines, which have one direction (`_par`)."""
+    if a.dir != b.dir or a == b:
+        return _par(a, b, kind)
+    found = _cop_parallel(a, b, kind)
+    if found is None:
+        return Verdict.unknown("Cop undecided")
+    return Verdict.true(_plane_witness(a, b, *found))
+
+
+def _par(a: Line, b: Line, kind: ModelKind) -> Verdict:
+    """Par's status with no witness built, for callers that read only the
+    status.  Distinct lines of one direction never meet, so Par is Cop's
+    grid decision (`_cop_parallel`) there.  Lines of two directions are
+    FALSE when they meet, since the first disjunct needs !M and the second
+    a = b, and undecided when skew, where Cop is."""
     if a == b:
         return Verdict.true()
-    mv = m_def(a, b, kind)
-    if mv.is_true():
-        return Verdict.false()  # first disjunct needs !M, second needs a = b
-    cv = cop_def(a, b, kind)
-    if cv.is_true():
-        return Verdict.true(cv.witness)
+    if a.dir != b.dir:
+        if lines_intersect(a, b) is not None:
+            return Verdict.false()
+    elif _cop_parallel(a, b, kind) is not None:
+        return Verdict.true()
     return Verdict.unknown("Cop undecided")
 
 
@@ -323,7 +353,7 @@ def par_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
 def _parallel_layer(kind: ModelKind, a: Line, *rest: Line) -> Optional[Verdict]:
     """Evaluate the Par conjuncts of a definition; None means all true."""
     for other in rest:
-        pv = par_def(a, other, kind)
+        pv = _par(a, other, kind)
         if pv.is_false():
             return Verdict.false()
         if pv.is_unknown():
@@ -331,18 +361,106 @@ def _parallel_layer(kind: ModelKind, a: Line, *rest: Line) -> Optional[Verdict]:
     return None
 
 
+def _future(signs: list[int]) -> bool:
+    """def_bw's orientation: the links x->y, x->z and y->z are all future."""
+    return min(signs) >= 0
+
+
+def _either_way(signs: list[int]) -> bool:
+    """def_bwrho's: the future triangle, or the all-past one of its reversed
+    disjunct L(z,y) & L(z,x) & L(y,x)."""
+    return min(signs) >= 0 or max(signs) <= 0
+
+
 def _null_triangle(a: Line, b: Line, c: Line, kind: ModelKind,
                    oriented: Callable[[list[int]], bool]) -> Verdict:
-    """exists x,y,z events on a,b,c joined by null links x->y, x->z, y->z
-    whose time signs pass `oriented`.
+    """The status of exists x,y,z events on a,b,c joined by null links x->y,
+    x->z, y->z whose time signs pass `oriented`, decided from coefficients:
+    it takes no square root and builds no witness.
 
-    All hosts share one direction, so solutions are invariant under common
-    translation along it: anchoring x at a.base and enumerating the pairs of
-    its null links to b and to c is exhaustive.
+    def_bw's Par(a,b) & Par(a,c) give the hosts one direction d (the
+    guard), and a solution moved along d is one too, so x = a.base.  T(b,y)
+    and L(x,y) put y at x + v_ab with v_ab = u + r*d null, for u = b.base -
+    x: alpha*r*r + 2*beta_u*r + lam(u) = 0, with alpha = lam(d) and beta_u
+    = <u, d>.  alpha != 0, since no observer is lightlike (a lightlike d
+    raises DomainError, as the root loop's division by zero did).  So
+    alpha*r = -beta_u + e1*sqrt(Delta_u) for Delta_u = beta_u**2 -
+    alpha*lam(u) >= 0 and e1 = +-1 (one link when Delta_u = 0), and likewise
+    z = x + v_ac, v_ac = w + s*d, w = c.base - x, with e2.  As lam(v_bc) =
+    -2*<v_ab, v_ac> for v_bc = v_ac - v_ab, and alpha*<v_ab, v_ac> = K +
+    e1*e2*sqrt(Delta_u*Delta_w) for K = alpha*<u, w> - beta_u*beta_w,
+    L(y,z)'s null condition holds iff K = 0 and Delta_u*Delta_w = 0, or K
+    != 0, K*K = Delta_u*Delta_w and e1*e2 = -sign K.
+
+    The orientation reads the time components.  alpha*v_ab.x0 = P_u +
+    e1*d0*sqrt(Delta_u) with P_u = alpha*u0 - d0*beta_u, likewise for v_ac,
+    and alpha*v_bc.x0 = P_w - P_u + d0*(e2*sqrt(Delta_w) - e1*sqrt(Delta_u)).
+    On a closing pair with Delta_u > 0, e2*sqrt(Delta_w) = -e1*K/sqrt(Delta_u),
+    so Delta_u*alpha*v_bc.x0 = Delta_u*(P_w - P_u) - e1*d0*(K +
+    Delta_u)*sqrt(Delta_u); with Delta_u = 0 the root of Delta_w is the only
+    one.  Each sign is sign(alpha) times one `_root_sign`.  All of it runs
+    on the ints of u and w over one positive denominator and of d over its
+    own, so each quantity is its value times a positive int, which keeps
+    every sign and the test K*K = Delta_u*Delta_w.  Nothing here is
+    `bw_rho`'s or `bw_geo`'s betweenness test, so the two routes stay apart.
     """
     guard = _parallel_layer(kind, a, b, c)
     if guard is not None:
         return guard
+    # _offsets gives a.base - b.base over a.base.den*b.base.den and a.base -
+    # c.base over a.base.den*c.base.den: negated and rescaled, u and w share
+    # the denominator a.base.den*b.base.den*c.base.den
+    (nu, nw), d, sq = _offsets(a.dir, a.base, b.base, c.base)
+    u, w = [-c.base.den * x for x in nu], [-b.base.den * x for x in nw]
+
+    def mul(x: list, y: list) -> list:
+        return _vmul(x, y, sq)
+
+    def sub(x: list, y: list) -> list:
+        return [p - q for p, q in zip(x, y)]
+
+    alpha, beta_u, beta_w = _vinner(d, d, sq), _vinner(u, d, sq), _vinner(w, d, sq)
+    sa = _vsign(alpha, sq)
+    if sa == 0:
+        raise DomainError("null links to a lightlike line")
+    delta_u = sub(mul(beta_u, beta_u), mul(alpha, _vinner(u, u, sq)))
+    delta_w = sub(mul(beta_w, beta_w), mul(alpha, _vinner(w, w, sq)))
+    k = sub(mul(alpha, _vinner(u, w, sq)), mul(beta_u, beta_w))
+    su, sw = _vsign(delta_u, sq), _vsign(delta_w, sq)
+    if su < 0 or sw < 0 or mul(k, k) != mul(delta_u, delta_w):
+        return Verdict.false()
+    m = len(alpha)
+    sk, d0 = _vsign(k, sq), d[:m]
+    p_u, p_w = sub(mul(alpha, u[:m]), mul(d0, beta_u)), sub(mul(alpha, w[:m]), mul(d0, beta_w))
+    if su:
+        bc = mul(delta_u, sub(p_w, p_u)), mul(d0, [x + y for x, y in zip(k, delta_u)]), delta_u
+    else:
+        bc = sub(p_w, p_u), d0, delta_w
+    for e1 in ((1, -1) if su else (1,)):
+        for e2 in ((-sk * e1,) if sk else (1, -1) if sw else (1,)):
+            signs = [_root_sign(p_u, e1, d0, delta_u, sq), _root_sign(p_w, e2, d0, delta_w, sq),
+                     _root_sign(bc[0], -e1 if su else e2, bc[1], bc[2], sq)]
+            if oriented([sa * x for x in signs]):
+                return Verdict.true()
+    return Verdict.false()
+
+
+def _root_sign(p: list, e: int, q: list, r: list, sq: list) -> int:
+    """The sign of p + e*q*sqrt(r), for e = +-1 and the ints of tower values
+    p, q and r >= 0 (p and q over one positive denominator): when the two
+    terms have opposite signs, the one with the larger square wins."""
+    sp, st = _vsign(p, sq), e * _vsign(q, sq) if any(r) else 0
+    if st == 0:
+        return sp
+    if sp == 0 or sp == st:
+        return st
+    return sp * _vsign([x - y for x, y in zip(_vmul(p, p, sq), _vmul(_vmul(q, q, sq), r, sq))], sq)
+
+
+def _triangle_witness(a: Line, b: Line, c: Line, oriented: Callable[[list[int]], bool]) -> dict:
+    """The witness of a triangle that `_null_triangle` decided TRUE: the
+    first pair of null links from a.base to b and to c, in `null_links`
+    order, that closes with time signs passing `oriented`."""
     x = a.base
     links_ab = list(null_links(x, b))
     links_ac = list(null_links(x, c))
@@ -350,20 +468,22 @@ def _null_triangle(a: Line, b: Line, c: Line, kind: ModelKind,
         for v_ac in links_ac:
             v_bc = v_ac - v_ab
             if oriented([v.x0.sign() for v in (v_ab, v_ac, v_bc)]) and lam(v_bc).is_zero():
-                return Verdict.true({"x": event(x), "y": event(x + v_ab), "z": event(x + v_ac)})
-    return Verdict.false()
+                return {"x": event(x), "y": event(x + v_ab), "z": event(x + v_ac)}
+    raise AssertionError("no null triangle where one was decided")
 
 
 def bw_def(a: Line, b: Line, c: Line, kind: ModelKind) -> Verdict:
     """exists x,y,z events on a,b,c with L(x,y), L(x,z), L(y,z): the null
-    triangle with all three links future-directed."""
-    return _null_triangle(a, b, c, kind, lambda signs: min(signs) >= 0)
+    triangle with all three links future-directed, built only on TRUE."""
+    got = _null_triangle(a, b, c, kind, _future)
+    return Verdict.true(_triangle_witness(a, b, c, _future)) if got.is_true() else got
 
 
 def bwrho_def(a: Line, b: Line, c: Line, kind: ModelKind) -> Verdict:
     """Like bw_def with the all-past triangle admitted, the reversed
     orientation disjunct of def_bwrho.fol."""
-    return _null_triangle(a, b, c, kind, lambda signs: min(signs) >= 0 or max(signs) <= 0)
+    got = _null_triangle(a, b, c, kind, _either_way)
+    return Verdict.true(_triangle_witness(a, b, c, _either_way)) if got.is_true() else got
 
 
 # --- simultaneity ------------------------------------------------------------
@@ -604,7 +724,10 @@ def tau_def(c: Line, b: Line, e1: Segment, e2: Segment, kind: ModelKind,
         return Verdict.false()
     if host == b:
         return Verdict.false()
-    bv = (bwftl_def if ftl_variant else bw_def)(b, host, c, kind)
+    if ftl_variant:
+        bv = _or_dual(_null_triangle(b, host, c, kind, _either_way), b, host, c, kind)
+    else:
+        bv = _null_triangle(b, host, c, kind, _future)
     if not bv.is_true():
         return bv if bv.is_unknown() else Verdict.false()
     # g: Beg on c, End = e2, with Sim(host, Beg(g), e1)
@@ -703,7 +826,7 @@ def op_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
     meeting both, for y at the vertex (f = -disc/(4*g2) < 0 there) when g2
     > 0, y = 1 + (|g0| + |g1|)/|g2| (f(y) <= -|g2|*y) when g2 < 0, and y =
     -(1 + |g0|)/g1 (f(y) <= -1) when g2 == 0."""
-    pv = par_def(a, b, kind)
+    pv = _par(a, b, kind)
     if not pv.is_true():
         return pv if pv.is_unknown() else Verdict.false()
     if a == b:
@@ -722,6 +845,15 @@ def op_def(a: Line, b: Line, kind: ModelKind) -> Verdict:
     else:
         y = -(one + _abs(g0)) / g1
     return Verdict.false({"c": Line(a.base, b.at(y) - a.base)})
+
+
+def _op_holds(a: Line, b: Line) -> bool:
+    """OP(a, b), with no witness, on a pair whose Par(a, b) holds: by
+    op_def's proof, a != b, g2 > 0 and disc == 0."""
+    if a == b:
+        return False
+    _, _, g2, disc = _links(a, b)
+    return disc.is_zero() and g2.sign() > 0
 
 
 def _abs(x: Scalar) -> Scalar:
@@ -807,18 +939,21 @@ def eqrho_def(a: Line, b: Line, c: Line, d: Line, kind: ModelKind) -> Verdict:
     distinct real roots of the pair's link quadratic (`_links`), disc_ab >
     0, and the same for g1, g2 of c and d.  The e line's universal clause
     pins equal root sets, so the two round trips agree, and with g2 =
-    lam(D) shared the case holds iff disc_ab > 0 and disc_ab == disc_cd."""
+    lam(D) shared the case holds iff disc_ab > 0 and disc_ab == disc_cd.
+
+    The guard decides Par(a, b), so OP(a, b) is `_op_holds` alone.  Par(c,
+    d) is decided once: the guard gives c and d a's direction, but not a
+    Cop grid candidate of their own."""
     guard = _parallel_layer(kind, a, b, c, d)
     if guard is not None:
         return guard
     if a == b and c == d:
         return Verdict.true()
-    ov1 = op_def(a, b, kind)
-    ov2 = op_def(c, d, kind)
-    if ov1.is_true() and ov2.is_true():
-        return Verdict.true()
-    if ov1.is_unknown() or ov2.is_unknown():
+    pv = _par(c, d, kind)
+    if pv.is_unknown():
         return Verdict.unknown("OP undecided")
+    if _op_holds(a, b) and pv.is_true() and _op_holds(c, d):
+        return Verdict.true()
     disc = _links(a, b)[3]
     return Verdict.true() if disc.sign() > 0 and disc == _links(c, d)[3] else Verdict.false()
 
@@ -841,7 +976,10 @@ def _dual_branch(x: Line, y: Line, u: Line, v: Line, decide: Callable, names: tu
 
     Each side's candidates and each Dual check are computed once, in the
     x2-major order of the pairs.  `dual_def` takes no square root, so
-    filtering both lists up front cannot change the tower."""
+    filtering both lists up front cannot change the tower.  `decide` is a
+    decision that builds no witness (`_null_triangle` for BwFTL,
+    `eqrho_def` for EqFTL), so a pair takes no root either: the only roots
+    are those of `dual_candidates`, and the witness names the two duals."""
     xs = dual_candidates(x, y)
     us = dual_candidates(u, v) if xs else []
     if not us:
@@ -859,12 +997,17 @@ def _dual_branch(x: Line, y: Line, u: Line, v: Line, decide: Callable, names: tu
     return undecided or Verdict.false()
 
 
-def bwftl_def(a: Line, b: Line, c: Line, kind: ModelKind) -> Verdict:
-    got = bwrho_def(a, b, c, kind)
-    if got.is_true() or got.is_unknown():
+def _or_dual(got: Verdict, a: Line, b: Line, c: Line, kind: ModelKind) -> Verdict:
+    """BwFTL(a, b, c) from `got`, the verdict of its BwRho disjunct: that
+    verdict unless FALSE, else the Dual disjunct over BwRho decisions."""
+    if not got.is_false():
         return got
-    return _dual_branch(a, b, c, b, lambda a2, c2: bwrho_def(a2, b, c2, kind), ("ap", "cp"),
-                        kind)
+    return _dual_branch(a, b, c, b, lambda a2, c2: _null_triangle(a2, b, c2, kind, _either_way),
+                        ("ap", "cp"), kind)
+
+
+def bwftl_def(a: Line, b: Line, c: Line, kind: ModelKind) -> Verdict:
+    return _or_dual(bwrho_def(a, b, c, kind), a, b, c, kind)
 
 
 def eqftl_def(a: Line, b: Line, c: Line, d: Line, kind: ModelKind) -> Verdict:

@@ -35,7 +35,7 @@ from relcheck.model import (
     lightlike,
     tau_geo,
 )
-from relcheck.scalar import Scalar, ScalarContext
+from relcheck.scalar import DomainError, Scalar, ScalarContext
 from relcheck.verifier import definitional as de
 from relcheck.verifier import suites
 from relcheck.verifier.evaluate import EvalModel, evaluate_bounded
@@ -402,6 +402,112 @@ def test_bwrho_def_is_bw_def_in_either_orientation():
                 seen.add((a.interval_class, forward and backward))
     assert {cls for cls, _ in seen} == {IntervalClass.TIMELIKE, IntervalClass.SPACELIKE}
     assert (IntervalClass.SPACELIKE, False) in seen
+
+
+def _reference_triangle(a, b, c, kind, oriented):
+    """_null_triangle as it stood before it was decided from coefficients:
+    the Par guard through par_def, then every pair of null links from a.base
+    to b and to c, each root taken by model.null_links."""
+    for other in (b, c):
+        pv = de.par_def(a, other, kind)
+        if not pv.is_true():
+            return pv if pv.is_unknown() else Verdict.false()
+    x = a.base
+    links_ab, links_ac = list(model.null_links(x, b)), list(model.null_links(x, c))
+    for v_ab in links_ab:
+        for v_ac in links_ac:
+            v_bc = v_ac - v_ab
+            if oriented([w.x0.sign() for w in (v_ab, v_ac, v_bc)]) and lam(v_bc).is_zero():
+                return Verdict.true()
+    return Verdict.false()
+
+
+def _triangle_cases():
+    """(item, triple) for the Bw, BwRho and BwFTL items' triples and for the
+    (b, host, c) triples on which tau_def decides Bw, from the Tau item's
+    cases, at seeds 0-1 and both kinds."""
+    for seed in range(2):
+        for name in ("Bw", "BwRho", "BwFTL", "Tau"):
+            for kind in (FTL, STL):
+                for i in range(30):
+                    gen = ConfigGen(sub_seed(seed, "equiv", name, i), Budget().coordinate_bound)
+                    args = PRED_GENERATORS[name](gen, kind, i)
+                    if name == "Tau":
+                        c, b, e1, e2 = args
+                        host = Line.through(e1.beg, e2.beg)
+                        if host == b or not kind.allows(host.interval_class):
+                            continue
+                        args = (b, host, c)
+                    yield name, kind, args
+
+
+def test_null_triangle_decision_matches_the_root_loop():
+    """_null_triangle decides what the root loop found, on every triple of
+    _triangle_cases in its three rotations and under both orientation rules,
+    and takes no square root: ctx.depth does not move, on FALSE above all."""
+    seen, tau_levels = set(), set()
+    for name, kind, args in _triangle_cases():
+        ctx = args[0].ctx
+        if name == "Tau":
+            tau_levels.add(args[2].base.level)
+        for k in range(3):
+            a, b, c = args[k:] + args[:k]
+            for oriented in (de._future, de._either_way):
+                depth = ctx.depth
+                got = de._null_triangle(a, b, c, kind, oriented)
+                assert ctx.depth == depth, (name, kind, a, b, c)
+                want = _reference_triangle(a, b, c, kind, oriented)
+                assert (got.status, got.reason) == (want.status, want.reason), (name, kind, a, b, c)
+                seen.add((got.status, a.interval_class))
+    classes = (IntervalClass.TIMELIKE, IntervalClass.SPACELIKE)
+    assert {(s, cls) for s in (TRUE, FALSE) for cls in classes} <= seen
+    assert 1 in tau_levels
+    # no observer is lightlike: both refuse null links to a lightlike line
+    ctx = ScalarContext()
+    light = [Line(v(ctx, 0, 0, y, 0), v(ctx, 1, 1, 0, 0)) for y in (0, 1, 2)]
+    for decide in (de._null_triangle, _reference_triangle):
+        with pytest.raises(DomainError):
+            decide(*light, FTL, de._future)
+
+
+def test_bw_tau_defs_never_call_their_geometric_twins(monkeypatch):
+    """bw_def, bwrho_def and tau_def on the Bw, BwRho and Tau items' cases,
+    at seeds 0-3 and both kinds, give the same verdicts, with the same
+    witnesses, when model.bw_geo and bw_rho raise, wherever definitional
+    imports them, and when _plane_witness raises: the null triangle is
+    decided from coefficients, and a Par decided inside a definition builds
+    no Cop witness."""
+    procedures = {"Bw": de.bw_def, "BwRho": de.bwrho_def, "Tau": de.tau_def}
+    cases = [(name, kind, PRED_GENERATORS[name](
+                 ConfigGen(sub_seed(seed, "equiv", name, i), Budget().coordinate_bound), kind, i))
+             for seed in range(4) for name in procedures for kind in (FTL, STL) for i in range(20)]
+
+    def verdicts():
+        out = []
+        for name, kind, args in cases:
+            got = procedures[name](*args, kind)
+            out.append((name, got.status, got.reason, repr(got.witness)))
+        return out
+
+    want = verdicts()
+    assert {(name, s) for name in procedures for s in (TRUE, FALSE)} <= {(n, s) for n, s, _, _ in want}
+
+    def twin(*args):
+        raise AssertionError("a geometric twin was called")
+
+    def witness(*args):
+        raise AssertionError("a Cop witness was built")
+
+    for name in ("bw_geo", "bw_rho"):
+        monkeypatch.setattr(model, name, twin)
+        if hasattr(de, name):
+            monkeypatch.setattr(de, name, twin)
+    monkeypatch.setattr(de, "_plane_witness", witness)
+    line = vertical(ScalarContext())
+    for name in ("Bw", "BwRho"):
+        with pytest.raises(AssertionError, match="geometric twin"):
+            GEOMETRIC_PREDICATES[name]((line,) * 3)
+    assert verdicts() == want
 
 
 def test_sim_def_diamond():
@@ -1133,9 +1239,9 @@ def test_crash_names_item_case_and_replay_seed(monkeypatch):
 
 
 def test_dual_branch_keeps_unknown(monkeypatch):
-    # the first BwRho call is the direct disjunct; every dual candidate after
-    # it is undecided, so BwFTL cannot be refuted
-    honest = de.bwrho_def
+    # the first BwRho decision is the direct disjunct; every dual candidate
+    # after it is undecided, so BwFTL cannot be refuted
+    honest = de._null_triangle
     calls = []
 
     def bwrho(*args):
@@ -1143,7 +1249,7 @@ def test_dual_branch_keeps_unknown(monkeypatch):
         return honest(*args) if len(calls) == 1 else Verdict.unknown("capacity: stub")
 
     args = PRED_GENERATORS["BwFTL"](ConfigGen(12, 8), FTL, 12)
-    monkeypatch.setattr(de, "bwrho_def", bwrho)
+    monkeypatch.setattr(de, "_null_triangle", bwrho)
     assert de.bwftl_def(*args, FTL).is_unknown()
     assert len(calls) > 1
 
