@@ -8,7 +8,8 @@ REV the working tree is read; with REV, the files of that git revision.
 Prints one row per module, then the total.  With two revisions each row
 gives the lines and code lines of both, a module missing from one counting
 0 there, and the code-line difference REV_B - REV.  Never fails on the
-counts.
+counts; a revision that git cannot read is named on one line, with exit
+code 2.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ def sources(rev: str | None) -> dict[str, str]:
 
 def main(argv: list[str]) -> int:
     revs = argv[1:3] or [None]
+    for rev in revs:
+        if rev is not None and subprocess.run(
+                ["git", "rev-parse", "--verify", "--quiet", "--end-of-options", f"{rev}^{{commit}}"],
+                capture_output=True).returncode:
+            print(f"code_lines.py: git cannot read revision {rev!r} "
+                  "(usage: code_lines.py [REV [REV_B]])", file=sys.stderr)
+            return 2
     counts = [{name: (len(text.splitlines()), code_lines(text)) for name, text in sources(rev).items()}
               for rev in revs]
     names = sorted(set().union(*counts))

@@ -2,7 +2,8 @@
 
     python3 .github/scripts/compare_references.py PARENT.json CHANGE.json
 
-Both files are written by `perfbench/make_references.py --out`.  Exits 1 if
+Both files are written by `perfbench/make_references.py --out`.  Prints
+the usage and exits 2 unless given two files it can read.  Exits 1 if
 any case changed status, unless it went from UNKNOWN to decided, or if the
 two files do not cover the same workloads, seeds, items and case counts.
 A change of report bytes (sha256) is printed but does not fail, and so is
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
 
 def case_statuses(entry: list) -> dict[int, str]:
@@ -54,11 +56,18 @@ def compare(parent: dict, change: dict) -> tuple[list[str], list[str], int]:
     return failures, notes, both
 
 
+USAGE = "usage: python3 .github/scripts/compare_references.py PARENT.json CHANGE.json"
+
+
 def main() -> int:
-    with open(sys.argv[1]) as fh:
-        parent = json.load(fh)
-    with open(sys.argv[2]) as fh:
-        change = json.load(fh)
+    if len(sys.argv) != 3:
+        print(USAGE, file=sys.stderr)
+        return 2
+    try:
+        parent, change = (json.loads(Path(name).read_text()) for name in sys.argv[1:])
+    except OSError as exc:
+        print(f"compare_references.py: {exc}\n{USAGE}", file=sys.stderr)
+        return 2
     failures, notes, both = compare(parent, change)
     for line in notes + failures:
         print(line)

@@ -13,10 +13,11 @@ propagates to the suites' case driver, which records the case as UNKNOWN.
 
 Every witness question on two distinct lines is decided in their plane,
 and nothing is searched in F^4.  Cop keeps one grid of candidate
-transversals.  `_cop_parallel` decides each clause of def_cop for two
-distinct parallel lines on homogeneous int coordinates, and `_cop_meeting`
-for two meeting lines on the coefficients of a candidate's direction along
-a.dir and b.dir.  A candidate's class is the sign of a binary quadratic
+transversals.  `_cop_parallel` decides two distinct parallel lines by the
+classes of a candidate's transversals alone, since every other clause of
+def_cop holds on the whole grid, and `_cop_meeting` decides two meeting
+lines on the coefficients of a candidate's direction along a.dir and
+b.dir.  A candidate's class is the sign of a binary quadratic
 form whose Gram entries are computed once per pair (`_pencil` and
 `_form_class` on ints for parallel lines).  The four M conjuncts hold at
 the events the transversals were built on, so they are not solved again.
@@ -44,7 +45,12 @@ Derived unsatisfiability rules (the FALSE sides of Sim, Eq, Delta and the
 dual machinery) come from eliminating the quantifiers by hand; every rule
 is stated next to its code.  TRUE verdicts carry witness bindings built
 through the `Segment` and `Line` constructors, which refuse a non-null or
-past-directed segment and a zero direction.
+past-directed segment and a zero direction.  A clause that a construction
+makes true is not tested again at run time: the procedure's docstring
+proves it, and a tier-1 test checks it once on the suites' cases.  So
+Cop's grid clauses, the null legs of the Sim and SimFTL diamonds and of
+Prec's two-hop point, and the null links of Delta's double diamond are
+proved, not re-verified; Sim and Prec read only their legs' time signs.
 """
 
 from __future__ import annotations
@@ -62,7 +68,6 @@ from relcheck.minkowski import (
     _line,
     _offsets,
     _vinner,
-    along,
     classify,
     inner,
     lam,
@@ -217,84 +222,60 @@ def _form_class(u: list, v: list, sq: list) -> Callable[[int, int], IntervalClas
     return lambda x, y: sign_class(_vsign([r * x * x + (s * x + t * y) * y for r, s, t in zip(g0, g1, g2)], sq))
 
 
-# a (x = 0) and b (x = 1) in `_cop_parallel`'s plane, as homogeneous lines
-_PLANE_A, _PLANE_B = (1, 0, 0), (1, 0, -1)
-
-
 def _cross(p: tuple, q: tuple) -> tuple:
     """The line through two points of the projective plane, or the point
     where two lines meet, in homogeneous int coordinates."""
     return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
 
 
-def _on(line: tuple, p: tuple) -> bool:
-    return line[0] * p[0] + line[1] * p[1] + line[2] * p[2] == 0
-
-
-def _toward(p: tuple, q: tuple) -> tuple[int, int]:
-    """The plane direction from p to q, two points with Z > 0, times both Zs."""
-    return q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2]
-
-
 def _cop_parallel(a: Line, b: Line, kind: ModelKind) -> Optional[tuple]:
     """Cop's decision for distinct lines with one canonical direction D: the
-    first grid candidate whose clauses hold, as the arguments of
-    `_plane_witness` after a and b, or None.
+    first grid candidate (t1, t2, k) whose two transversal classes kind
+    allows, or None.  It decides by class alone, since every other clause
+    of def_cop holds on the whole grid.
 
     (x, y) -> A + x*w + y*D, for A = a.base and w = b.base - A, maps the
     plane F^2 one to one onto the pair's plane: A and b.base both have pivot
     coordinate 0 and D has 1 there, so w is not zero and not along D.  A
     line maps to a line, so incidence, equality and meeting of the lines of
     that plane are decided on their plane coordinates.  a is x = 0, b is
-    x = 1, a.at(t) is (0, t) and b.at(k) is (1, k).  Points and lines are
-    homogeneous int triples (X, Y, Z) for (X/Z, Y/Z), so each clause of
-    def_cop is one `_cross` or `_on` on small ints: c != d, c and d are
-    neither a nor b, g = c x d (on c and on d) is a point (Z != 0) off a and
-    off b, and the four M conjuncts hold at the events c and d were built
-    on.  The class of
-    the transversal with plane direction (x, y) is that of x*w + y*D, one
-    binary form whose Gram entries (`_form_class`) are computed once per
-    pair.
+    x = 1, a.at(t) is (0, t) and b.at(k) is (1, k).  c runs from (0, t1) to
+    (1, k) and d from (0, t2) to (1, -k - 1).  The class of the transversal
+    with plane direction (x, y) is that of x*w + y*D, one binary form whose
+    Gram entries (`_form_class`) are computed once per pair; for t = n/m,
+    the direction from (0, t) to (1, k) times m is (m, k*m - n).
 
-    On this grid every clause holds: c and d have directions (1, k - t1)
-    and (1, -k - 1 - t2), which differ since t1 - t2 is never 2k + 1, and
-    neither is a's; they meet at x = (t2 - t1)/(2k + 1 - t1 + t2), which is
-    neither 0 nor 1.  So the witness is the first candidate whose classes
-    kind allows, the one a search in F^4 over the grid stops at, and canonical
-    forms make it field for field the same.  Only a top-level cop_def or
-    par_def builds it in F^4 (`_plane_witness`): `_par` reads the decision
-    alone."""
-    u, v, sq = _pencil(a.base, b)
-    plane_class = _form_class(u, v, sq)
+    On this grid every other clause holds.  c and d have directions (1, k -
+    t1) and (1, -k - 1 - t2), which differ since t1 - t2 is never 2k + 1,
+    so c != d and they meet at one point g; neither direction is a's (0,
+    1), so neither line is a or b.  g has x = (t2 - t1)/(2k + 1 - t1 + t2),
+    which is neither 0 nor 1, so g is off a and off b.  c meets a at (0,
+    t1) and b at (1, k), and d meets b at (1, -k - 1) and a at (0, t2): the
+    four M conjuncts.  `test_cop_grid_clauses_hold_on_every_candidate`
+    checks each clause on each candidate.  So the witness is the first
+    candidate whose classes kind allows, the one a search in F^4 over the
+    grid stops at, and canonical forms make it field for field the same.
+    Only a top-level cop_def or par_def builds it in F^4 (`_plane_witness`):
+    `_par` reads the decision alone."""
+    plane_class = _form_class(*_pencil(a.base, b))
     for t1, t2 in _COP_ANCHORS:
-        p1, p2 = (0, t1.numerator, t1.denominator), (0, t2.numerator, t2.denominator)
         for k in _COP_KS:
-            q1, q2 = (1, k, 1), (1, -k - 1, 1)
-            if not (kind.allows(plane_class(*_toward(p1, q1)))
-                    and kind.allows(plane_class(*_toward(p2, q2)))):
-                continue
-            c, d = _cross(p1, q1), _cross(p2, q2)
-            if any(not any(_cross(x, y)) for x, y in ((c, d), (c, _PLANE_A), (c, _PLANE_B),
-                                                      (d, _PLANE_A), (d, _PLANE_B))):
-                continue
-            g = _cross(c, d)
-            if g[2] == 0 or _on(_PLANE_A, g) or _on(_PLANE_B, g):
-                continue
-            if all(_on(x, s) and _on(y, s) for x, y, s in (
-                    (_PLANE_A, c, p1), (c, _PLANE_B, q1), (d, _PLANE_B, q2), (d, _PLANE_A, p2))):
-                return u, v, (p1, q1), (p2, q2), g
+            if all(kind.allows(plane_class(t.denominator, y * t.denominator - t.numerator))
+                   for t, y in ((t1, k), (t2, -k - 1))):
+                return t1, t2, k
     return None
 
 
-def _plane_witness(a: Line, b: Line, u: list, v: list, c: tuple, d: tuple, g: tuple) -> dict:
-    """Cop's witness in F^4 from `_cop_parallel`'s plane: the lines c and d,
-    each through the first of its two plane points, and the event g.  With
-    U and V from `_pencil(a.base, b)` over E*e, E = a.base.den*b.base.den,
-    the point (X, Y, Z) has the ints Z*b.base.den*e*A + X*U + Y*V over
-    Z*E*e, and the direction (x, y) the ints x*U + y*V.  Each point is
-    one int combination reduced once, and each line one `_canonical_dir`
-    and one `_canonical_base`."""
+def _plane_witness(a: Line, b: Line, t1: Fraction, t2: Fraction, k: int) -> dict:
+    """Cop's witness in F^4 from `_cop_parallel`'s plane: c through (0, t1)
+    and (1, k), d through (0, t2) and (1, -k - 1), each built on its first
+    point, and the event g = c x d.  With U and V from `_pencil(a.base, b)`
+    over E*e, E = a.base.den*b.base.den, the point (X, Y, Z) has the ints
+    Z*b.base.den*e*A + X*U + Y*V over Z*E*e, and the direction (x, y) the
+    ints x*U + y*V.  Each point is one int combination reduced once, and
+    each line one `_canonical_dir` and one `_canonical_base`."""
     ctx, level = _ctx_of(a.base, a.dir, b.base)
+    u, v, _ = _pencil(a.base, b)
     den, scale = a.base.den * b.base.den * a.dir.den, b.base.den * a.dir.den
     o = [scale * r for r in _widen(a.base.a, a.base.level, level)]
 
@@ -302,12 +283,17 @@ def _plane_witness(a: Line, b: Line, u: list, v: list, c: tuple, d: tuple, g: tu
         x, y, z = p
         return [z * r + x * s + y * t for r, s, t in zip(o, u, v)], z * den
 
-    def line(p: tuple, q: tuple) -> Line:
-        x, y = _toward(p, q)
-        direction, pivot = _canonical_dir(ctx, [x * s + y * t for s, t in zip(u, v)], level)
-        return _line(_canonical_base(ctx, *point(p), direction, pivot), direction, pivot)
+    def line(t: Fraction, y: int) -> Line:
+        """The transversal from (0, t) to (1, y)."""
+        m = t.denominator
+        direction, pivot = _canonical_dir(ctx, [m * s + (y * m - t.numerator) * r
+                                                for s, r in zip(u, v)], level)
+        return _line(_canonical_base(ctx, *point((0, t.numerator, m)), direction, pivot),
+                     direction, pivot)
 
-    return {"c": line(*c), "d": line(*d), "g": event(_reduced(ctx, *point(g), Vec4))}
+    g = _cross(_cross((0, t1.numerator, t1.denominator), (1, k, 1)),
+               _cross((0, t2.numerator, t2.denominator), (1, -k - 1, 1)))
+    return {"c": line(t1, k), "d": line(t2, -k - 1), "g": event(_reduced(ctx, *point(g), Vec4))}
 
 
 def _line_through_meeting(p: Vec4, target: Line, param: Fraction, kind: ModelKind) -> Optional[Line]:
@@ -493,7 +479,10 @@ def _diamond_solutions(c_dir: Vec4, e1: Vec4, e2: Vec4):
     """Apex pairs (x, y) on some line parallel to c_dir with null links to
     both events.  Subtracting the leg equations pairwise forces
     <e2-e1, dir> = 0 and x, y = mid -/+ s*dir with s^2 = -lam(u)/(4 lam(dir));
-    outside that the system is unsatisfiable."""
+    outside that the system is unsatisfiable.  Each leg is +-u/2 +- s*dir,
+    and lam(u/2 + s*dir) = lam(u)/4 + s*<u, dir> + s*s*lam(dir) = 0, so all
+    four legs of each pair are null, and callers read only their time
+    signs."""
     ctx = e1.ctx
     u = e2 - e1
     if not inner(u, c_dir).is_zero():
@@ -518,23 +507,20 @@ def sim_def(c: Line, b1: Segment, b2: Segment, kind: ModelKind) -> Verdict:
         # degenerate diamond with its apexes at the event itself
         return Verdict.true({"a": Line(e1, c.dir)})
     for x, y in _diamond_solutions(c.dir, e1, e2):
-        legs = [e1 - x, e2 - x, y - e1, y - e2]
-        if all(lam(w).is_zero() for w in legs) and all(w.x0.sign() >= 0 for w in legs):
+        if all(w.x0.sign() >= 0 for w in (e1 - x, e2 - x, y - e1, y - e2)):
             return Verdict.true({"a": Line(x, c.dir), "apex_beg": x, "apex_end": y})
     return Verdict.false()
 
 
 def simftl_def(c: Line, b1: Segment, b2: Segment, kind: ModelKind) -> Verdict:
-    """Undirected variant: light between the apexes and the events."""
+    """Undirected variant: light between the apexes and the events, which
+    must differ.  Every diamond's legs are null (`_diamond_solutions`)."""
     if b1 == b2:
         return Verdict.true()
     if not ev_def(b1, kind).is_true() or not ev_def(b2, kind).is_true():
         return Verdict.false()
     for x, y in _diamond_solutions(c.dir, b1.beg, b2.beg):
-        if (y - x).is_zero():
-            continue  # the witness events must differ
-        legs = [b1.beg - x, b2.beg - x, y - b1.beg, y - b2.beg]
-        if all(lam(w).is_zero() for w in legs):
+        if y != x:
             return Verdict.true({"a": Line(x, c.dir), "g": event(x), "d": event(y)})
     return Verdict.false()
 
@@ -561,7 +547,11 @@ def _double_diamond(b_dir: Vec4, p: Vec4, q: Vec4, r: Vec4, s: Vec4):
     apex for (r,s).  The four events lie on one host line, so each pair
     difference is along b_dir; per-apex algebra forces apex = mid + w with
     w ⊥ b_dir and lam(w) = -lam(diff)/4, and a shared carrier line forces
-    the same w on both sides, i.e. lam(p-q) == lam(r-s)."""
+    the same w on both sides, i.e. lam(p-q) == lam(r-s).  Each apex link is
+    +-diff/2 - w, and lam(diff/2 - w) = lam(diff)/4 - <diff, w> + lam(w) = 0
+    as diff is along b_dir, so all four links of the apexes returned are
+    null.  The apexes differ by mid2 - mid1, which is along b_dir, so they
+    lie on one line parallel to it."""
     ctx = p.ctx
     d1 = q - p
     d2 = s - r
@@ -571,12 +561,7 @@ def _double_diamond(b_dir: Vec4, p: Vec4, q: Vec4, r: Vec4, s: Vec4):
     w = _vector_with_norm(ctx, b_dir, target)
     if w is None:
         return None
-    mid1 = (p + q).scale(ctx.rat(1, 2))
-    mid2 = (r + s).scale(ctx.rat(1, 2))
-    a2 = mid1 + w
-    b2 = mid2 + w
-    # both apexes on one parallel line iff their difference is along b_dir
-    return None if along(b2 - a2, b_dir) is None else (a2, b2)
+    return (p + q).scale(ctx.rat(1, 2)) + w, (r + s).scale(ctx.rat(1, 2)) + w
 
 
 def _vector_with_norm(ctx: ScalarContext, direction: Vec4, target: Scalar) -> Optional[Vec4]:
@@ -619,9 +604,6 @@ def delta_def(
     if got is None:
         return Verdict.false()
     apex1, apex2 = got
-    for x, e in ((apex1, p0), (apex1, p1), (apex2, q0), (apex2, q1)):
-        if not lam(e - x).is_zero():
-            return Verdict.unknown("double-diamond witness failed verification")
     return Verdict.true({"b": Line(apex1, a.dir), "a2": event(apex1), "b2": event(apex2)})
 
 
@@ -639,7 +621,9 @@ def prec_def(e1: Segment, e2: Segment, kind: ModelKind) -> Verdict:
         return Verdict.false()
     u = q - p
     # two-hop chain: a sum of two future null vectors is any future causal
-    # vector, so a middle event exists iff u is future timelike or null
+    # vector, so a middle event exists iff u is future timelike or null.
+    # m - p = t*n is null, and lam(q - m) = lam(u) - 2*t*<u, n> = 0 for
+    # t = lam(u)/(2*<u, n>), so only the legs' time signs are read
     if lam(u).sign() > 0 or u.x0.sign() <= 0:
         return Verdict.false()
     ctx = p.ctx
@@ -649,8 +633,7 @@ def prec_def(e1: Segment, e2: Segment, kind: ModelKind) -> Verdict:
             continue
         t = lam(u) / (dot * 2)
         m = p + n.scale(t)
-        legs = (m - p, q - m)
-        if all(lam(w).is_zero() and w.x0.sign() >= 0 for w in legs):
+        if (m - p).x0.sign() >= 0 and (q - m).x0.sign() >= 0:
             return Verdict.true({"a": host, "m": event(m)})
     return Verdict.unknown("no two-hop witness constructed")
 

@@ -249,6 +249,39 @@ def test_cop_search_matches_the_reference_search():
             for kind in (STL, FTL) for meets in (True, False)} <= off_parallel
 
 
+def test_cop_grid_clauses_hold_on_every_candidate():
+    """_cop_parallel decides by class alone, so every other clause of
+    def_cop must hold on each candidate of its grid.  In its plane, with
+    homogeneous int points and lines (X, Y, Z), a is x = 0 and b is x = 1,
+    c runs from (0, t1) to (1, k) and d from (0, t2) to (1, -k - 1): c != d,
+    neither is a or b, they meet at a point g (Z != 0) off a and off b, and
+    c meets a at (0, t1) and b at (1, k), d meets b at (1, -k - 1) and a at
+    (0, t2), the four M conjuncts."""
+
+    def cross(p, q):
+        return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+    def on(line, p):
+        return sum(x * y for x, y in zip(line, p)) == 0
+
+    plane_a, plane_b = (1, 0, 0), (1, 0, -1)
+    candidates = 0
+    for t1, t2 in de._COP_ANCHORS:
+        p1, p2 = (0, t1.numerator, t1.denominator), (0, t2.numerator, t2.denominator)
+        for k in de._COP_KS:
+            q1, q2 = (1, k, 1), (1, -k - 1, 1)
+            c, d = cross(p1, q1), cross(p2, q2)
+            pairs = ((c, d), (c, plane_a), (c, plane_b), (d, plane_a), (d, plane_b))
+            assert all(any(cross(x, y)) for x, y in pairs), (t1, t2, k)
+            g = cross(c, d)
+            assert g[2] != 0 and on(c, g) and on(d, g), (t1, t2, k)
+            assert not on(plane_a, g) and not on(plane_b, g), (t1, t2, k)
+            for x, y, point in ((plane_a, c, p1), (c, plane_b, q1), (d, plane_b, q2), (d, plane_a, p2)):
+                assert on(x, point) and on(y, point), (t1, t2, k)
+            candidates += 1
+    assert candidates == len(de._COP_ANCHORS) * len(de._COP_KS) == 45
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2), st.randoms(use_true_random=False))
 def test_cop_class_test_matches_the_scalar_quadratic(depth, rng):
@@ -508,6 +541,65 @@ def test_bw_tau_defs_never_call_their_geometric_twins(monkeypatch):
         with pytest.raises(AssertionError, match="geometric twin"):
             GEOMETRIC_PREDICATES[name]((line,) * 3)
     assert verdicts() == want
+
+
+def test_constructed_legs_are_null(monkeypatch):
+    """The legs that sim_def, simftl_def, prec_def and delta_def no longer
+    test at run time are null by their construction; here each is checked
+    on the Sim, SimFTL, Prec, Delta, DeltaFTL and Tau items' cases at seeds
+    0-3 and both kinds, with apexes from tower level 0 up.  All four legs
+    of every pair _diamond_solutions returns are null, and so are both legs
+    of the two-hop point of every TRUE prec_def.  prec_def is never UNKNOWN
+    here: for a future causal u and a future null n, <u, n> < 0 unless u is
+    along n, so t >= 0 and the first n it tries with <u, n> != 0 gives two
+    future null legs and ends it.  Whenever _double_diamond returns
+    apexes, their four links are null and they lie on one line parallel to
+    its direction."""
+    seen, levels = collections.Counter(), set()
+    diamonds, double_diamond, prec = de._diamond_solutions, de._double_diamond, de.prec_def
+
+    def null(*legs):
+        return all(lam(w).is_zero() for w in legs)
+
+    def checked_diamonds(c_dir, e1, e2):
+        got = diamonds(c_dir, e1, e2)
+        for x, y in got:
+            assert null(e1 - x, e2 - x, y - e1, y - e2), (c_dir, e1, e2)
+            levels.add(x.level)
+            seen["diamond"] += 1
+        return got
+
+    def checked_double_diamond(b_dir, p, q, r, s):
+        got = double_diamond(b_dir, p, q, r, s)
+        if got is not None:
+            x, y = got
+            assert null(p - x, q - x, r - y, s - y), (b_dir, p, q, r, s)
+            assert quotient_lift(y - x, b_dir).is_zero()
+            levels.add(x.level)
+            seen["double diamond"] += 1
+        return got
+
+    def checked_prec(e1, e2, kind):
+        got = prec(e1, e2, kind)
+        assert not got.is_unknown(), (e1, e2)
+        if got.is_true():
+            m = got.witness["m"].beg
+            assert null(m - e1.beg, e2.beg - m), (e1, e2)
+            seen["prec"] += 1
+        return got
+
+    monkeypatch.setattr(de, "_diamond_solutions", checked_diamonds)
+    monkeypatch.setattr(de, "_double_diamond", checked_double_diamond)
+    monkeypatch.setattr(de, "prec_def", checked_prec)
+    for name in ("Sim", "SimFTL", "Prec", "Delta", "DeltaFTL", "Tau"):
+        for seed in range(4):
+            for kind in (STL, FTL):
+                for i in range(25):
+                    gen = ConfigGen(sub_seed(seed, "equiv", name, i), Budget().coordinate_bound)
+                    args = PRED_GENERATORS[name](gen, kind, i)
+                    de.DEFINITIONAL_EVALUATORS[name](list(args), kind)
+    assert {0, 1} <= levels
+    assert seen["diamond"] and seen["prec"] and seen["double diamond"]
 
 
 def test_sim_def_diamond():
